@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from itertools import combinations
+from operator import add
 from typing import Optional, Sequence
 
 from .forms import EvenForm, TorusForm, chern_transform
-from .scalars import GaussRat
+from .symfun import elementary_symmetric
 
 
 def _check_antisymmetric(matrix: tuple[tuple[int, ...], ...], n: int):
@@ -61,13 +61,9 @@ class LineBundle:
 
     def harmonic_curvature(self) -> TorusForm:
         """The translation-invariant curvature part sum K_jl dx_j dx_l."""
-        form = TorusForm.zero(self.n)
-        terms = {}
-        for j in range(self.n):
-            for l in range(j + 1, self.n):
-                if self.K[j][l]:
-                    terms[(0, (0,) * self.n, (j + 1, l + 1))] = GaussRat(self.K[j][l])
-        return TorusForm(self.n, terms) if terms else form
+        return TorusForm.from_harmonic(self.n, {
+            (j + 1, l + 1): self.K[j][l]
+            for j in range(self.n) for l in range(j + 1, self.n)})
 
     def curvature(self) -> TorusForm:
         if self._curvature is None:
@@ -169,16 +165,8 @@ class DiagBundle:
             raise ValueError("index must be >= 0")
         if i == 0:
             return TorusForm.const(self.n, 1)
-        total = TorusForm.zero(self.n)
-        forms = self.curvature_forms()
-        for subset in combinations(range(self.rank), i):
-            prod = forms[subset[0]]
-            for pos in subset[1:]:
-                prod = prod.wedge(forms[pos])
-                if prod.is_zero():
-                    break
-            total = total + prod
-        return total
+        return elementary_symmetric(self.curvature_forms(), i, TorusForm.wedge, add,
+                                    TorusForm.zero(self.n))
 
     def chern_form(self, i: int) -> TorusForm:
         """Degree-2i Chern form, computed along two routes and compared.
@@ -233,6 +221,7 @@ class OddKCycle:
 
     def __init__(self, n: int, components: Sequence[tuple]):
         self.n = n
+        volume = TorusForm.volume(n)
         comps = []
         for winding, phase in components:
             winding = tuple(int(v) for v in winding)
@@ -246,10 +235,10 @@ class OddKCycle:
                 raise ValueError("phase must be a function")
             if not phase.is_real():
                 raise ValueError("phase must be real")
-            if any(not any(freq) for (_, freq, _) in phase.terms):
+            # the constant Fourier mode of a function is its mean
+            if phase.wedge(volume).integrate_torus():
                 raise ValueError("phase must have no constant Fourier mode")
-            at_zero = sum((c for c in phase.terms.values()), GaussRat())
-            if at_zero:
+            if phase.subtorus_integral(()):
                 raise ValueError("phase must vanish at the basepoint")
             comps.append((winding, phase))
         self.components = tuple(comps)
@@ -281,16 +270,17 @@ class OddKCycle:
         """
         N = self.n + 1
         lines = []
-        correction = TorusForm.zero(N)
+        phases = TorusForm.zero(self.n)
         for winding, phase in self.components:
             K = [[0] * N for _ in range(N)]
             for l, m_l in enumerate(winding, start=1):
                 K[0][l] = m_l
                 K[l][0] = -m_l
             lines.append(LineBundle(N, K))
-            for (m, freq, idx), coeff in phase.terms.items():
-                term = TorusForm.single(N, -coeff, freq=(0,) + freq, idx=(1,))
-                correction = correction + term
+            phases = phases + phase
+        # pull the phases back along the projection that forgets the circle
+        drop_circle = [[1 if l == j + 1 else 0 for l in range(N)] for j in range(self.n)]
+        correction = TorusForm.single(N, -1, idx=(1,)).wedge(phases.pullback(drop_circle))
         return DiagBundle(lines), correction
 
     def __repr__(self):

@@ -26,11 +26,9 @@ from .verify import DEFAULT_DEGREE, SUITES, run_suite
 ENV_DEGREE = "CHERNFORGE_DEGREE"
 
 
-def _resolve_degree(flag_value, config_value=None) -> int:
+def _resolve_degree(flag_value) -> int:
     if flag_value is not None:
         return flag_value
-    if config_value is not None:
-        return config_value
     env = os.environ.get(ENV_DEGREE)
     if env is not None:
         try:
@@ -38,6 +36,16 @@ def _resolve_degree(flag_value, config_value=None) -> int:
         except ValueError:
             raise ConfigError(f"{ENV_DEGREE} must be an integer, got {env!r}") from None
     return DEFAULT_DEGREE
+
+
+def _case_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _subset_key(subset) -> str:
@@ -177,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json", "csv"), default=None)
     common.add_argument("--out", metavar="PATH", default=None,
                         help="write the report to a file instead of stdout")
-    common.add_argument("--degree", type=int, default=None,
-                        help=f"truncation degree (default 8, or ${ENV_DEGREE})")
 
     chern = sub.add_parser("chern", parents=[common],
                            help="evaluate even classes of a configured cycle")
@@ -194,7 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="run a named verification suite")
     verify.add_argument("--suite", required=True, metavar="NAME")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--cases", type=int, default=None)
+    verify.add_argument("--cases", type=_case_count, default=None,
+                        help="number of seeded cases (at least 1)")
+    verify.add_argument("--degree", type=int, default=None,
+                        help=f"truncation degree (default 8, or ${ENV_DEGREE})")
     verify.set_defaults(func=_cmd_verify)
     return parser
 

@@ -10,6 +10,7 @@ re-serializes bit-exactly.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -33,13 +34,20 @@ class ComponentSpec:
     phase: Optional[TorusForm] = None
 
 
+@contextmanager
+def _cycle_data():
+    # constructors reject malformed cycle data with ValueError; to the
+    # front end that is bad input, like any other config error
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 @dataclass
 class Config:
     dim: Optional[int] = None
-    degree: Optional[int] = None
     indices: list[int] = field(default_factory=list)
-    seed: int = 0
-    cases: Optional[int] = None
     fmt: Optional[str] = None
     lines: list[LineSpec] = field(default_factory=list)
     rho: Optional[TorusForm] = None
@@ -49,14 +57,14 @@ class Config:
         if self.dim is None:
             raise ConfigError("missing 'dim'")
         specs = self.lines or [LineSpec()]
-        built = []
-        for spec in specs:
-            built.append(LineBundle(self.dim, spec.K, spec.theta, spec.beta))
-        return DiagBundle(built)
+        with _cycle_data():
+            return DiagBundle([LineBundle(self.dim, spec.K, spec.theta, spec.beta)
+                               for spec in specs])
 
     def build_cycle(self) -> KCycle:
-        rho = self.rho if self.rho is not None else TorusForm.zero(self.dim)
-        return KCycle(self.build_bundle(), rho)
+        bundle = self.build_bundle()
+        with _cycle_data():
+            return KCycle(bundle, self.rho)
 
     def build_odd_cycle(self) -> OddKCycle:
         if self.dim is None:
@@ -67,9 +75,9 @@ class Config:
         for spec in self.components:
             if spec.winding is None:
                 raise ConfigError("odd component is missing 'winding'")
-            phase = spec.phase if spec.phase is not None else TorusForm.zero(self.dim)
-            comps.append((tuple(spec.winding), phase))
-        return OddKCycle(self.dim, comps)
+            comps.append((spec.winding, spec.phase))
+        with _cycle_data():
+            return OddKCycle(self.dim, comps)
 
 
 def _parse_int(value: str, lineno: int) -> int:
@@ -107,7 +115,7 @@ def _parse_form_value(value: str, dim: Optional[int], lineno: int) -> TorusForm:
         raise ConfigError(str(exc), lineno) from None
 
 
-_TOP_KEYS = {"dim", "degree", "seed", "cases", "format", "indices"}
+_TOP_KEYS = {"dim", "format", "indices"}
 
 
 def parse_config(text: str) -> Config:
@@ -143,12 +151,6 @@ def parse_config(text: str) -> Config:
                 raise ConfigError(f"unknown key {key!r}", lineno)
             if key == "dim":
                 config.dim = _parse_int(value, lineno)
-            elif key == "degree":
-                config.degree = _parse_int(value, lineno)
-            elif key == "seed":
-                config.seed = _parse_int(value, lineno)
-            elif key == "cases":
-                config.cases = _parse_int(value, lineno)
             elif key == "format":
                 if value not in ("text", "json", "csv"):
                     raise ConfigError(f"unknown format {value!r}", lineno)
@@ -188,14 +190,8 @@ def _form_line(form: TorusForm) -> str:
 def serialize_config(config: Config) -> str:
     """Canonical text for a configuration; parses back bit-exactly."""
     out = [f"dim = {config.dim}"]
-    if config.degree is not None:
-        out.append(f"degree = {config.degree}")
     if config.indices:
         out.append("indices = " + " ".join(str(i) for i in config.indices))
-    if config.seed:
-        out.append(f"seed = {config.seed}")
-    if config.cases is not None:
-        out.append(f"cases = {config.cases}")
     if config.fmt is not None:
         out.append(f"format = {config.fmt}")
     for spec in config.lines:

@@ -19,27 +19,16 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from operator import add
 from typing import Optional, Sequence
 
 from .bundles import DiagBundle, LineBundle, OddKCycle
 from .errors import PreconditionError
 from .forms import EvenForm, TorusForm, chern_transform
-from .scalars import GaussRat
-from .symfun import chern_polynomial
+from .scalars import collect
+from .symfun import chern_polynomial, elementary_symmetric
 
 Subset = tuple[int, ...]
-
-
-def _harmonic_from_form(form: TorusForm) -> dict[Subset, Fraction]:
-    """Read a translation-invariant real form back into a coefficient table."""
-    table: dict[Subset, Fraction] = {}
-    for (t_exp, freq, idx), coeff in form.terms.items():
-        if t_exp or any(freq):
-            raise ValueError("form has non-harmonic content")
-        if not coeff.is_real():
-            raise ValueError("harmonic data must be real")
-        table[idx] = coeff.re
-    return table
 
 
 class DiffChar:
@@ -103,9 +92,7 @@ class DiffChar:
     # -- structure maps ---------------------------------------------------
 
     def harmonic_form(self) -> TorusForm:
-        terms = {(0, (0,) * self.n, idx): GaussRat(coeff)
-                 for idx, coeff in self.harmonic.items()}
-        return TorusForm(self.n, terms)
+        return TorusForm.from_harmonic(self.n, self.harmonic)
 
     def curvature(self) -> TorusForm:
         return self.harmonic_form() + self.trans.d()
@@ -143,13 +130,7 @@ class DiffChar:
     def add(self, other: "DiffChar") -> "DiffChar":
         if self.n != other.n or self.degree != other.degree:
             raise ValueError("characters live in different groups")
-        merged = dict(self.harmonic)
-        for idx, coeff in other.harmonic.items():
-            acc = merged.get(idx, 0) + coeff
-            if acc:
-                merged[idx] = acc
-            else:
-                merged.pop(idx, None)
+        merged = collect(other.harmonic.items(), self.harmonic)
         return DiffChar(self.n, self.degree, merged, self.trans + other.trans)
 
     def neg(self) -> "DiffChar":
@@ -180,7 +161,7 @@ class DiffChar:
                 f"cup degree {self.degree + other.degree} exceeds T^{self.n}")
         hx = self.harmonic_form()
         hy = other.harmonic_form()
-        harmonic = _harmonic_from_form(hx.wedge(hy))
+        harmonic = hx.wedge(hy).harmonic_table()
         trans = (self.trans.wedge(hy) + hx.wedge(other.trans)
                  + self.trans.wedge(other.trans.d()))
         result = DiffChar(self.n, self.degree + other.degree, harmonic, trans)
@@ -194,7 +175,7 @@ class DiffChar:
         """Pullback along x -> A x; rows of A index this character's torus."""
         harm = self.harmonic_form().pullback(matrix)
         trans = self.trans.pullback(matrix)
-        return DiffChar(harm.n, self.degree, _harmonic_from_form(harm), trans)
+        return DiffChar(harm.n, self.degree, harm.harmonic_table(), trans)
 
     def integrate_circle(self, axis: int = 1) -> "DiffChar":
         """Integrate over a circle coordinate, degree dropping by one.
@@ -209,7 +190,7 @@ class DiffChar:
             raise PreconditionError("cannot integrate a degree-0 character")
         harm = self.harmonic_form().fiber_integrate_circle(axis)
         trans = -(self.trans.fiber_integrate_circle(axis))
-        return DiffChar(harm.n, self.degree - 1, _harmonic_from_form(harm), trans)
+        return DiffChar(harm.n, self.degree - 1, harm.harmonic_table(), trans)
 
     # -- comparison ----------------------------------------------------------
 
@@ -306,13 +287,8 @@ def _sigma_cup(chars: Sequence[DiffChar], i: int, n: int) -> DiffChar:
     """Elementary symmetric polynomial of degree-2 characters under cup."""
     if i == 0:
         return DiffChar.unit(n)
-    total = DiffChar.zero(n, 2 * i)
-    for subset in combinations(range(len(chars)), i):
-        prod = chars[subset[0]]
-        for pos in subset[1:]:
-            prod = prod.cup(chars[pos])
-        total = total.add(prod)
-    return total
+    return elementary_symmetric(chars, i, DiffChar.cup, DiffChar.add,
+                                DiffChar.zero(n, 2 * i))
 
 
 DEFAULT_PATH: tuple[tuple[int, Fraction], ...] = ((1, Fraction(1)),)
@@ -353,16 +329,9 @@ def _transgression_term(cycle: KCycle, i: int,
 
 def _harmonic_sigma_table(bundle: DiagBundle, i: int) -> dict[Subset, int]:
     """Period table of the i'th symmetric polynomial of the harmonic data."""
-    total = TorusForm.zero(bundle.n)
-    forms = [line.harmonic_curvature() for line in bundle.lines]
-    for subset in combinations(range(len(forms)), i):
-        prod = forms[subset[0]]
-        for pos in subset[1:]:
-            prod = prod.wedge(forms[pos])
-            if prod.is_zero():
-                break
-        total = total + prod
-    return {idx: int(coeff) for idx, coeff in _harmonic_from_form(total).items()}
+    total = elementary_symmetric([line.harmonic_curvature() for line in bundle.lines], i,
+                                 TorusForm.wedge, add, TorusForm.zero(bundle.n))
+    return {idx: int(coeff) for idx, coeff in total.harmonic_table().items()}
 
 
 def chern_class(cycle: KCycle, i: int, path=None) -> DiffChar:
@@ -523,25 +492,14 @@ def check_shift_invariance(cycle: KCycle, i: int, shift: TorusForm) -> bool:
 
 def _expected_odd_periods(cycle: OddKCycle, i: int) -> dict[Subset, int]:
     """Periods of the odd class straight from the winding data."""
-    j = (i + 1) // 2
     N = cycle.n + 1
-    forms = []
-    for winding, phase in cycle.components:
-        terms = {}
-        for l, m_l in enumerate(winding, start=1):
-            if m_l:
-                terms[(0, (0,) * N, (1, l + 1))] = GaussRat(m_l)
-        forms.append(TorusForm(N, terms))
-    total = TorusForm.zero(N)
-    for subset in combinations(range(len(forms)), j):
-        prod = forms[subset[0]]
-        for pos in subset[1:]:
-            prod = prod.wedge(forms[pos])
-            if prod.is_zero():
-                break
-        total = total + prod
+    forms = [TorusForm.from_harmonic(N, {(1, l + 1): m_l
+                                         for l, m_l in enumerate(winding, start=1)})
+             for winding, _ in cycle.components]
+    total = elementary_symmetric(forms, (i + 1) // 2, TorusForm.wedge, add,
+                                 TorusForm.zero(N))
     reduced = total.fiber_integrate_circle(1)
-    return {idx: int(coeff) for idx, coeff in _harmonic_from_form(reduced).items()}
+    return {idx: int(coeff) for idx, coeff in reduced.harmonic_table().items()}
 
 
 def odd_chern_class(cycle: OddKCycle, i: int) -> DiffChar:

@@ -23,10 +23,11 @@ d(int_t a) + int_t(d a) = a|_{t=1} - a|_{t=0}:
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 import re
 from typing import Iterable, Optional, Sequence
 
-from .scalars import GaussRat
+from .scalars import GaussRat, collect
 
 # Term key: (t_exponent, frequency vector, index set).
 Key = tuple[int, tuple[int, ...], tuple[int, ...]]
@@ -59,22 +60,6 @@ def _merge_idx(a: tuple[int, ...], b: tuple[int, ...]):
     out.extend(a[i:])
     out.extend(b[j:])
     return (1 if inversions % 2 == 0 else -1), tuple(out)
-
-
-def _prepend_idx(j: int, idx: tuple[int, ...]):
-    """Sign and index set of dx_j ^ dx_idx, or None on collision."""
-    if j in idx:
-        return None
-    below = sum(1 for p in idx if p < j)
-    return (-1) ** below, tuple(sorted((j,) + idx))
-
-
-def _append_idx(j: int, idx: tuple[int, ...]):
-    """Sign and index set of dx_idx ^ dx_j, or None on collision."""
-    if j in idx:
-        return None
-    above = sum(1 for p in idx if p > j)
-    return (-1) ** above, tuple(sorted(idx + (j,)))
 
 
 class TorusForm:
@@ -111,6 +96,13 @@ class TorusForm:
                 clean[key] = coeff
         self.terms = clean
 
+    @classmethod
+    def _make(cls, n: int, has_t: bool, terms: dict) -> "TorusForm":
+        # trusted constructor: keys must be valid, coefficients non-zero
+        self = object.__new__(cls)
+        self.n, self.has_t, self.terms = n, has_t, terms
+        return self
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -139,6 +131,12 @@ class TorusForm:
     def volume(cls, n: int) -> "TorusForm":
         return cls.single(n, 1, idx=tuple(range(1, n + 1)))
 
+    @classmethod
+    def from_harmonic(cls, n: int, table: dict) -> "TorusForm":
+        """Translation-invariant form sum c_I dx_I from a rational table {I: c_I}."""
+        return cls(n, {(0, (0,) * n, tuple(idx)): GaussRat(coeff)
+                       for idx, coeff in table.items()})
+
     # -- ring structure -------------------------------------------------
 
     def _compatible(self, other: "TorusForm"):
@@ -147,23 +145,10 @@ class TorusForm:
 
     def __add__(self, other: "TorusForm") -> "TorusForm":
         self._compatible(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            existing = out.get(key)
-            acc = coeff if existing is None else existing + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        result = TorusForm.__new__(TorusForm)
-        result.n, result.has_t, result.terms = self.n, self.has_t, out
-        return result
+        return self._make(self.n, self.has_t, collect(other.terms.items(), self.terms))
 
     def __neg__(self) -> "TorusForm":
-        result = TorusForm.__new__(TorusForm)
-        result.n, result.has_t = self.n, self.has_t
-        result.terms = {k: -c for k, c in self.terms.items()}
-        return result
+        return self._make(self.n, self.has_t, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "TorusForm") -> "TorusForm":
         return self + (-other)
@@ -172,66 +157,47 @@ class TorusForm:
         scalar = GaussRat.coerce(scalar)
         if not scalar:
             return TorusForm.zero(self.n, self.has_t)
-        result = TorusForm.__new__(TorusForm)
-        result.n, result.has_t = self.n, self.has_t
-        result.terms = {k: c * scalar for k, c in self.terms.items()}
-        return result
+        return self._make(self.n, self.has_t, {k: c * scalar for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
     def wedge(self, other: "TorusForm") -> "TorusForm":
         """Graded-commutative product with the standard Koszul sign."""
         self._compatible(other)
-        out: dict[Key, GaussRat] = {}
-        for (m1, k1, i1), c1 in self.terms.items():
-            for (m2, k2, i2), c2 in other.terms.items():
-                merged = _merge_idx(i1, i2)
-                if merged is None:
-                    continue
-                sign, idx = merged
-                key = (m1 + m2, tuple(a + b for a, b in zip(k1, k2)), idx)
-                prod = c1 * c2
-                if sign < 0:
-                    prod = -prod
-                existing = out.get(key)
-                acc = prod if existing is None else existing + prod
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        result = TorusForm.__new__(TorusForm)
-        result.n, result.has_t, result.terms = self.n, self.has_t, out
-        return result
+
+        def products():
+            for (m1, k1, i1), c1 in self.terms.items():
+                for (m2, k2, i2), c2 in other.terms.items():
+                    merged = _merge_idx(i1, i2)
+                    if merged is None:
+                        continue
+                    sign, idx = merged
+                    prod = c1 * c2
+                    yield (m1 + m2, tuple(map(add, k1, k2)), idx), \
+                        (prod if sign > 0 else -prod)
+
+        return self._make(self.n, self.has_t, collect(products()))
 
     def d(self) -> "TorusForm":
         """Exterior derivative on the stored (Chern-normalized) data."""
-        out: dict[Key, GaussRat] = {}
 
-        def put(key: Key, coeff: GaussRat):
-            existing = out.get(key)
-            acc = coeff if existing is None else existing + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+        def derivatives():
+            for (m, freq, idx), coeff in self.terms.items():
+                if m > 0:
+                    merged = _merge_idx((0,), idx)
+                    if merged is not None:
+                        sign, new_idx = merged
+                        yield (m - 1, freq, new_idx), coeff * (m * sign)
+                for j, kj in enumerate(freq, start=1):
+                    if kj == 0:
+                        continue
+                    merged = _merge_idx((j,), idx)
+                    if merged is None:
+                        continue
+                    sign, new_idx = merged
+                    yield (m, freq, new_idx), coeff * GaussRat(0, kj * sign)
 
-        for (m, freq, idx), coeff in self.terms.items():
-            if m > 0:
-                pre = _prepend_idx(0, idx)
-                if pre is not None:
-                    sign, new_idx = pre
-                    put((m - 1, freq, new_idx), coeff * (m * sign))
-            for j, kj in enumerate(freq, start=1):
-                if kj == 0:
-                    continue
-                pre = _prepend_idx(j, idx)
-                if pre is None:
-                    continue
-                sign, new_idx = pre
-                put((m, freq, new_idx), coeff * GaussRat(0, kj * sign))
-        result = TorusForm.__new__(TorusForm)
-        result.n, result.has_t, result.terms = self.n, self.has_t, out
-        return result
+        return self._make(self.n, self.has_t, collect(derivatives()))
 
     # -- structure queries ----------------------------------------------
 
@@ -249,11 +215,9 @@ class TorusForm:
         return True
 
     def conj(self) -> "TorusForm":
-        out = {(m, tuple(-x for x in freq), idx): c.conj()
-               for (m, freq, idx), c in self.terms.items()}
-        result = TorusForm.__new__(TorusForm)
-        result.n, result.has_t, result.terms = self.n, self.has_t, out
-        return result
+        return self._make(self.n, self.has_t,
+                          {(m, tuple(-x for x in freq), idx): c.conj()
+                           for (m, freq, idx), c in self.terms.items()})
 
     def degrees(self) -> set[int]:
         return {len(idx) for (_, _, idx) in self.terms}
@@ -267,10 +231,8 @@ class TorusForm:
         return degs.pop()
 
     def component(self, degree: int) -> "TorusForm":
-        out = {k: c for k, c in self.terms.items() if len(k[2]) == degree}
-        result = TorusForm.__new__(TorusForm)
-        result.n, result.has_t, result.terms = self.n, self.has_t, out
-        return result
+        return self._make(self.n, self.has_t,
+                          {k: c for k, c in self.terms.items() if len(k[2]) == degree})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusForm):
@@ -284,9 +246,7 @@ class TorusForm:
         """The same form viewed on the t-extended space."""
         if self.has_t:
             return self
-        result = TorusForm.__new__(TorusForm)
-        result.n, result.has_t, result.terms = self.n, True, dict(self.terms)
-        return result
+        return self._make(self.n, True, dict(self.terms))
 
     def mul_t(self, power: int) -> "TorusForm":
         """Multiply by t^power (requires the t extension)."""
@@ -294,46 +254,25 @@ class TorusForm:
             raise ValueError("mul_t needs a t-extended form")
         if power < 0:
             raise ValueError("t power must be >= 0")
-        out = {(m + power, freq, idx): c for (m, freq, idx), c in self.terms.items()}
-        result = TorusForm.__new__(TorusForm)
-        result.n, result.has_t, result.terms = self.n, True, out
-        return result
+        return self._make(self.n, True, {(m + power, freq, idx): c
+                                         for (m, freq, idx), c in self.terms.items()})
 
     def restrict_t(self, value) -> "TorusForm":
         """Restrict a t-extended form to the slice t = value."""
         if not self.has_t:
             raise ValueError("restrict_t needs a t-extended form")
         value = Fraction(value)
-        out: dict[Key, GaussRat] = {}
-        for (m, freq, idx), coeff in self.terms.items():
-            if 0 in idx:
-                continue
-            scaled = coeff * (value ** m if m else 1)
-            if not scaled:
-                continue
-            key = (0, freq, idx)
-            acc = out.get(key, GaussRat()) + scaled
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return TorusForm(self.n, out, has_t=False)
+        return self._make(self.n, False, collect(
+            ((0, freq, idx), coeff * (value ** m if m else 1))
+            for (m, freq, idx), coeff in self.terms.items() if 0 not in idx))
 
     def fiber_integrate_t(self) -> "TorusForm":
         """Integrate the t fiber away: int(t^m dt ^ eta) = eta/(m+1)."""
         if not self.has_t:
             raise ValueError("fiber_integrate_t needs a t-extended form")
-        out: dict[Key, GaussRat] = {}
-        for (m, freq, idx), coeff in self.terms.items():
-            if not idx or idx[0] != 0:
-                continue
-            key = (0, freq, idx[1:])
-            acc = out.get(key, GaussRat()) + coeff / (m + 1)
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return TorusForm(self.n, out, has_t=False)
+        return self._make(self.n, False, collect(
+            ((0, freq, idx[1:]), coeff / (m + 1))
+            for (m, freq, idx), coeff in self.terms.items() if idx and idx[0] == 0))
 
     # -- circle fibers and periods ----------------------------------------
 
@@ -350,21 +289,19 @@ class TorusForm:
             raise ValueError("circle integration is defined on t-free forms")
         if not 1 <= axis <= self.n:
             raise ValueError(f"no coordinate {axis} on T^{self.n}")
-        out: dict[Key, GaussRat] = {}
         pos = axis - 1
-        for (m, freq, idx), coeff in self.terms.items():
-            if axis not in idx or freq[pos] != 0:
-                continue
-            sign = (-1) ** sum(1 for p in idx if p < axis)
-            new_idx = tuple(p if p < axis else p - 1 for p in idx if p != axis)
-            new_freq = freq[:pos] + freq[pos + 1:]
-            key = (0, new_freq, new_idx)
-            acc = out.get(key, GaussRat()) + coeff * sign
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return TorusForm(self.n - 1, out, has_t=False)
+
+        def integrated():
+            for (m, freq, idx), coeff in self.terms.items():
+                if axis not in idx or freq[pos] != 0:
+                    continue
+                rest = tuple(p for p in idx if p != axis)
+                sign, _ = _merge_idx((axis,), rest)
+                new_idx = tuple(p if p < axis else p - 1 for p in rest)
+                yield (0, freq[:pos] + freq[pos + 1:], new_idx), \
+                    (coeff if sign > 0 else -coeff)
+
+        return self._make(self.n - 1, False, collect(integrated()))
 
     def subtorus_integral(self, subset: Iterable[int]) -> GaussRat:
         """Integral over the coordinate subtorus through the basepoint 0.
@@ -401,6 +338,17 @@ class TorusForm:
         """Top-degree integral over the whole torus."""
         return self.subtorus_integral(range(1, self.n + 1))
 
+    def harmonic_table(self) -> dict[tuple[int, ...], Fraction]:
+        """Inverse of :meth:`from_harmonic` on real translation-invariant forms."""
+        table: dict[tuple[int, ...], Fraction] = {}
+        for (t_exp, freq, idx), coeff in self.terms.items():
+            if t_exp or any(freq):
+                raise ValueError("form has non-harmonic content")
+            if not coeff.is_real():
+                raise ValueError("harmonic data must be real")
+            table[idx] = coeff.re
+        return table
+
     # -- pullback ---------------------------------------------------------
 
     def pullback(self, matrix: Sequence[Sequence[int]]) -> "TorusForm":
@@ -417,38 +365,35 @@ class TorusForm:
         m_src = len(rows[0]) if rows else 0
         if any(len(r) != m_src for r in rows):
             raise ValueError("ragged matrix")
-        out: dict[Key, GaussRat] = {}
-        for (t_exp, freq, idx), coeff in self.terms.items():
-            new_freq = tuple(
-                sum(rows[j][l] * freq[j] for j in range(self.n)) for l in range(m_src)
-            )
-            has_dt = bool(idx) and idx[0] == 0
-            spatial = idx[1:] if has_dt else idx
-            partial: list[tuple[int, tuple[int, ...], GaussRat]] = [(1, (), coeff)]
-            for j in spatial:
-                grown = []
+
+        def pulled():
+            for (t_exp, freq, idx), coeff in self.terms.items():
+                new_freq = tuple(
+                    sum(rows[j][l] * freq[j] for j in range(self.n)) for l in range(m_src)
+                )
+                has_dt = bool(idx) and idx[0] == 0
+                spatial = idx[1:] if has_dt else idx
+                partial: list[tuple[int, tuple[int, ...], GaussRat]] = [(1, (), coeff)]
+                for j in spatial:
+                    grown = []
+                    for sign, chosen, c in partial:
+                        for l in range(m_src):
+                            entry = rows[j - 1][l]
+                            if entry == 0:
+                                continue
+                            merged = _merge_idx(chosen, (l + 1,))
+                            if merged is None:
+                                continue
+                            s2, new_chosen = merged
+                            grown.append((sign * s2, new_chosen, c * entry))
+                    partial = grown
+                    if not partial:
+                        break
                 for sign, chosen, c in partial:
-                    for l in range(m_src):
-                        entry = rows[j - 1][l]
-                        if entry == 0:
-                            continue
-                        app = _append_idx(l + 1, chosen)
-                        if app is None:
-                            continue
-                        s2, new_chosen = app
-                        grown.append((sign * s2, new_chosen, c * entry))
-                partial = grown
-                if not partial:
-                    break
-            for sign, chosen, c in partial:
-                full_idx = ((0,) + chosen) if has_dt else chosen
-                key = (t_exp, new_freq, full_idx)
-                acc = out.get(key, GaussRat()) + c * sign
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return TorusForm(m_src, out, has_t=self.has_t)
+                    full_idx = ((0,) + chosen) if has_dt else chosen
+                    yield (t_exp, new_freq, full_idx), (c if sign > 0 else -c)
+
+        return self._make(m_src, self.has_t, collect(pulled()))
 
     # -- textual serialization ---------------------------------------------
 
@@ -516,7 +461,7 @@ def parse_form(text: str, n: Optional[int] = None,
         if n is None:
             raise ValueError("cannot infer dimension of the zero form")
         return TorusForm.zero(n, has_t=bool(has_t))
-    terms: dict[Key, GaussRat] = {}
+    terms: list[tuple[Key, GaussRat]] = []
     saw_t = False
     for piece in pieces:
         match = _TERM_RE.match(piece)
@@ -534,15 +479,10 @@ def parse_form(text: str, n: Optional[int] = None,
             n = len(freq)
         elif len(freq) != n:
             raise ValueError(f"term {piece!r} has arity {len(freq)}, expected {n}")
-        key = (m, freq, idx)
-        acc = terms.get(key, GaussRat()) + coeff
-        if acc:
-            terms[key] = acc
-        else:
-            terms.pop(key, None)
+        terms.append(((m, freq, idx), coeff))
     if has_t is None:
         has_t = saw_t
-    return TorusForm(n, terms, has_t=has_t)
+    return TorusForm(n, collect(terms), has_t=has_t)
 
 
 class EvenForm:

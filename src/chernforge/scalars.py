@@ -1,10 +1,34 @@
-"""Exact Gaussian-rational scalars used as Fourier coefficients."""
+"""Exact Gaussian-rational scalars used as Fourier coefficients.
+
+Also home of :func:`collect`, the one accumulate step shared by every
+sparse exact map in the package (forms, polynomials, characters).
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 _ZERO = Fraction(0)
+
+
+def collect(pairs, start=()) -> dict:
+    """Sum exact values per key onto a copy of the sparse map ``start``,
+    dropping every key whose sum is zero.
+
+    Sparse maps store only non-zero coefficients, so equal values have
+    identical key sets and equality stays structural.
+    """
+    out = dict(start)
+    get = out.get
+    for key, value in pairs:
+        existing = get(key)
+        if existing is not None:
+            value = existing + value
+        if value:
+            out[key] = value
+        elif existing is not None:
+            del out[key]
+    return out
 
 
 class GaussRat:

@@ -12,8 +12,13 @@ its primed twin both carry degree ``i``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import chain, combinations, repeat
 from math import factorial
+from operator import add, mul
 from typing import Callable, Optional
+
+from .scalars import collect
 
 # A variable is (alphabet, index) with alphabet 0 for s_i and 1 for the
 # primed copy; a monomial is a sorted tuple of (variable, exponent)
@@ -39,6 +44,34 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted(merged.items()))
 
 
+def elementary_symmetric(factors, i: int, times, plus, zero):
+    """e_i of ``factors`` in any ring, for i >= 1.
+
+    Adds, onto ``zero``, the left-to-right product under ``times`` of
+    every i-subset, subsets in lexicographic order.  Both orders are
+    fixed because the cup product of characters commutes only up to
+    exact transgressions, so another order stores other forms.
+    """
+    total = zero
+    for subset in combinations(factors, i):
+        total = plus(total, reduce(times, subset))
+    return total
+
+
+def _truncated_product(left: dict, right: dict, bound: int) -> dict:
+    """Product of exponent-vector maps, dropping total degree above ``bound``."""
+    right_items = [(e2, sum(e2), c2) for e2, c2 in right.items()]
+
+    def products():
+        for e1, c1 in left.items():
+            d1 = sum(e1)
+            for e2, d2, c2 in right_items:
+                if d1 + d2 <= bound:
+                    yield tuple(map(add, e1, e2)), c1 * c2
+
+    return collect(products())
+
+
 class GradedPoly:
     """Polynomial with exact rational coefficients in graded variables.
 
@@ -56,6 +89,13 @@ class GradedPoly:
                 if coeff:
                     clean[mono] = coeff
         self.terms = clean
+
+    @classmethod
+    def _make(cls, terms: dict) -> "GradedPoly":
+        # trusted constructor: coefficients must be non-zero Fractions
+        self = object.__new__(cls)
+        self.terms = terms
+        return self
 
     @classmethod
     def zero(cls) -> "GradedPoly":
@@ -85,21 +125,10 @@ class GradedPoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono, 0) + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
-        result = GradedPoly.__new__(GradedPoly)
-        result.terms = out
-        return result
+        return GradedPoly._make(collect(other.terms.items(), self.terms))
 
     def __neg__(self) -> "GradedPoly":
-        result = GradedPoly.__new__(GradedPoly)
-        result.terms = {m: -c for m, c in self.terms.items()}
-        return result
+        return GradedPoly._make({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + (-other)
@@ -108,9 +137,7 @@ class GradedPoly:
         value = Fraction(value)
         if not value:
             return GradedPoly()
-        result = GradedPoly.__new__(GradedPoly)
-        result.terms = {m: c * value for m, c in self.terms.items()}
-        return result
+        return GradedPoly._make({m: c * value for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -121,23 +148,18 @@ class GradedPoly:
 
     def mul_trunc(self, other: "GradedPoly", bound: Optional[int]) -> "GradedPoly":
         """Product, dropping monomials of degree above ``bound`` if given."""
-        out: dict[Mono, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            d1 = mono_degree(m1)
-            if bound is not None and d1 > bound:
-                continue
-            for m2, c2 in other.terms.items():
-                if bound is not None and d1 + mono_degree(m2) > bound:
+
+        def products():
+            for m1, c1 in self.terms.items():
+                d1 = mono_degree(m1)
+                if bound is not None and d1 > bound:
                     continue
-                mono = mono_mul(m1, m2)
-                acc = out.get(mono, 0) + c1 * c2
-                if acc:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
-        result = GradedPoly.__new__(GradedPoly)
-        result.terms = out
-        return result
+                for m2, c2 in other.terms.items():
+                    if bound is not None and d1 + mono_degree(m2) > bound:
+                        continue
+                    yield mono_mul(m1, m2), c1 * c2
+
+        return GradedPoly._make(collect(products()))
 
     def truncate(self, bound: int) -> "GradedPoly":
         return GradedPoly({m: c for m, c in self.terms.items() if mono_degree(m) <= bound})
@@ -220,6 +242,13 @@ class RootPoly:
         self.terms = clean
 
     @classmethod
+    def _make(cls, k: int, bound: int, terms: dict) -> "RootPoly":
+        # trusted constructor: coefficients non-zero, degrees within bound
+        self = object.__new__(cls)
+        self.k, self.bound, self.terms = k, bound, terms
+        return self
+
+    @classmethod
     def const(cls, k: int, bound: int, value) -> "RootPoly":
         return cls(k, bound, {(0,) * k: Fraction(value)})
 
@@ -232,41 +261,15 @@ class RootPoly:
         return self.k == other.k and self.terms == other.terms
 
     def __add__(self, other: "RootPoly") -> "RootPoly":
-        out = dict(self.terms)
-        for expvec, coeff in other.terms.items():
-            acc = out.get(expvec, 0) + coeff
-            if acc:
-                out[expvec] = acc
-            else:
-                out.pop(expvec, None)
-        result = RootPoly.__new__(RootPoly)
-        result.k, result.bound, result.terms = self.k, self.bound, out
-        return result
+        return RootPoly._make(self.k, self.bound, collect(other.terms.items(), self.terms))
 
     def __sub__(self, other: "RootPoly") -> "RootPoly":
-        negated = RootPoly.__new__(RootPoly)
-        negated.k, negated.bound = other.k, other.bound
-        negated.terms = {e: -c for e, c in other.terms.items()}
-        return self + negated
+        return self + RootPoly._make(other.k, other.bound,
+                                     {e: -c for e, c in other.terms.items()})
 
     def __mul__(self, other: "RootPoly") -> "RootPoly":
-        bound = self.bound
-        right = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, d2, c2 in right:
-                if d1 + d2 > bound:
-                    continue
-                expvec = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(expvec, 0) + c1 * c2
-                if acc:
-                    out[expvec] = acc
-                else:
-                    out.pop(expvec, None)
-        result = RootPoly.__new__(RootPoly)
-        result.k, result.bound, result.terms = self.k, bound, out
-        return result
+        return RootPoly._make(self.k, self.bound,
+                              _truncated_product(self.terms, other.terms, self.bound))
 
     def __repr__(self):
         return f"RootPoly(k={self.k}, bound={self.bound}, {len(self.terms)} terms)"
@@ -359,24 +362,9 @@ def _character_power(j: int, exp: int, k: int, bound: int):
 
 def _int_mul(a, b, bound: int):
     """Product of integer-numerator polynomials with tracked denominators."""
-    from operator import add
-
     da, ta = a
     db, tb = b
-    right = [(e2, sum(e2), c2) for e2, c2 in tb.items()]
-    out: dict[tuple[int, ...], int] = {}
-    for e1, c1 in ta.items():
-        d1 = sum(e1)
-        for e2, d2, c2 in right:
-            if d1 + d2 > bound:
-                continue
-            expvec = tuple(map(add, e1, e2))
-            acc = out.get(expvec, 0) + c1 * c2
-            if acc:
-                out[expvec] = acc
-            else:
-                del out[expvec]
-    return da * db, out
+    return da * db, _truncated_product(ta, tb, bound)
 
 
 def expand_in_roots(poly: GradedPoly, k: int, bound: int) -> RootPoly:
@@ -414,17 +402,11 @@ def expand_in_roots(poly: GradedPoly, k: int, bound: int) -> RootPoly:
     # convert to fractions only once at the end
     from math import lcm
     common = lcm(*(scale.denominator for scale, _ in contributions))
-    accumulated: dict[tuple[int, ...], int] = {}
-    for scale, numerators in contributions:
-        factor = scale.numerator * (common // scale.denominator)
-        if not factor:
-            continue
-        for expvec, numerator in numerators.items():
-            acc = accumulated.get(expvec, 0) + numerator * factor
-            if acc:
-                accumulated[expvec] = acc
-            else:
-                del accumulated[expvec]
+    # zip and map scale each numerator map without a bytecode loop per term
+    accumulated = collect(chain.from_iterable(
+        zip(numerators, map(mul, numerators.values(),
+                            repeat(scale.numerator * (common // scale.denominator))))
+        for scale, numerators in contributions))
     return RootPoly(k, bound,
                     {e: Fraction(v, common) for e, v in accumulated.items()})
 

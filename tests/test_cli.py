@@ -142,3 +142,29 @@ def test_verify_text_report(capsys):
     assert main(["verify", "--suite", "newton", "--degree", "4"]) == 0
     out = capsys.readouterr().out
     assert "verdict: PASS" in out
+
+
+@pytest.mark.parametrize("command, text", [
+    ("chern", "dim = 2\n\n[line]\nK = 0 1 / 1 0\n"),
+    ("chern", "dim = 2\n\n[line]\nK = 0 1 / -1 0\n\n"
+              "[rho]\nterms = (1/5+0i) exp[0,0] d{1,2}\n"),
+    ("odd", "dim = 2\n\n[component]\nwinding = 1 0 3\n"),
+], ids=["non-antisymmetric-K", "even-degree-rho", "winding-length"])
+def test_malformed_cycle_data_exit_code(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cases", ["0", "-5", "two"])
+def test_verify_rejects_bad_case_count(capsys, cases):
+    assert main(["verify", "--suite", "whitney", "--cases", cases]) == 2
+    assert "--cases" in capsys.readouterr().err
+
+
+def test_degree_only_on_verify(config_path, capsys):
+    assert main(["chern", "--config", config_path, "--degree", "4"]) == 2

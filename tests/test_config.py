@@ -11,7 +11,6 @@ EXAMPLE = """\
 # line bundle with curvature 3 and a holonomy shift
 dim = 2
 indices = 1
-seed = 9
 format = json
 
 [line]
@@ -32,7 +31,6 @@ def test_parse_example():
     config = parse_config(EXAMPLE)
     assert config.dim == 2
     assert config.indices == [1]
-    assert config.seed == 9
     assert config.fmt == "json"
     assert len(config.lines) == 1
     assert config.lines[0].K == [[0, 3], [-3, 0]]
@@ -78,7 +76,16 @@ def test_form_error_reports_line():
 
 def test_missing_dim():
     with pytest.raises(ConfigError):
-        parse_config("degree = 4\n")
+        parse_config("indices = 1\n")
+
+
+@pytest.mark.parametrize("key", ["degree", "seed", "cases"])
+def test_unread_keys_are_unknown(key):
+    # no command reads these, so the grammar does not accept them
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"dim = 2\n{key} = 9\n")
+    assert err.value.line == 2
+    assert repr(key) in str(err.value)
 
 
 def test_dim_required_before_forms():

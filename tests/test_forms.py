@@ -1,12 +1,13 @@
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chernforge.forms import (EvenForm, TorusForm, chern_transform, parse_form,
-                              total_chern_transform)
+from chernforge.forms import (EvenForm, TorusForm, _merge_idx, chern_transform,
+                              parse_form, total_chern_transform)
 from chernforge.generators import rand_form, rand_homogeneous, rand_int_matrix
 from chernforge.scalars import GaussRat
 
@@ -330,3 +331,33 @@ def test_round_trip_hypothesis(entries):
         terms[key] = terms.get(key, GaussRat()) + coeff
     form = TorusForm(2, {k: c for k, c in terms.items() if c})
     assert parse_form(form.to_text(), n=2) == form
+
+
+def _permutation_sign(seq):
+    inversions = sum(1 for a, b in combinations(seq, 2) if a > b)
+    return -1 if inversions % 2 else 1
+
+
+def test_merge_idx_is_permutation_parity():
+    subsets = [s for r in range(8) for s in combinations(range(7), r)]
+    for a in subsets:
+        for b in subsets:
+            merged = _merge_idx(a, b)
+            if set(a) & set(b):
+                assert merged is None, (a, b)
+            else:
+                assert merged == (_permutation_sign(a + b), tuple(sorted(a + b))), (a, b)
+
+
+def test_sums_drop_zero_coefficients_structurally():
+    rng = Random(17)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        has_t = rng.random() < 0.5
+        a = rand_form(rng, n, has_t=has_t)
+        b = rand_form(rng, n, has_t=has_t)
+        assert (a - a).is_zero()
+        assert (a - a).terms == {}
+        again = (a + b) - b
+        assert again == a
+        assert set(again.terms) == set(a.terms)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chernforge.scalars import GaussRat
+from chernforge.scalars import GaussRat, collect
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 gaussians = st.builds(GaussRat, rationals, rationals)
@@ -58,3 +58,13 @@ def test_conjugation_is_multiplicative(a, b):
 @given(gaussians)
 def test_norm_is_real(a):
     assert (a * a.conj()).is_real()
+
+
+def test_collect_sums_per_key_and_drops_zeros():
+    pairs = [("a", GaussRat(1)), ("b", GaussRat(2)), ("c", GaussRat(0, 1)),
+             ("a", GaussRat(-1)), ("c", GaussRat(1))]
+    out = collect(pairs)
+    assert out == {"b": GaussRat(2), "c": GaussRat(1, 1)}
+    assert list(out) == ["b", "c"]  # first-appearance order
+    assert collect([(0, Fraction(1, 2)), (0, Fraction(-1, 2))]) == {}
+    assert collect([((1, 0), 3), ((0, 1), 0)]) == {(1, 0): 3}

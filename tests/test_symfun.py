@@ -140,3 +140,15 @@ def test_root_poly_equality_and_truncation():
 def test_mono_degree_grading():
     poly = chern_polynomial(4)
     assert {mono_degree(m) for m in poly.terms} == {4}
+
+
+def test_sums_drop_zero_coefficients_structurally():
+    for i in range(1, 6):
+        a, b = chern_polynomial(i), ch_from_chern(i)
+        assert (a - a).is_zero() and (a - a).terms == {}
+        assert set(((a + b) - b).terms) == set(a.terms)
+        assert (a + b) - b == a
+        ra, rb = expand_in_roots(a, 3, i), expand_in_roots(b, 3, i)
+        assert (ra - ra).is_zero()
+        assert set(((ra + rb) - rb).terms) == set(ra.terms)
+        assert (ra + rb) - rb == ra
