@@ -217,7 +217,7 @@ class OddKCycle:
     constant Fourier mode and vanishes at the basepoint.
     """
 
-    __slots__ = ("n", "components")
+    __slots__ = ("n", "components", "_suspended")
 
     def __init__(self, n: int, components: Sequence[tuple]):
         self.n = n
@@ -242,6 +242,7 @@ class OddKCycle:
                 raise ValueError("phase must vanish at the basepoint")
             comps.append((winding, phase))
         self.components = tuple(comps)
+        self._suspended = None
 
     @classmethod
     def winding(cls, n: int, vector: Sequence[int]) -> "OddKCycle":
@@ -282,6 +283,14 @@ class OddKCycle:
         drop_circle = [[1 if l == j + 1 else 0 for l in range(N)] for j in range(self.n)]
         correction = TorusForm.single(N, -1, idx=(1,)).wedge(phases.pullback(drop_circle))
         return DiagBundle(lines), correction
+
+    def suspended(self):
+        """The suspension as an even cycle (a ``KCycle``), built once."""
+        if self._suspended is None:
+            from .diffchar import KCycle
+
+            self._suspended = KCycle(*self.suspend())
+        return self._suspended
 
     def __repr__(self):
         return f"OddKCycle(T^{self.n}, {len(self.components)} components)"

@@ -175,13 +175,23 @@ def _cmd_verify(args) -> int:
     return 0 if suite["ok"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are one stderr line, exit 2.
+
+    Subparsers inherit the class, so every subcommand reports the same way.
+    """
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chernforge",
         description="Exact differential Chern class computations on flat tori.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default=None)
     common.add_argument("--out", metavar="PATH", default=None,
                         help="write the report to a file instead of stdout")

@@ -34,7 +34,7 @@ Subset = tuple[int, ...]
 class DiffChar:
     """Differential character on T^n of pure degree d."""
 
-    __slots__ = ("n", "degree", "harmonic", "trans", "integral")
+    __slots__ = ("n", "degree", "harmonic", "trans", "integral", "_curvature")
 
     def __init__(self, n: int, degree: int,
                  harmonic: Optional[dict] = None,
@@ -66,6 +66,7 @@ class DiffChar:
                 raise ValueError("transgression must be real")
         self.trans = trans
         self.integral = all(c.denominator == 1 for c in clean.values())
+        self._curvature = None
 
     # -- constructors -----------------------------------------------------
 
@@ -95,7 +96,9 @@ class DiffChar:
         return TorusForm.from_harmonic(self.n, self.harmonic)
 
     def curvature(self) -> TorusForm:
-        return self.harmonic_form() + self.trans.d()
+        if self._curvature is None:
+            self._curvature = self.harmonic_form() + self.trans.d()
+        return self._curvature
 
     def period_table(self) -> dict[Subset, int]:
         """Integer periods of the curvature over coordinate subtori.
@@ -512,9 +515,7 @@ def odd_chern_class(cycle: OddKCycle, i: int) -> DiffChar:
         raise PreconditionError("odd classes need an odd positive index")
     if i > cycle.n:
         raise PreconditionError(f"no degree-{i} classes on T^{cycle.n}")
-    bundle, correction = cycle.suspend()
-    suspended = KCycle(bundle, correction)
-    even = chern_class(suspended, (i + 1) // 2)
+    even = chern_class(cycle.suspended(), (i + 1) // 2)
     result = even.integrate_circle(axis=1)
     if result.period_table() != _expected_odd_periods(cycle, i):
         raise ArithmeticError("odd-class periods disagree with the winding data")

@@ -11,6 +11,19 @@ on t-extended forms).  Forms are Chern-normalized: the stored exterior
 derivative multiplies a Fourier coefficient by i*k_j, which absorbs the
 2*pi of the usual conventions and keeps every period rational.
 
+Storage: one positive integer denominator ``den`` shared by all terms,
+and a map ``terms`` from ``(m, k, mask)`` to a Gaussian-integer
+numerator ``(re, im)`` of ints, so a term's coefficient is
+``(re + im*i) / den``.  Bit j of ``mask`` is set when dx_j is in I;
+index sets merge with ``|``, collide when ``&`` is non-zero, and the
+Koszul sign is a popcount parity (:func:`_koszul_sign`).  Every form is
+normalized on construction: no zero numerator is stored,
+gcd(den, every numerator) == 1 and the zero form has den == 1.  Equal
+forms therefore have equal storage, and equality is structural.
+:class:`GaussRat` coefficients and tuple index sets appear only at the
+boundary: the public constructor, parsing, harmonic tables, subtorus
+integrals and text.
+
 Orientation conventions, pinned by the interval Stokes identity
 d(int_t a) + int_t(d a) = a|_{t=1} - a|_{t=0}:
 
@@ -23,84 +36,115 @@ d(int_t a) + int_t(d a) = a|_{t=1} - a|_{t=0}:
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from math import gcd, lcm
+from operator import add, neg
 import re
 from typing import Iterable, Optional, Sequence
 
 from .scalars import GaussRat, collect
 
-# Term key: (t_exponent, frequency vector, index set).
-Key = tuple[int, tuple[int, ...], tuple[int, ...]]
+# Term key: (t_exponent, frequency vector, index-set bitmask).
+Key = tuple[int, tuple[int, ...], int]
 
 
-def _merge_idx(a: tuple[int, ...], b: tuple[int, ...]):
-    """Sign and merged index set of dx_a ^ dx_b, or None if they collide.
+def _koszul_sign(a: int, b: int) -> int:
+    """Sign of dx_a ^ dx_b against dx_(a|b), for disjoint index masks.
 
-    Both inputs are strictly increasing, so a single merge pass counts
-    the Koszul inversions.
+    The sign is the parity of the pairs (i in a, j in b) with i > j.
+    Shifting a down by s and masking with b finds the pairs with
+    i - j == s; only the parity of their total count matters, and it
+    equals the popcount parity of the XOR of those overlaps.
     """
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
-    i = j = inversions = 0
-    la, lb = len(a), len(b)
-    out = []
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x == y:
-            return None
-        if x < y:
-            out.append(x)
-            i += 1
-        else:
-            out.append(y)
-            j += 1
-            inversions += la - i
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return (1 if inversions % 2 == 0 else -1), tuple(out)
+    overlaps = 0
+    a >>= 1
+    while a:
+        overlaps ^= a & b
+        a >>= 1
+    return -1 if overlaps.bit_count() & 1 else 1
+
+
+def _indices(mask: int) -> tuple[int, ...]:
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def _gauss_parts(value) -> tuple[int, int, int]:
+    """(re, im, den) with value == (re + im*i) / den and den the least."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, 0, value.denominator
+    value = GaussRat.coerce(value)
+    re_part, im_part = value.re, value.im
+    den = lcm(re_part.denominator, im_part.denominator)
+    return (re_part.numerator * (den // re_part.denominator),
+            im_part.numerator * (den // im_part.denominator), den)
+
+
+def _normalized(den: int, terms: dict) -> tuple[int, dict]:
+    """Drop zero numerators and divide out gcd(den, all numerators)."""
+    clean = {key: num for key, num in terms.items() if num[0] or num[1]}
+    if not clean:
+        return 1, clean
+    common = den
+    for re_num, im_num in clean.values():
+        common = gcd(common, re_num, im_num)
+        if common == 1:
+            return den, clean
+    return den // common, {key: (re_num // common, im_num // common)
+                           for key, (re_num, im_num) in clean.items()}
+
+
+def _accumulate(out: dict, pairs) -> dict:
+    """Add Gaussian-integer numerators per key into ``out``."""
+    get = out.get
+    for key, (re_num, im_num) in pairs:
+        prev = get(key)
+        out[key] = (re_num, im_num) if prev is None \
+            else (prev[0] + re_num, prev[1] + im_num)
+    return out
 
 
 class TorusForm:
     """Differential form with trigonometric-polynomial coefficients.
 
-    Immutable by convention.  Stored terms never carry zero
-    coefficients, so equality of forms is equality of the term maps.
+    Immutable by convention.  Stored in the normalized integer layout
+    described in the module docstring, so equality of forms is equality
+    of the stored data.
     """
 
-    __slots__ = ("n", "has_t", "terms")
+    __slots__ = ("n", "has_t", "den", "terms")
 
     def __init__(self, n: int, terms: Optional[dict] = None, has_t: bool = False):
         if n < 0:
             raise ValueError("torus dimension must be >= 0")
         self.n = n
         self.has_t = bool(has_t)
-        clean: dict[Key, GaussRat] = {}
-        if terms:
-            for key, coeff in terms.items():
-                coeff = GaussRat.coerce(coeff)
-                if not coeff:
-                    continue
-                t_exp, freq, idx = key
-                if len(freq) != n:
-                    raise ValueError(f"frequency vector {freq} has wrong arity for T^{n}")
-                if tuple(sorted(set(idx))) != idx:
-                    raise ValueError(f"index set {idx} is not strictly increasing")
-                if any(j < 0 or j > n for j in idx):
-                    raise ValueError(f"index set {idx} out of range for T^{n}")
-                if not self.has_t and (t_exp != 0 or 0 in idx):
-                    raise ValueError("t data on a form without the t extension")
-                if t_exp < 0:
-                    raise ValueError("negative t exponent")
-                clean[key] = coeff
-        self.terms = clean
+        parts: dict[Key, tuple[int, int, int]] = {}
+        for key, coeff in (terms or {}).items():
+            part = _gauss_parts(coeff)
+            if not (part[0] or part[1]):
+                continue
+            t_exp, freq, idx = key
+            if len(freq) != n:
+                raise ValueError(f"frequency vector {freq} has wrong arity for T^{n}")
+            if tuple(sorted(set(idx))) != idx:
+                raise ValueError(f"index set {idx} is not strictly increasing")
+            if any(j < 0 or j > n for j in idx):
+                raise ValueError(f"index set {idx} out of range for T^{n}")
+            if not self.has_t and (t_exp != 0 or 0 in idx):
+                raise ValueError("t data on a form without the t extension")
+            if t_exp < 0:
+                raise ValueError("negative t exponent")
+            parts[(t_exp, freq, sum(1 << j for j in idx))] = part
+        den = lcm(*(part[2] for part in parts.values()))
+        self.den, self.terms = _normalized(den, {
+            key: (re_num * (den // part_den), im_num * (den // part_den))
+            for key, (re_num, im_num, part_den) in parts.items()})
 
     @classmethod
-    def _make(cls, n: int, has_t: bool, terms: dict) -> "TorusForm":
-        # trusted constructor: keys must be valid, coefficients non-zero
+    def _make(cls, n: int, has_t: bool, den: int, terms: dict) -> "TorusForm":
+        # trusted constructor: keys must be valid and den positive
         self = object.__new__(cls)
-        self.n, self.has_t, self.terms = n, has_t, terms
+        self.n, self.has_t = n, has_t
+        self.den, self.terms = _normalized(den, terms)
         return self
 
     # -- constructors ---------------------------------------------------
@@ -111,14 +155,14 @@ class TorusForm:
 
     @classmethod
     def const(cls, n: int, coeff, has_t: bool = False) -> "TorusForm":
-        return cls(n, {(0, (0,) * n, ()): GaussRat.coerce(coeff)}, has_t=has_t)
+        return cls(n, {(0, (0,) * n, ()): coeff}, has_t=has_t)
 
     @classmethod
     def single(cls, n: int, coeff, freq: Optional[Sequence[int]] = None,
                idx: Sequence[int] = (), t_exp: int = 0,
                has_t: bool = False) -> "TorusForm":
         freq = tuple(freq) if freq is not None else (0,) * n
-        return cls(n, {(t_exp, freq, tuple(idx)): GaussRat.coerce(coeff)}, has_t=has_t)
+        return cls(n, {(t_exp, freq, tuple(idx)): coeff}, has_t=has_t)
 
     @classmethod
     def dx(cls, n: int, j: int, has_t: bool = False) -> "TorusForm":
@@ -134,7 +178,8 @@ class TorusForm:
     @classmethod
     def from_harmonic(cls, n: int, table: dict) -> "TorusForm":
         """Translation-invariant form sum c_I dx_I from a rational table {I: c_I}."""
-        return cls(n, {(0, (0,) * n, tuple(idx)): GaussRat(coeff)
+        zero_freq = (0,) * n
+        return cls(n, {(0, zero_freq, tuple(idx)): Fraction(coeff)
                        for idx, coeff in table.items()})
 
     # -- ring structure -------------------------------------------------
@@ -143,61 +188,94 @@ class TorusForm:
         if self.n != other.n or self.has_t != other.has_t:
             raise ValueError("forms live on different spaces")
 
+    def _scaled(self, factor: int) -> dict:
+        if factor == 1:
+            return dict(self.terms)
+        return {key: (re_num * factor, im_num * factor)
+                for key, (re_num, im_num) in self.terms.items()}
+
     def __add__(self, other: "TorusForm") -> "TorusForm":
         self._compatible(other)
-        return self._make(self.n, self.has_t, collect(other.terms.items(), self.terms))
+        if not other.terms:
+            return self
+        den = lcm(self.den, other.den)
+        terms = _accumulate(self._scaled(den // self.den),
+                            other._scaled(den // other.den).items())
+        return self._make(self.n, self.has_t, den, terms)
 
     def __neg__(self) -> "TorusForm":
-        return self._make(self.n, self.has_t, {k: -c for k, c in self.terms.items()})
+        return self._make(self.n, self.has_t, self.den, self._scaled(-1))
 
     def __sub__(self, other: "TorusForm") -> "TorusForm":
         return self + (-other)
 
     def __mul__(self, scalar) -> "TorusForm":
-        scalar = GaussRat.coerce(scalar)
-        if not scalar:
-            return TorusForm.zero(self.n, self.has_t)
-        return self._make(self.n, self.has_t, {k: c * scalar for k, c in self.terms.items()})
+        s_re, s_im, s_den = _gauss_parts(scalar)
+        if not s_im:
+            terms = self._scaled(s_re)
+        else:
+            terms = {key: (a * s_re - b * s_im, a * s_im + b * s_re)
+                     for key, (a, b) in self.terms.items()}
+        return self._make(self.n, self.has_t, self.den * s_den, terms)
 
     __rmul__ = __mul__
 
+    def _by_mask(self) -> dict[int, list]:
+        groups: dict[int, list] = {}
+        for (m, freq, mask), num in self.terms.items():
+            groups.setdefault(mask, []).append((m, freq, num))
+        return groups
+
     def wedge(self, other: "TorusForm") -> "TorusForm":
-        """Graded-commutative product with the standard Koszul sign."""
+        """Graded-commutative product with the standard Koszul sign.
+
+        Terms are grouped by index set, so the collision test and the
+        sign are computed once per pair of index sets.
+        """
         self._compatible(other)
+        zero_freq = (0,) * self.n
+        right = other._by_mask()
 
         def products():
-            for (m1, k1, i1), c1 in self.terms.items():
-                for (m2, k2, i2), c2 in other.terms.items():
-                    merged = _merge_idx(i1, i2)
-                    if merged is None:
+            for mask1, group1 in self._by_mask().items():
+                for mask2, group2 in right.items():
+                    if mask1 & mask2:
                         continue
-                    sign, idx = merged
-                    prod = c1 * c2
-                    yield (m1 + m2, tuple(map(add, k1, k2)), idx), \
-                        (prod if sign > 0 else -prod)
+                    sign = _koszul_sign(mask1, mask2)
+                    mask = mask1 | mask2
+                    for m1, k1, (a, b) in group1:
+                        if sign < 0:
+                            a, b = -a, -b
+                        for m2, k2, (c, d) in group2:
+                            if k2 == zero_freq:
+                                freq = k1
+                            elif k1 == zero_freq:
+                                freq = k2
+                            else:
+                                freq = tuple(map(add, k1, k2))
+                            yield (m1 + m2, freq, mask), (a * c - b * d, a * d + b * c)
 
-        return self._make(self.n, self.has_t, collect(products()))
+        return self._make(self.n, self.has_t, self.den * other.den,
+                          _accumulate({}, products()))
 
     def d(self) -> "TorusForm":
         """Exterior derivative on the stored (Chern-normalized) data."""
 
         def derivatives():
-            for (m, freq, idx), coeff in self.terms.items():
-                if m > 0:
-                    merged = _merge_idx((0,), idx)
-                    if merged is not None:
-                        sign, new_idx = merged
-                        yield (m - 1, freq, new_idx), coeff * (m * sign)
+            for (m, freq, mask), (re_num, im_num) in self.terms.items():
+                # dt sorts first, so d(t^m) ^ dx_I needs no sign
+                if m > 0 and not mask & 1:
+                    yield (m - 1, freq, mask | 1), (m * re_num, m * im_num)
                 for j, kj in enumerate(freq, start=1):
-                    if kj == 0:
+                    bit = 1 << j
+                    if kj == 0 or mask & bit:
                         continue
-                    merged = _merge_idx((j,), idx)
-                    if merged is None:
-                        continue
-                    sign, new_idx = merged
-                    yield (m, freq, new_idx), coeff * GaussRat(0, kj * sign)
+                    # multiply by i * k_j, with the sign that moves dx_j in
+                    scale = kj * _koszul_sign(bit, mask)
+                    yield (m, freq, mask | bit), (-im_num * scale, re_num * scale)
 
-        return self._make(self.n, self.has_t, collect(derivatives()))
+        return self._make(self.n, self.has_t, self.den,
+                          _accumulate({}, derivatives()))
 
     # -- structure queries ----------------------------------------------
 
@@ -208,19 +286,19 @@ class TorusForm:
         return self.d().is_zero()
 
     def is_real(self) -> bool:
-        for (m, freq, idx), coeff in self.terms.items():
-            neg = (m, tuple(-x for x in freq), idx)
-            if self.terms.get(neg, GaussRat()) != coeff.conj():
+        terms = self.terms
+        for (m, freq, mask), (re_num, im_num) in terms.items():
+            if terms.get((m, tuple(map(neg, freq)), mask)) != (re_num, -im_num):
                 return False
         return True
 
     def conj(self) -> "TorusForm":
-        return self._make(self.n, self.has_t,
-                          {(m, tuple(-x for x in freq), idx): c.conj()
-                           for (m, freq, idx), c in self.terms.items()})
+        return self._make(self.n, self.has_t, self.den,
+                         {(m, tuple(map(neg, freq)), mask): (re_num, -im_num)
+                          for (m, freq, mask), (re_num, im_num) in self.terms.items()})
 
     def degrees(self) -> set[int]:
-        return {len(idx) for (_, _, idx) in self.terms}
+        return {mask.bit_count() for (_, _, mask) in self.terms}
 
     def degree(self) -> Optional[int]:
         degs = self.degrees()
@@ -231,14 +309,15 @@ class TorusForm:
         return degs.pop()
 
     def component(self, degree: int) -> "TorusForm":
-        return self._make(self.n, self.has_t,
-                          {k: c for k, c in self.terms.items() if len(k[2]) == degree})
+        return self._make(self.n, self.has_t, self.den,
+                          {k: c for k, c in self.terms.items()
+                           if k[2].bit_count() == degree})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusForm):
             return NotImplemented
         return (self.n == other.n and self.has_t == other.has_t
-                and self.terms == other.terms)
+                and self.den == other.den and self.terms == other.terms)
 
     # -- t extension ----------------------------------------------------
 
@@ -246,7 +325,7 @@ class TorusForm:
         """The same form viewed on the t-extended space."""
         if self.has_t:
             return self
-        return self._make(self.n, True, dict(self.terms))
+        return self._make(self.n, True, self.den, self.terms)
 
     def mul_t(self, power: int) -> "TorusForm":
         """Multiply by t^power (requires the t extension)."""
@@ -254,25 +333,34 @@ class TorusForm:
             raise ValueError("mul_t needs a t-extended form")
         if power < 0:
             raise ValueError("t power must be >= 0")
-        return self._make(self.n, True, {(m + power, freq, idx): c
-                                         for (m, freq, idx), c in self.terms.items()})
+        return self._make(self.n, True, self.den,
+                         {(m + power, freq, mask): num
+                          for (m, freq, mask), num in self.terms.items()})
 
     def restrict_t(self, value) -> "TorusForm":
         """Restrict a t-extended form to the slice t = value."""
         if not self.has_t:
             raise ValueError("restrict_t needs a t-extended form")
         value = Fraction(value)
-        return self._make(self.n, False, collect(
-            ((0, freq, idx), coeff * (value ** m if m else 1))
-            for (m, freq, idx), coeff in self.terms.items() if 0 not in idx))
+        p, q = value.numerator, value.denominator
+        kept = [(key, num) for key, num in self.terms.items() if not key[2] & 1]
+        top = max((key[0] for key, _ in kept), default=0)
+        # t^m = p^m q^(top-m) / q^top over the common denominator
+        return self._make(self.n, False, self.den * q ** top, _accumulate({}, (
+            ((0, freq, mask), (re_num * p ** m * q ** (top - m),
+                               im_num * p ** m * q ** (top - m)))
+            for (m, freq, mask), (re_num, im_num) in kept)))
 
     def fiber_integrate_t(self) -> "TorusForm":
         """Integrate the t fiber away: int(t^m dt ^ eta) = eta/(m+1)."""
         if not self.has_t:
             raise ValueError("fiber_integrate_t needs a t-extended form")
-        return self._make(self.n, False, collect(
-            ((0, freq, idx[1:]), coeff / (m + 1))
-            for (m, freq, idx), coeff in self.terms.items() if idx and idx[0] == 0))
+        kept = [(key, num) for key, num in self.terms.items() if key[2] & 1]
+        common = lcm(*(key[0] + 1 for key, _ in kept))
+        return self._make(self.n, False, self.den * common, _accumulate({}, (
+            ((0, freq, mask ^ 1), (re_num * (common // (m + 1)),
+                                   im_num * (common // (m + 1))))
+            for (m, freq, mask), (re_num, im_num) in kept)))
 
     # -- circle fibers and periods ----------------------------------------
 
@@ -290,18 +378,20 @@ class TorusForm:
         if not 1 <= axis <= self.n:
             raise ValueError(f"no coordinate {axis} on T^{self.n}")
         pos = axis - 1
+        bit = 1 << axis
+        below = bit - 1
 
         def integrated():
-            for (m, freq, idx), coeff in self.terms.items():
-                if axis not in idx or freq[pos] != 0:
+            for (m, freq, mask), (re_num, im_num) in self.terms.items():
+                if not mask & bit or freq[pos] != 0:
                     continue
-                rest = tuple(p for p in idx if p != axis)
-                sign, _ = _merge_idx((axis,), rest)
-                new_idx = tuple(p if p < axis else p - 1 for p in rest)
-                yield (0, freq[:pos] + freq[pos + 1:], new_idx), \
-                    (coeff if sign > 0 else -coeff)
+                rest = mask ^ bit
+                new_mask = (rest & below) | (rest >> (axis + 1) << axis)
+                sign = _koszul_sign(bit, rest)
+                yield (0, freq[:pos] + freq[pos + 1:], new_mask), \
+                    (sign * re_num, sign * im_num)
 
-        return self._make(self.n - 1, False, collect(integrated()))
+        return self._make(self.n - 1, False, self.den, _accumulate({}, integrated()))
 
     def subtorus_integral(self, subset: Iterable[int]) -> GaussRat:
         """Integral over the coordinate subtorus through the basepoint 0.
@@ -318,15 +408,15 @@ class TorusForm:
         degs = self.degrees()
         if degs and degs != {len(subset)}:
             raise ValueError(f"degree mismatch: form degrees {sorted(degs)}, subtorus {subset}")
-        total = GaussRat()
+        target = sum(1 << j for j in subset)
         positions = [j - 1 for j in subset]
-        for (m, freq, idx), coeff in self.terms.items():
-            if idx != subset:
+        re_sum = im_sum = 0
+        for (m, freq, mask), (re_num, im_num) in self.terms.items():
+            if mask != target or any(freq[p] for p in positions):
                 continue
-            if any(freq[p] for p in positions):
-                continue
-            total = total + coeff
-        return total
+            re_sum += re_num
+            im_sum += im_num
+        return GaussRat(Fraction(re_sum, self.den), Fraction(im_sum, self.den))
 
     def period(self, subset: Iterable[int]) -> GaussRat:
         """Subtorus integral of a closed form (checked)."""
@@ -341,12 +431,12 @@ class TorusForm:
     def harmonic_table(self) -> dict[tuple[int, ...], Fraction]:
         """Inverse of :meth:`from_harmonic` on real translation-invariant forms."""
         table: dict[tuple[int, ...], Fraction] = {}
-        for (t_exp, freq, idx), coeff in self.terms.items():
+        for (t_exp, freq, mask), (re_num, im_num) in self.terms.items():
             if t_exp or any(freq):
                 raise ValueError("form has non-harmonic content")
-            if not coeff.is_real():
+            if im_num:
                 raise ValueError("harmonic data must be real")
-            table[idx] = coeff.re
+            table[_indices(mask)] = Fraction(re_num, self.den)
         return table
 
     # -- pullback ---------------------------------------------------------
@@ -365,35 +455,37 @@ class TorusForm:
         m_src = len(rows[0]) if rows else 0
         if any(len(r) != m_src for r in rows):
             raise ValueError("ragged matrix")
+        expansions: dict[int, dict[int, int]] = {}
+
+        def expand(spatial: int) -> dict[int, int]:
+            """dy_I as {source mask: integer coefficient}: the minors of A."""
+            partial = {0: 1}
+            for j in _indices(spatial):
+                grown: dict[int, int] = {}
+                for chosen, c in partial.items():
+                    for l, entry in enumerate(rows[j - 1], start=1):
+                        bit = 1 << l
+                        if entry == 0 or chosen & bit:
+                            continue
+                        key = chosen | bit
+                        grown[key] = grown.get(key, 0) \
+                            + c * entry * _koszul_sign(chosen, bit)
+                partial = {key: c for key, c in grown.items() if c}
+            return partial
 
         def pulled():
-            for (t_exp, freq, idx), coeff in self.terms.items():
+            for (t_exp, freq, mask), (re_num, im_num) in self.terms.items():
                 new_freq = tuple(
                     sum(rows[j][l] * freq[j] for j in range(self.n)) for l in range(m_src)
                 )
-                has_dt = bool(idx) and idx[0] == 0
-                spatial = idx[1:] if has_dt else idx
-                partial: list[tuple[int, tuple[int, ...], GaussRat]] = [(1, (), coeff)]
-                for j in spatial:
-                    grown = []
-                    for sign, chosen, c in partial:
-                        for l in range(m_src):
-                            entry = rows[j - 1][l]
-                            if entry == 0:
-                                continue
-                            merged = _merge_idx(chosen, (l + 1,))
-                            if merged is None:
-                                continue
-                            s2, new_chosen = merged
-                            grown.append((sign * s2, new_chosen, c * entry))
-                    partial = grown
-                    if not partial:
-                        break
-                for sign, chosen, c in partial:
-                    full_idx = ((0,) + chosen) if has_dt else chosen
-                    yield (t_exp, new_freq, full_idx), (c if sign > 0 else -c)
+                dt = mask & 1
+                spatial = mask ^ dt
+                if spatial not in expansions:
+                    expansions[spatial] = expand(spatial)
+                for chosen, c in expansions[spatial].items():
+                    yield (t_exp, new_freq, chosen | dt), (re_num * c, im_num * c)
 
-        return self._make(m_src, self.has_t, collect(pulled()))
+        return self._make(m_src, self.has_t, self.den, _accumulate({}, pulled()))
 
     # -- textual serialization ---------------------------------------------
 
@@ -401,10 +493,12 @@ class TorusForm:
         """Canonical rendering, one term per line; bit-exact round-trip."""
         if not self.terms:
             return "0"
+        rows = sorted((_indices(mask), t_exp, freq, num)
+                      for (t_exp, freq, mask), num in self.terms.items())
         lines = []
-        for key in sorted(self.terms, key=lambda k: (k[2], k[0], k[1])):
-            t_exp, freq, idx = key
-            parts = [str(self.terms[key])]
+        for idx, t_exp, freq, (re_num, im_num) in rows:
+            coeff = GaussRat(Fraction(re_num, self.den), Fraction(im_num, self.den))
+            parts = [str(coeff)]
             if t_exp:
                 parts.append(f"t^{t_exp}")
             parts.append("exp[" + ",".join(str(v) for v in freq) + "]")
@@ -500,7 +594,7 @@ class EvenForm:
                     raise ValueError(f"odd or negative degree {degree} in even form")
                 if form.n != n or form.has_t != self.has_t:
                     raise ValueError("component lives on the wrong space")
-                if not all(len(idx) == degree for (_, _, idx) in form.terms):
+                if form.degrees() - {degree}:
                     raise ValueError(f"component of degree {degree} is not homogeneous")
                 if not form.is_zero():
                     clean[degree] = form

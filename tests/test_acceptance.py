@@ -91,7 +91,7 @@ def test_criterion_04_commuting_diagram():
                 for pos in subset[1:]:
                     product = product.wedge(harmonics[pos])
                 expected = expected + product
-            table = {idx: int(coeff.re) for (_, _, idx), coeff in expected.terms.items()}
+            table = {idx: int(coeff) for idx, coeff in expected.harmonic_table().items()}
             assert char.period_table() == table
             checked += 1
     assert checked >= 200

@@ -166,5 +166,18 @@ def test_verify_rejects_bad_case_count(capsys, cases):
     assert "--cases" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--suite", "whitney", "--cases", "0"],
+     "chernforge verify: error: argument --cases: must be >= 1, got 0\n"),
+    (["chern"],
+     "chernforge chern: error: the following arguments are required: --config\n"),
+])
+def test_usage_error_is_one_stderr_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+
+
 def test_degree_only_on_verify(config_path, capsys):
     assert main(["chern", "--config", config_path, "--degree", "4"]) == 2

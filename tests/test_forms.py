@@ -1,12 +1,13 @@
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chernforge.forms import (EvenForm, TorusForm, _merge_idx, chern_transform,
+from chernforge.forms import (EvenForm, TorusForm, _koszul_sign, chern_transform,
                               parse_form, total_chern_transform)
 from chernforge.generators import rand_form, rand_homogeneous, rand_int_matrix
 from chernforge.scalars import GaussRat
@@ -338,15 +339,16 @@ def _permutation_sign(seq):
     return -1 if inversions % 2 else 1
 
 
-def test_merge_idx_is_permutation_parity():
+def _bits(subset):
+    return sum(1 << j for j in subset)
+
+
+def test_koszul_sign_is_permutation_parity():
     subsets = [s for r in range(8) for s in combinations(range(7), r)]
     for a in subsets:
         for b in subsets:
-            merged = _merge_idx(a, b)
-            if set(a) & set(b):
-                assert merged is None, (a, b)
-            else:
-                assert merged == (_permutation_sign(a + b), tuple(sorted(a + b))), (a, b)
+            if not set(a) & set(b):
+                assert _koszul_sign(_bits(a), _bits(b)) == _permutation_sign(a + b), (a, b)
 
 
 def test_sums_drop_zero_coefficients_structurally():
@@ -361,3 +363,19 @@ def test_sums_drop_zero_coefficients_structurally():
         again = (a + b) - b
         assert again == a
         assert set(again.terms) == set(a.terms)
+
+
+def test_scaling_round_trip_and_text_round_trip_seeded():
+    rng = Random(23)
+    scalars = [Fraction(7, 3), Fraction(-5, 12), Fraction(9, 4)]
+    for case in range(60):
+        n = rng.randint(0, 4)
+        has_t = case % 2 == 1
+        a = rand_form(rng, n, has_t=has_t)
+        q = scalars[case % len(scalars)]
+        scaled = a * q
+        numerators = [x for num in scaled.terms.values() for x in num]
+        assert scaled.den > 0 and gcd(scaled.den, *numerators) == 1
+        assert (a - a).den == 1
+        assert scaled * (1 / q) == a
+        assert parse_form(a.to_text(), n=n, has_t=has_t) == a

@@ -1,0 +1,57 @@
+"""Golden report digests: a change that alters any answer fails here.
+
+The SHA-256 of every pinned report was recorded before the integer
+numerator form kernel replaced the per-term Gaussian-rational one; a
+pure speedup must leave all of them unchanged.  Only the verify suites
+that finish in well under a second are pinned, to keep tier-1 fast.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from chernforge.cli import main
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+CONFIG_DIGESTS = {
+    ("chern", "example_even", "json"):
+        "04ae094c7933df6ef691ad171c9826ddfc93e8c81e074fa8d33dc5532a06b5ee",
+    ("chern", "example_even", "text"):
+        "12731d38f279c311441d7353990b8d89da77d4470fe1e9bcca4317ef47fbf938",
+    ("chern", "example_even", "csv"):
+        "282b009316b8aa502703e26eb6d46fbdd95987faada9b2cb8b5745d9dec21953",
+    ("odd", "example_odd", "json"):
+        "82f1013dc77a39eb559225ee62c6890ab2232cbe9b8e1586cff34b428c1ebc0a",
+    ("odd", "example_odd", "text"):
+        "0666beac1704ef15a46fc78c5bfc836071bf17548888b9d11d6bf8a05f9194f9",
+    ("odd", "example_odd", "csv"):
+        "7c1c7a25fa4f93ce2fadaa7385ba8d634ba6d3f64f7f0fcaf6a97bd90b56f80c",
+}
+
+VERIFY_DIGESTS = {
+    "calculus": "946787a129aa1cc3d8890816420eae536f9559ba8729521236b490cb4f8f9450",
+    "multiplicativity": "3b8f6c916b9efdbe0f8f43b3a4682325a0644c9ae063d1890537f75eb971bbfa",
+    "naturality": "3595fdf4aa266d0d825f6daddaaa3954b2beb30ce2a61341b66f16d4486f9ffe",
+    "newton": "1b4953124c0a872d0a56954c0314f6253ddfed38aad228d25d7c21ee475a466d",
+    "odd": "46d9165413b608fc25b261af502cee372904c27af394ee269afbb30bcb932fe9",
+    "paths": "34a341113648287a070f372ce32ee6e30b430c4f2ad4db0b8693dbf5b7625e0e",
+}
+
+
+def _digest(argv, capsys) -> str:
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("command,config,fmt", sorted(CONFIG_DIGESTS))
+def test_config_report_digest(command, config, fmt, capsys):
+    argv = [command, "--config", str(SCRIPTS / f"{config}.cfg"), "--format", fmt]
+    assert _digest(argv, capsys) == CONFIG_DIGESTS[(command, config, fmt)]
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_DIGESTS))
+def test_verify_report_digest(suite, capsys):
+    argv = ["verify", "--suite", suite, "--seed", "42", "--format", "json"]
+    assert _digest(argv, capsys) == VERIFY_DIGESTS[suite]
