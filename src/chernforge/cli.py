@@ -21,7 +21,8 @@ import sys
 from .config import parse_config
 from .diffchar import chern_class, odd_chern_class
 from .errors import ConfigError, PreconditionError
-from .verify import DEFAULT_DEGREE, SUITES, run_suite
+from .verify import (DEFAULT_DEGREE, DEGREE_SUITES, MAX_DEGREE, SUITES,
+                     check_degree, run_suite)
 
 ENV_DEGREE = "CHERNFORGE_DEGREE"
 
@@ -169,6 +170,8 @@ def _cmd_verify(args) -> int:
               file=sys.stderr)
         return 2
     degree = _resolve_degree(args.degree)
+    if args.suite in DEGREE_SUITES:
+        check_degree(degree)
     suite = run_suite(args.suite, seed=args.seed, cases=args.cases, degree=degree)
     report = {"command": "verify", "suite": suite}
     _emit(report, args.format or "text", args.out)
@@ -213,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--cases", type=_case_count, default=None,
                         help="number of seeded cases (at least 1)")
     verify.add_argument("--degree", type=int, default=None,
-                        help=f"truncation degree (default 8, or ${ENV_DEGREE})")
+                        help=f"truncation degree, 1 to {MAX_DEGREE} "
+                             f"(default {DEFAULT_DEGREE}, or ${ENV_DEGREE})")
     verify.set_defaults(func=_cmd_verify)
     return parser
 

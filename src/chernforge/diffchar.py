@@ -34,7 +34,8 @@ Subset = tuple[int, ...]
 class DiffChar:
     """Differential character on T^n of pure degree d."""
 
-    __slots__ = ("n", "degree", "harmonic", "trans", "integral", "_curvature")
+    __slots__ = ("n", "degree", "harmonic", "trans", "integral", "_harmonic_form",
+                 "_curvature")
 
     def __init__(self, n: int, degree: int,
                  harmonic: Optional[dict] = None,
@@ -66,6 +67,7 @@ class DiffChar:
                 raise ValueError("transgression must be real")
         self.trans = trans
         self.integral = all(c.denominator == 1 for c in clean.values())
+        self._harmonic_form = None
         self._curvature = None
 
     # -- constructors -----------------------------------------------------
@@ -93,7 +95,9 @@ class DiffChar:
     # -- structure maps ---------------------------------------------------
 
     def harmonic_form(self) -> TorusForm:
-        return TorusForm.from_harmonic(self.n, self.harmonic)
+        if self._harmonic_form is None:
+            self._harmonic_form = TorusForm.from_harmonic(self.n, self.harmonic)
+        return self._harmonic_form
 
     def curvature(self) -> TorusForm:
         if self._curvature is None:

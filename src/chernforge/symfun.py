@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations, repeat
-from math import factorial
+from itertools import chain, combinations, groupby, repeat
+from math import factorial, lcm, prod
 from operator import add, mul
 from typing import Callable, Optional
 
@@ -333,82 +333,95 @@ def ch_from_chern(j: int) -> GradedPoly:
     return _power_sum_in_sigma(j).scale(Fraction(1, factorial(j)))
 
 
-def _character_power(j: int, exp: int, k: int, bound: int):
-    """(sum_i x_i^j / j!)^exp via multinomials, as integer numerators
-    over the fixed denominator j!^exp.
+def _times_power_sum(terms: dict, j: int, k: int) -> dict:
+    """p_j times an integer combination of monomial symmetric polynomials.
 
-    Every monomial has total degree exactly j*exp, so the whole power
-    vanishes under the truncation when j*exp > bound.
+    A key is a partition (descending tuple of at most k parts) standing
+    for m_lambda in k variables.  Raising one part a of lambda to a+j
+    (a = 0 appends a part, allowed while lambda has fewer than k parts)
+    gives mu, and p_j * m_lambda is the sum over distinct a of
+    mult_mu(a+j) * m_mu (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.6).
     """
-    from collections import Counter
-    from itertools import combinations_with_replacement
+    def products():
+        for part, coeff in terms.items():
+            raised = set(part)
+            if len(part) < k:
+                raised.add(0)
+            for a in raised:
+                rest = list(part)
+                if a:
+                    rest.remove(a)
+                mu = tuple(sorted(rest + [a + j], reverse=True))
+                yield mu, coeff * mu.count(a + j)
 
-    if j * exp > bound:
-        return 1, {}
-    denom = factorial(j) ** exp
-    base = factorial(exp)
-    terms: dict[tuple[int, ...], int] = {}
-    for combo in combinations_with_replacement(range(k), exp):
-        counts = Counter(combo)
-        mult = base
-        for c in counts.values():
-            mult //= factorial(c)
-        expvec = [0] * k
-        for pos, c in counts.items():
-            expvec[pos] = j * c
-        terms[tuple(expvec)] = mult
-    return denom, terms
+    return collect(products())
 
 
-def _int_mul(a, b, bound: int):
-    """Product of integer-numerator polynomials with tracked denominators."""
-    da, ta = a
-    db, tb = b
-    return da * db, _truncated_product(ta, tb, bound)
+def _arrangements(part: tuple[int, ...], k: int):
+    """Every distinct exponent vector in k slots whose non-zero entries,
+    sorted descending, are ``part``: the monomials of m_part."""
+    vectors = [[0] * k]
+    for value, group in groupby(part):
+        mult = len(list(group))
+        spread = []
+        for vec in vectors:
+            free = [pos for pos, e in enumerate(vec) if not e]
+            for chosen in combinations(free, mult):
+                new = vec.copy()
+                for pos in chosen:
+                    new[pos] = value
+                spread.append(new)
+        vectors = spread
+    return map(tuple, vectors)
 
 
 def expand_in_roots(poly: GradedPoly, k: int, bound: int) -> RootPoly:
     """Expand an unprimed polynomial into k Chern roots, truncated.
 
     Applies the defining substitution s_j -> sum_i x_i^j / j! and drops
-    all monomials of total degree above ``bound``.
+    all monomials of total degree above ``bound``.  Each monomial is
+    homogeneous, so it is kept whole or dropped whole; its power-sum
+    product is built over partitions (the monomial symmetric basis) with
+    integer coefficients and spread into exponent vectors only once, for
+    the partitions whose summed coefficient is non-zero.
     """
     if k < 1:
         raise ValueError("need at least one root variable")
     if not poly.uses_only_unprimed():
         raise ValueError("expand_in_roots is defined on the unprimed alphabet only")
-    powers: dict[tuple[int, int], tuple] = {}
+    # p-products keyed by their sorted power-sum indices; each extends
+    # the product of its prefix, so monomials share their common factors
+    products: dict[tuple[int, ...], dict] = {(): {(): 1}}
 
-    def power(j: int, exp: int):
-        key = (j, exp)
-        if key not in powers:
-            powers[key] = _character_power(j, exp, k, bound)
-        return powers[key]
+    def power_sum_product(indices: tuple[int, ...]) -> dict:
+        # recursion depth is the monomial's degree, at most the bound
+        if indices not in products:
+            products[indices] = _times_power_sum(
+                power_sum_product(indices[:-1]), indices[-1], k)
+        return products[indices]
 
     contributions = []
     for mono, coeff in poly.terms.items():
         if mono_degree(mono) > bound:
             continue
-        factors = sorted(((idx, exp) for (prime, idx), exp in mono),
-                         key=lambda pair: pair[0] * pair[1])
-        term = (1, {(0,) * k: 1})
-        for idx, exp in factors:
-            term = _int_mul(term, power(idx, exp), bound)
-        denom, numerators = term
-        contributions.append((coeff / denom, numerators))
+        indices = tuple(chain.from_iterable(repeat(idx, exp) for (_, idx), exp in mono))
+        denom = prod(factorial(idx) ** exp for (_, idx), exp in mono)
+        contributions.append((coeff / denom, power_sum_product(indices)))
     if not contributions:
         return RootPoly(k, bound)
     # accumulate integer numerators over one common denominator and
     # convert to fractions only once at the end
-    from math import lcm
     common = lcm(*(scale.denominator for scale, _ in contributions))
     # zip and map scale each numerator map without a bytecode loop per term
     accumulated = collect(chain.from_iterable(
         zip(numerators, map(mul, numerators.values(),
                             repeat(scale.numerator * (common // scale.denominator))))
         for scale, numerators in contributions))
-    return RootPoly(k, bound,
-                    {e: Fraction(v, common) for e, v in accumulated.items()})
+    return RootPoly._make(k, bound, {
+        expvec: Fraction(value, common)
+        for part, value in accumulated.items()
+        for expvec in _arrangements(part, k)})
 
 
 def total_chern_truncated(bound: int, alphabet: str = "unprimed") -> GradedPoly:

@@ -16,6 +16,7 @@ from .bundles import OddKCycle
 from .diffchar import (chern_class, chern_class_via_ch, check_group_hom,
                        check_path_independence, check_shift_invariance,
                        odd_chern_class)
+from .errors import ConfigError, PreconditionError
 from .forms import EvenForm, chern_transform
 from .generators import (rand_cycle, rand_form, rand_homogeneous,
                          rand_int_matrix, rand_integral_shift, rand_odd_cycle,
@@ -23,9 +24,28 @@ from .generators import (rand_cycle, rand_form, rand_homogeneous,
 from .symfun import chern_polynomial, expand_in_roots, verify_sum_identity
 
 DEFAULT_DEGREE = 8
+# At 16, newton takes about 0.5 s and multiplicativity about 4 s
+# (Python 3.11, one 2-core Xeon); the sum identity grows with the
+# number of partitions up to the degree.
+MAX_DEGREE = 16
+# the suites that read the truncation degree; the others ignore it
+DEGREE_SUITES = ("newton", "multiplicativity")
 
 QUADRATIC_PATH = ((2, Fraction(1)),)
 SMOOTHSTEP_PATH = ((2, Fraction(3)), (3, Fraction(-2)))
+
+
+def check_degree(degree: int) -> int:
+    """The truncation degree of the polynomial suites, if in range.
+
+    Below 1 is an input error (:class:`ConfigError`); above
+    ``MAX_DEGREE`` is a precondition error, the documented cap.
+    """
+    if degree < 1:
+        raise ConfigError(f"degree must be >= 1, got {degree}")
+    if degree > MAX_DEGREE:
+        raise PreconditionError(f"degree {degree} exceeds the cap {MAX_DEGREE}")
+    return degree
 
 
 def _report(name: str, seed: int, checks: int, failures: list) -> dict:
@@ -311,6 +331,6 @@ def run_suite(name: str, seed: int = 0, cases: int | None = None,
     kwargs = {"seed": seed}
     if cases is not None:
         kwargs["cases"] = cases
-    if name in ("newton", "multiplicativity"):
+    if name in DEGREE_SUITES:
         kwargs["degree"] = degree
     return fn(**kwargs)

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from chernforge.cli import main
+from chernforge.errors import ConfigError, PreconditionError
+from chernforge.verify import MAX_DEGREE, check_degree
 
 BASIC = """\
 dim = 2
@@ -136,6 +138,45 @@ def test_degree_env_override(tmp_path, capsys, monkeypatch):
     assert report["suite"]["checks"] == 3
     monkeypatch.setenv("CHERNFORGE_DEGREE", "junk")
     assert main(["verify", "--suite", "multiplicativity"]) == 2
+
+
+@pytest.mark.parametrize("flag, env, code", [
+    ("0", None, 2),
+    ("-2", None, 2),
+    (str(MAX_DEGREE + 1), None, 3),
+    (None, "0", 2),
+    (None, str(MAX_DEGREE + 1), 3),
+    ("-1", "4", 2),
+])
+def test_degree_out_of_range(capsys, monkeypatch, flag, env, code):
+    # the range is checked before a suite starts, so the cap case runs nothing
+    if env is not None:
+        monkeypatch.setenv("CHERNFORGE_DEGREE", env)
+    degree = [] if flag is None else ["--degree", flag]
+    for suite in ("newton", "multiplicativity"):
+        assert main(["verify", "--suite", suite] + degree) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "degree" in captured.err
+
+
+@pytest.mark.parametrize("suite", ["calculus", "paths"])
+def test_degree_ignored_outside_polynomial_suites(capsys, monkeypatch, suite):
+    # suites that never read the degree run whatever its value
+    assert main(["verify", "--suite", suite, "--cases", "1", "--degree", "0"]) == 0
+    monkeypatch.setenv("CHERNFORGE_DEGREE", str(MAX_DEGREE + 1))
+    assert main(["verify", "--suite", suite, "--cases", "1"]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
+
+
+def test_degree_range_ends():
+    assert check_degree(1) == 1
+    assert check_degree(MAX_DEGREE) == MAX_DEGREE
+    with pytest.raises(ConfigError):
+        check_degree(0)
+    with pytest.raises(PreconditionError):
+        check_degree(MAX_DEGREE + 1)
 
 
 def test_verify_text_report(capsys):

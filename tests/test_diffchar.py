@@ -101,6 +101,14 @@ def test_curvature_periods_match_table():
             assert period.re == char.period_table().get(subset, 0)
 
 
+def test_harmonic_form_is_built_once():
+    char = DiffChar(3, 2, {(1, 2): 3, (2, 3): Fraction(1, 2)}, sin_form(3, (0, 1, 1), (1,)))
+    harmonic = char.harmonic_form()
+    assert harmonic is char.harmonic_form()
+    assert harmonic == TorusForm.from_harmonic(3, char.harmonic)
+    assert char.curvature() == harmonic + char.trans.d()
+
+
 # -- cup product --------------------------------------------------------------
 
 def test_cup_unit():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -68,13 +69,54 @@ def test_expand_in_roots_examples():
     got = expand_in_roots(chern_polynomial(2), 3, 2)
     assert got == brute_elementary_symmetric(2, 3)
     assert expand_in_roots(s1, 2, 1) == brute_character_component(1, 2, 1)
+    # p_1 * p_1 = m_2 + 2 m_11: x1^2 + 2 x1 x2 + x2^2
+    square = expand_in_roots(s1 * s1, 2, 2)
+    assert square.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+    # a partition with more parts than roots is no monomial: e_3 = 0 in 2 roots
+    assert expand_in_roots(chern_polynomial(3), 2, 3) == RootPoly(2, 3)
+    assert expand_in_roots(chern_polynomial(3), 2, 3).terms == {}
 
 
 @pytest.mark.parametrize("i", range(1, 9))
 def test_expansion_matches_brute_sigma(i):
-    k = i + 2
-    assert expand_in_roots(chern_polynomial(i), k, i) == \
-        brute_elementary_symmetric(i, k)
+    for k in range(1, 11):
+        assert expand_in_roots(chern_polynomial(i), k, i) == \
+            brute_elementary_symmetric(i, k)
+
+
+def _expand_by_products(poly, k, bound):
+    """s_j -> sum_i x_i^j / j! by multiplying the oracle components out."""
+    total = RootPoly(k, bound)
+    for mono, coeff in poly.terms.items():
+        term = RootPoly.const(k, bound, coeff)
+        for (_, idx), exp in mono:
+            for _ in range(exp):
+                term = term * brute_character_component(idx, k, bound)
+        total = total + term
+    return total
+
+
+def _random_unprimed(rng, max_degree):
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        mono, degree = {}, 0
+        for _ in range(rng.randint(0, 4)):
+            idx = rng.randint(1, 5)
+            if degree + idx <= max_degree:
+                mono[(0, idx)] = mono.get((0, idx), 0) + 1
+                degree += idx
+        terms[tuple(sorted(mono.items()))] = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    return GradedPoly(terms)
+
+
+def test_expansion_matches_oracle_products_seeded():
+    rng = Random(4)
+    for k in range(1, 7):
+        for _ in range(25):
+            poly = _random_unprimed(rng, 8)
+            degree = poly.max_degree()
+            for bound in (degree - 2, degree - 1, degree, degree + 2):
+                assert expand_in_roots(poly, k, bound) == _expand_by_products(poly, k, bound)
 
 
 def test_expand_rejects_primed():
