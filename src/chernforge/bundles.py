@@ -17,7 +17,7 @@ from math import factorial
 from operator import add
 from typing import Optional, Sequence
 
-from .forms import EvenForm, TorusForm, chern_transform
+from .forms import TorusForm, chern_transform
 from .symfun import elementary_symmetric
 
 
@@ -141,23 +141,21 @@ class DiagBundle:
     def curvature_forms(self) -> list[TorusForm]:
         return [line.curvature() for line in self.lines]
 
-    def chern_character(self) -> EvenForm:
+    def chern_character(self) -> TorusForm:
         """Exponential character form: rank in degree 0, sum of F^k/k! above."""
         if self._character is not None:
             return self._character
-        parts: dict[int, TorusForm] = {0: TorusForm.const(self.n, self.rank)}
+        total = TorusForm.const(self.n, self.rank)
         for line in self.lines:
             F = line.curvature()
             power = F
             k = 1
             while not power.is_zero() and 2 * k <= self.n:
-                contribution = power * Fraction(1, factorial(k))
-                parts[2 * k] = parts.get(2 * k, TorusForm.zero(self.n)) + contribution
+                total = total + power * Fraction(1, factorial(k))
                 k += 1
                 power = power.wedge(F)
-        parts = {d: f for d, f in parts.items() if not f.is_zero()}
-        self._character = EvenForm(self.n, parts)
-        return self._character
+        self._character = total
+        return total
 
     def elementary_symmetric_curvature(self, i: int) -> TorusForm:
         """The i'th elementary symmetric polynomial of the line curvatures."""

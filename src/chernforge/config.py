@@ -96,7 +96,7 @@ def _parse_fraction_list(value: str, lineno: int) -> list[Fraction]:
     for tok in value.split():
         try:
             out.append(Fraction(tok))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ConfigError(f"expected a rational, got {tok!r}", lineno) from None
     return out
 

@@ -1,11 +1,13 @@
 """Differential characters on flat tori and differential Chern classes.
 
-A character of degree d is stored as a rational harmonic part (integer
-coefficients for honest integral classes) plus a global real
-transgression form of degree d-1.  On a torus the coordinate subtori
-form a homology basis and the cohomology is torsion-free, so curvature
-together with subtorus holonomies mod 1 is faithful data; equality of
-characters is defined through exactly that pair.
+A character of degree d is stored as two forms: a harmonic part, a
+real translation-invariant d-form with rational coefficients (an
+integral class has denominator 1), and a global real transgression
+form of degree d-1.  Its curvature is harmonic + d(transgression).  On
+a torus the coordinate subtori form a homology basis and the cohomology
+is torsion-free, so curvature together with subtorus holonomies mod 1
+is faithful data; equality of characters is defined through exactly
+that pair.
 
 The main constructions: the degree-2i class of a cycle (bundle plus odd
 form) built from Cheeger-Simons line classes and a transgression
@@ -24,38 +26,37 @@ from typing import Optional, Sequence
 
 from .bundles import DiagBundle, LineBundle, OddKCycle
 from .errors import PreconditionError
-from .forms import EvenForm, TorusForm, chern_transform
-from .scalars import collect
+from .forms import TorusForm, chern_transform
 from .symfun import chern_polynomial, elementary_symmetric
 
 Subset = tuple[int, ...]
 
 
+def _check_degree(n: int, degree: int):
+    if degree < 0 or degree > n:
+        raise ValueError(f"no degree-{degree} characters on T^{n}")
+
+
 class DiffChar:
     """Differential character on T^n of pure degree d."""
 
-    __slots__ = ("n", "degree", "harmonic", "trans", "integral", "_harmonic_form",
-                 "_curvature")
+    __slots__ = ("n", "degree", "harmonic", "trans", "_curvature")
 
     def __init__(self, n: int, degree: int,
-                 harmonic: Optional[dict] = None,
+                 harmonic: Optional[TorusForm] = None,
                  trans: Optional[TorusForm] = None):
-        if degree < 0 or degree > n:
-            raise ValueError(f"no degree-{degree} characters on T^{n}")
-        self.n = n
-        self.degree = degree
-        clean: dict[Subset, Fraction] = {}
-        if harmonic:
-            for idx, coeff in harmonic.items():
-                coeff = Fraction(coeff)
-                if not coeff:
-                    continue
-                idx = tuple(idx)
-                if len(idx) != degree or tuple(sorted(set(idx))) != idx \
-                        or any(not 1 <= j <= n for j in idx):
-                    raise ValueError(f"bad basis monomial {idx} in degree {degree}")
-                clean[idx] = coeff
-        self.harmonic = clean
+        _check_degree(n, degree)
+        if harmonic is None:
+            harmonic = TorusForm.zero(n)
+        if harmonic.n != n or harmonic.has_t:
+            raise ValueError("harmonic part lives on the wrong space")
+        if not harmonic.is_zero():
+            if harmonic.degrees() != {degree}:
+                raise ValueError("harmonic part must have the character's degree")
+            if not harmonic.is_invariant():
+                raise ValueError("harmonic part must be translation-invariant")
+            if not harmonic.is_real():
+                raise ValueError("harmonic part must be real")
         if trans is None:
             trans = TorusForm.zero(n)
         if trans.n != n or trans.has_t:
@@ -65,10 +66,17 @@ class DiffChar:
                 raise ValueError("transgression degree must be one below the character")
             if not trans.is_real():
                 raise ValueError("transgression must be real")
-        self.trans = trans
-        self.integral = all(c.denominator == 1 for c in clean.values())
-        self._harmonic_form = None
+        self.n, self.degree, self.harmonic, self.trans = n, degree, harmonic, trans
         self._curvature = None
+
+    @classmethod
+    def _make(cls, n: int, degree: int, harmonic: TorusForm,
+              trans: TorusForm) -> "DiffChar":
+        # trusted constructor: the parts must already be valid for (n, degree)
+        self = object.__new__(cls)
+        self.n, self.degree, self.harmonic, self.trans = n, degree, harmonic, trans
+        self._curvature = None
+        return self
 
     # -- constructors -----------------------------------------------------
 
@@ -78,7 +86,7 @@ class DiffChar:
 
     @classmethod
     def unit(cls, n: int) -> "DiffChar":
-        return cls(n, 0, {(): Fraction(1)})
+        return cls(n, 0, TorusForm.const(n, 1))
 
     @classmethod
     def from_form(cls, rho: TorusForm, degree: Optional[int] = None,
@@ -94,14 +102,13 @@ class DiffChar:
 
     # -- structure maps ---------------------------------------------------
 
-    def harmonic_form(self) -> TorusForm:
-        if self._harmonic_form is None:
-            self._harmonic_form = TorusForm.from_harmonic(self.n, self.harmonic)
-        return self._harmonic_form
+    @property
+    def integral(self) -> bool:
+        return self.harmonic.den == 1
 
     def curvature(self) -> TorusForm:
         if self._curvature is None:
-            self._curvature = self.harmonic_form() + self.trans.d()
+            self._curvature = self.harmonic + self.trans.d()
         return self._curvature
 
     def period_table(self) -> dict[Subset, int]:
@@ -113,7 +120,7 @@ class DiffChar:
         """
         if not self.integral:
             raise PreconditionError("period table of a non-integral character")
-        return {idx: int(coeff) for idx, coeff in self.harmonic.items()}
+        return {idx: int(coeff) for idx, coeff in self.harmonic.harmonic_table().items()}
 
     def holonomy(self, subset: Sequence[int]) -> Fraction:
         subset = tuple(sorted(subset))
@@ -137,18 +144,16 @@ class DiffChar:
     def add(self, other: "DiffChar") -> "DiffChar":
         if self.n != other.n or self.degree != other.degree:
             raise ValueError("characters live in different groups")
-        merged = collect(other.harmonic.items(), self.harmonic)
-        return DiffChar(self.n, self.degree, merged, self.trans + other.trans)
+        return DiffChar._make(self.n, self.degree, self.harmonic + other.harmonic,
+                              self.trans + other.trans)
 
     def neg(self) -> "DiffChar":
-        return DiffChar(self.n, self.degree,
-                        {idx: -c for idx, c in self.harmonic.items()}, -self.trans)
+        return DiffChar._make(self.n, self.degree, -self.harmonic, -self.trans)
 
     def scale(self, value) -> "DiffChar":
         value = Fraction(value)
-        return DiffChar(self.n, self.degree,
-                        {idx: c * value for idx, c in self.harmonic.items()},
-                        self.trans * value)
+        return DiffChar._make(self.n, self.degree, self.harmonic * value,
+                              self.trans * value)
 
     # -- multiplicative structure ------------------------------------------
 
@@ -166,12 +171,10 @@ class DiffChar:
         if self.degree + other.degree > self.n:
             raise PreconditionError(
                 f"cup degree {self.degree + other.degree} exceeds T^{self.n}")
-        hx = self.harmonic_form()
-        hy = other.harmonic_form()
-        harmonic = hx.wedge(hy).harmonic_table()
+        hx, hy = self.harmonic, other.harmonic
         trans = (self.trans.wedge(hy) + hx.wedge(other.trans)
                  + self.trans.wedge(other.trans.d()))
-        result = DiffChar(self.n, self.degree + other.degree, harmonic, trans)
+        result = DiffChar._make(self.n, self.degree + other.degree, hx.wedge(hy), trans)
         if result.curvature() != self.curvature().wedge(other.curvature()):
             raise ArithmeticError("cup product broke curvature multiplicativity")
         return result
@@ -180,9 +183,10 @@ class DiffChar:
 
     def pullback(self, matrix: Sequence[Sequence[int]]) -> "DiffChar":
         """Pullback along x -> A x; rows of A index this character's torus."""
-        harm = self.harmonic_form().pullback(matrix)
-        trans = self.trans.pullback(matrix)
-        return DiffChar(harm.n, self.degree, harm.harmonic_table(), trans)
+        harmonic = self.harmonic.pullback(matrix)
+        _check_degree(harmonic.n, self.degree)
+        return DiffChar._make(harmonic.n, self.degree, harmonic,
+                              self.trans.pullback(matrix))
 
     def integrate_circle(self, axis: int = 1) -> "DiffChar":
         """Integrate over a circle coordinate, degree dropping by one.
@@ -195,9 +199,9 @@ class DiffChar:
         """
         if self.degree < 1:
             raise PreconditionError("cannot integrate a degree-0 character")
-        harm = self.harmonic_form().fiber_integrate_circle(axis)
-        trans = -(self.trans.fiber_integrate_circle(axis))
-        return DiffChar(harm.n, self.degree - 1, harm.harmonic_table(), trans)
+        return DiffChar._make(self.n - 1, self.degree - 1,
+                              self.harmonic.fiber_integrate_circle(axis),
+                              -(self.trans.fiber_integrate_circle(axis)))
 
     # -- comparison ----------------------------------------------------------
 
@@ -226,7 +230,7 @@ class DiffChar:
 
     def __repr__(self):
         return (f"DiffChar(T^{self.n}, deg={self.degree}, "
-                f"harmonic={self.harmonic}, trans={self.trans.to_text()!r})")
+                f"harmonic={self.harmonic.to_text()!r}, trans={self.trans.to_text()!r})")
 
 
 class KCycle:
@@ -255,10 +259,9 @@ class KCycle:
     def zero(cls, n: int) -> "KCycle":
         return cls(DiagBundle.trivial(n), TorusForm.zero(n))
 
-    def curvature(self) -> EvenForm:
+    def curvature(self) -> TorusForm:
         if self._curvature is None:
-            self._curvature = self.bundle.chern_character().add(
-                EvenForm.from_form(self.rho.d()))
+            self._curvature = self.bundle.chern_character() + self.rho.d()
         return self._curvature
 
     def add(self, other: "KCycle") -> "KCycle":
@@ -277,17 +280,11 @@ def cs_class(line: LineBundle) -> DiffChar:
     Curvature is the bundle curvature; the holonomy along coordinate
     loop l is theta_l plus the loop integral of the perturbation, mod 1.
     """
-    n = line.n
-    harmonic = {}
-    for j in range(n):
-        for l in range(j + 1, n):
-            if line.K[j][l]:
-                harmonic[(j + 1, l + 1)] = Fraction(line.K[j][l])
     trans = line.beta
     for l, shift in enumerate(line.theta, start=1):
         if shift:
-            trans = trans + TorusForm.dx(n, l) * Fraction(shift)
-    return DiffChar(n, 2, harmonic, trans)
+            trans = trans + TorusForm.dx(line.n, l) * shift
+    return DiffChar(line.n, 2, line.harmonic_curvature(), trans)
 
 
 def _sigma_cup(chars: Sequence[DiffChar], i: int, n: int) -> DiffChar:
@@ -328,17 +325,9 @@ def _transgression_term(cycle: KCycle, i: int,
     promoted = cycle.rho.with_t()
     for exponent, coeff in path:
         rho_t = rho_t + promoted.mul_t(exponent) * Fraction(coeff)
-    curv_path = cycle.bundle.chern_character().with_t().add(
-        EvenForm.from_form(rho_t.d()))
+    curv_path = cycle.bundle.chern_character().with_t() + rho_t.d()
     integrated = chern_transform(curv_path, i).fiber_integrate_t()
     return DiffChar.from_form(integrated, degree=2 * i, n=n)
-
-
-def _harmonic_sigma_table(bundle: DiagBundle, i: int) -> dict[Subset, int]:
-    """Period table of the i'th symmetric polynomial of the harmonic data."""
-    total = elementary_symmetric([line.harmonic_curvature() for line in bundle.lines], i,
-                                 TorusForm.wedge, add, TorusForm.zero(bundle.n))
-    return {idx: int(coeff) for idx, coeff in total.harmonic_table().items()}
 
 
 def chern_class(cycle: KCycle, i: int, path=None) -> DiffChar:
@@ -349,7 +338,7 @@ def chern_class(cycle: KCycle, i: int, path=None) -> DiffChar:
     transgression correction a(int_t C_i(R)) along the path
     rho_t = q(t) rho (linear by default).  Two compatibility
     postconditions are asserted on every call: the curvature equals the
-    universal polynomial of the cycle curvature, and the period table
+    universal polynomial of the cycle curvature, and the harmonic part
     equals the symmetric polynomial of the underlying integral data.
     """
     n = cycle.n
@@ -363,7 +352,10 @@ def chern_class(cycle: KCycle, i: int, path=None) -> DiffChar:
     expected_curvature = chern_transform(cycle.curvature(), i)
     if result.curvature() != expected_curvature:
         raise ArithmeticError(f"curvature compatibility failed at index {i}")
-    if result.period_table() != _harmonic_sigma_table(cycle.bundle, i):
+    expected_harmonic = elementary_symmetric(
+        [line.harmonic_curvature() for line in cycle.bundle.lines], i,
+        TorusForm.wedge, add, TorusForm.zero(n))
+    if result.harmonic != expected_harmonic:
         raise ArithmeticError(f"underlying-class compatibility failed at index {i}")
     return result
 
@@ -497,22 +489,10 @@ def check_shift_invariance(cycle: KCycle, i: int, shift: TorusForm) -> bool:
     return chern_class(shifted, i).same_class(chern_class(cycle, i))
 
 
-def _expected_odd_periods(cycle: OddKCycle, i: int) -> dict[Subset, int]:
-    """Periods of the odd class straight from the winding data."""
-    N = cycle.n + 1
-    forms = [TorusForm.from_harmonic(N, {(1, l + 1): m_l
-                                         for l, m_l in enumerate(winding, start=1)})
-             for winding, _ in cycle.components]
-    total = elementary_symmetric(forms, (i + 1) // 2, TorusForm.wedge, add,
-                                 TorusForm.zero(N))
-    reduced = total.fiber_integrate_circle(1)
-    return {idx: int(coeff) for idx, coeff in reduced.harmonic_table().items()}
-
-
 def odd_chern_class(cycle: OddKCycle, i: int) -> DiffChar:
     """Odd-degree class: suspend, take the even class, integrate the circle.
 
-    Only odd i with i <= n are admissible.  The period table of the
+    Only odd i with i <= n are admissible.  The harmonic part of the
     result is checked against the direct winding-data computation.
     """
     if i < 1 or i % 2 == 0:
@@ -521,6 +501,12 @@ def odd_chern_class(cycle: OddKCycle, i: int) -> DiffChar:
         raise PreconditionError(f"no degree-{i} classes on T^{cycle.n}")
     even = chern_class(cycle.suspended(), (i + 1) // 2)
     result = even.integrate_circle(axis=1)
-    if result.period_table() != _expected_odd_periods(cycle, i):
+    N = cycle.n + 1
+    windings = [TorusForm.from_harmonic(N, {(1, l + 1): m_l
+                                            for l, m_l in enumerate(winding, start=1)})
+                for winding, _ in cycle.components]
+    expected = elementary_symmetric(windings, (i + 1) // 2, TorusForm.wedge, add,
+                                    TorusForm.zero(N))
+    if result.harmonic != expected.fiber_integrate_circle(1):
         raise ArithmeticError("odd-class periods disagree with the winding data")
     return result

@@ -308,6 +308,10 @@ class TorusForm:
             raise ValueError("form is not homogeneous")
         return degs.pop()
 
+    def is_invariant(self) -> bool:
+        """True when every term has frequency zero: translation invariance."""
+        return not any(any(freq) for (_, freq, _) in self.terms)
+
     def component(self, degree: int) -> "TorusForm":
         return self._make(self.n, self.has_t, self.den,
                           {k: c for k, c in self.terms.items()
@@ -562,7 +566,10 @@ def parse_form(text: str, n: Optional[int] = None,
         if not match:
             raise ValueError(f"bad form term: {piece!r}")
         re_part, im_part, t_exp, freq_part, idx_part = match.groups()
-        coeff = GaussRat(Fraction(re_part), Fraction(im_part.replace(" ", "")))
+        try:
+            coeff = GaussRat(Fraction(re_part), Fraction(im_part.replace(" ", "")))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in form term: {piece!r}") from None
         freq = tuple(int(v) for v in freq_part.split(",")) if freq_part.strip() else ()
         idx_items = [s.strip() for s in idx_part.split(",") if s.strip()]
         idx = tuple(0 if s == "t" else int(s) for s in idx_items)
@@ -579,81 +586,21 @@ def parse_form(text: str, n: Optional[int] = None,
     return TorusForm(n, collect(terms), has_t=has_t)
 
 
-class EvenForm:
-    """Even form stored by homogeneous degree, degree-0 part included."""
-
-    __slots__ = ("n", "has_t", "parts")
-
-    def __init__(self, n: int, parts: Optional[dict] = None, has_t: bool = False):
-        self.n = n
-        self.has_t = bool(has_t)
-        clean: dict[int, TorusForm] = {}
-        if parts:
-            for degree, form in parts.items():
-                if degree % 2 or degree < 0:
-                    raise ValueError(f"odd or negative degree {degree} in even form")
-                if form.n != n or form.has_t != self.has_t:
-                    raise ValueError("component lives on the wrong space")
-                if form.degrees() - {degree}:
-                    raise ValueError(f"component of degree {degree} is not homogeneous")
-                if not form.is_zero():
-                    clean[degree] = form
-        self.parts = clean
-
-    @classmethod
-    def from_form(cls, form: TorusForm) -> "EvenForm":
-        parts: dict[int, TorusForm] = {}
-        for degree in sorted(form.degrees()):
-            if degree % 2:
-                raise ValueError("form has odd-degree content")
-            parts[degree] = form.component(degree)
-        return cls(form.n, parts, has_t=form.has_t)
-
-    def component(self, degree: int) -> TorusForm:
-        if degree in self.parts:
-            return self.parts[degree]
-        return TorusForm.zero(self.n, self.has_t)
-
-    def add(self, other: "EvenForm") -> "EvenForm":
-        if self.n != other.n or self.has_t != other.has_t:
-            raise ValueError("even forms live on different spaces")
-        degrees = set(self.parts) | set(other.parts)
-        parts = {d: self.component(d) + other.component(d) for d in degrees}
-        return EvenForm(self.n, parts, has_t=self.has_t)
-
-    def with_t(self) -> "EvenForm":
-        if self.has_t:
-            return self
-        return EvenForm(self.n, {d: f.with_t() for d, f in self.parts.items()},
-                        has_t=True)
-
-    def total(self) -> TorusForm:
-        total = TorusForm.zero(self.n, self.has_t)
-        for form in self.parts.values():
-            total = total + form
-        return total
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EvenForm):
-            return NotImplemented
-        return self.n == other.n and self.has_t == other.has_t and self.parts == other.parts
-
-    def __repr__(self):
-        return f"EvenForm(T^{self.n}, degrees={sorted(self.parts)})"
-
-
-def chern_transform(even: EvenForm, i: int) -> TorusForm:
+def chern_transform(form: TorusForm, i: int) -> TorusForm:
     """Apply the degree-i universal polynomial to an even form.
 
     Substitutes the degree-2j component for the j'th variable; the
     degree-0 component never enters.  Components wedge-commute, so the
-    substitution order is immaterial.
+    substitution order is immaterial.  A form with odd-degree content
+    is rejected.
     """
     from .symfun import chern_polynomial
 
+    if any(degree % 2 for degree in form.degrees()):
+        raise ValueError("form has odd-degree content")
     if i < 1:
         raise ValueError("index must be >= 1")
-    cap = even.n + (1 if even.has_t else 0)
+    cap = form.n + (1 if form.has_t else 0)
     if 2 * i > cap:
         raise ValueError(f"degree {2 * i} exceeds the dimension cap {cap}")
     poly = chern_polynomial(i)
@@ -663,14 +610,14 @@ def chern_transform(even: EvenForm, i: int) -> TorusForm:
         key = (j, exp)
         if key not in powers:
             if exp == 1:
-                powers[key] = even.component(2 * j)
+                powers[key] = form.component(2 * j)
             else:
-                powers[key] = power(j, exp - 1).wedge(even.component(2 * j))
+                powers[key] = power(j, exp - 1).wedge(power(j, 1))
         return powers[key]
 
-    total = TorusForm.zero(even.n, even.has_t)
+    total = TorusForm.zero(form.n, form.has_t)
     for mono, coeff in poly.terms.items():
-        term = TorusForm.const(even.n, Fraction(coeff), has_t=even.has_t)
+        term = TorusForm.const(form.n, Fraction(coeff), has_t=form.has_t)
         for (prime, idx), exp in mono:
             term = term.wedge(power(idx, exp))
             if term.is_zero():
@@ -679,12 +626,10 @@ def chern_transform(even: EvenForm, i: int) -> TorusForm:
     return total
 
 
-def total_chern_transform(even: EvenForm) -> EvenForm:
+def total_chern_transform(form: TorusForm) -> TorusForm:
     """1 + sum of all chern_transform components up to the dimension cap."""
-    cap = even.n + (1 if even.has_t else 0)
-    parts: dict[int, TorusForm] = {0: TorusForm.const(even.n, 1, has_t=even.has_t)}
+    cap = form.n + (1 if form.has_t else 0)
+    total = TorusForm.const(form.n, 1, has_t=form.has_t)
     for i in range(1, cap // 2 + 1):
-        component = chern_transform(even, i)
-        if not component.is_zero():
-            parts[2 * i] = component
-    return EvenForm(even.n, parts, has_t=even.has_t)
+        total = total + chern_transform(form, i)
+    return total

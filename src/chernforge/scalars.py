@@ -55,8 +55,6 @@ class GaussRat:
 
     @classmethod
     def coerce(cls, value) -> "GaussRat":
-        if type(value) is GaussRat:
-            return value
         if isinstance(value, GaussRat):
             return value
         if isinstance(value, (int, Fraction)):
@@ -131,5 +129,3 @@ class GaussRat:
         sign = "+" if self.im >= 0 else "-"
         return f"({self.re}{sign}{abs(self.im)}i)"
 
-
-IMAG = GaussRat(0, 1)

@@ -148,16 +148,20 @@ class GradedPoly:
 
     def mul_trunc(self, other: "GradedPoly", bound: Optional[int]) -> "GradedPoly":
         """Product, dropping monomials of degree above ``bound`` if given."""
+        if bound is None:
+            return GradedPoly._make(collect(
+                (mono_mul(m1, m2), c1 * c2)
+                for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()))
+        right = [(m2, mono_degree(m2), c2) for m2, c2 in other.terms.items()]
 
         def products():
             for m1, c1 in self.terms.items():
-                d1 = mono_degree(m1)
-                if bound is not None and d1 > bound:
+                room = bound - mono_degree(m1)
+                if room < 0:
                     continue
-                for m2, c2 in other.terms.items():
-                    if bound is not None and d1 + mono_degree(m2) > bound:
-                        continue
-                    yield mono_mul(m1, m2), c1 * c2
+                for m2, d2, c2 in right:
+                    if d2 <= room:
+                        yield mono_mul(m1, m2), c1 * c2
 
         return GradedPoly._make(collect(products()))
 

@@ -196,10 +196,9 @@ def test_whitney_at_form_level():
         n = rng.choice([4, 5, 6])
         first = rand_bundle(rng, n, max_rank=2)
         second = rand_bundle(rng, n, max_rank=2)
-        combined = total_chern_transform(
-            first.direct_sum(second).chern_character()).total()
-        product = total_chern_transform(first.chern_character()).total().wedge(
-            total_chern_transform(second.chern_character()).total())
+        combined = total_chern_transform(first.direct_sum(second).chern_character())
+        product = total_chern_transform(first.chern_character()).wedge(
+            total_chern_transform(second.chern_character()))
         assert combined == product
 
 

@@ -201,6 +201,22 @@ def test_malformed_cycle_data_exit_code(tmp_path, capsys, command, text):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, text", [
+    ("chern", "dim = 2\n\n[line]\ntheta = 1/0 0\n"),
+    ("chern", "dim = 2\n\n[rho]\nterms = (1/0+0i) exp[0,0] d{1}\n"),
+    ("odd", "dim = 2\n\n[component]\nwinding = 1 0\n"
+            "phase = (0+1/0i) exp[1,0] d{}\n"),
+], ids=["theta", "rho", "phase"])
+def test_zero_denominator_exit_code(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: line ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("cases", ["0", "-5", "two"])
 def test_verify_rejects_bad_case_count(capsys, cases):
     assert main(["verify", "--suite", "whitney", "--cases", cases]) == 2

@@ -74,6 +74,23 @@ def test_form_error_reports_line():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("text, line", [
+    ("dim = 2\n[line]\ntheta = 1/0 0\n", 3),
+    ("dim = 2\n[line]\nbeta = (1/0+0i) exp[0,0] d{1}\n", 3),
+    ("dim = 2\n\n[rho]\nterms = (1/0+0i) exp[0,0] d{1}\n", 4),
+    ("dim = 2\n[component]\nwinding = 1 0\nphase = (0+1/0i) exp[1,0] d{}\n", 4),
+], ids=["theta", "beta", "rho", "phase"])
+def test_zero_denominator_reports_line(text, line):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == line
+
+
+def test_parse_form_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_form("(1/0+0i) exp[0,0] d{1}", n=2)
+
+
 def test_missing_dim():
     with pytest.raises(ConfigError):
         parse_config("indices = 1\n")

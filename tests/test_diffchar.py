@@ -82,7 +82,7 @@ def test_cs_class_additive_under_tensor():
 
 
 def test_period_table_requires_integrality():
-    half = DiffChar(2, 2, {(1, 2): Fraction(1, 2)})
+    half = DiffChar(2, 2, TorusForm.from_harmonic(2, {(1, 2): Fraction(1, 2)}))
     assert not half.integral
     with pytest.raises(PreconditionError):
         half.period_table()
@@ -101,12 +101,38 @@ def test_curvature_periods_match_table():
             assert period.re == char.period_table().get(subset, 0)
 
 
-def test_harmonic_form_is_built_once():
-    char = DiffChar(3, 2, {(1, 2): 3, (2, 3): Fraction(1, 2)}, sin_form(3, (0, 1, 1), (1,)))
-    harmonic = char.harmonic_form()
-    assert harmonic is char.harmonic_form()
-    assert harmonic == TorusForm.from_harmonic(3, char.harmonic)
+def test_curvature_is_harmonic_plus_d_trans():
+    harmonic = TorusForm.from_harmonic(3, {(1, 2): 3, (2, 3): Fraction(1, 2)})
+    char = DiffChar(3, 2, harmonic, sin_form(3, (0, 1, 1), (1,)))
     assert char.curvature() == harmonic + char.trans.d()
+
+
+def test_constructor_rejects_bad_harmonic_part():
+    good = TorusForm.from_harmonic(3, {(1, 2): 1})
+    assert DiffChar(3, 2, good).harmonic == good
+    bad_parts = [
+        TorusForm(3, {(0, (1, 0, 0), (1, 2)): 1,  # real, but non-zero frequency
+                      (0, (-1, 0, 0), (1, 2)): 1}),
+        TorusForm.single(3, 1, idx=(0, 1), has_t=True),  # t data
+        TorusForm.single(3, GaussRat(1, 1), idx=(1, 2)),  # complex coefficient
+        TorusForm.from_harmonic(3, {(1, 2, 3): 1}),  # wrong degree
+        good + TorusForm.from_harmonic(3, {(1,): 1}),  # mixed degrees
+        TorusForm.from_harmonic(4, {(1, 2): 1}),  # wrong n
+    ]
+    for harmonic in bad_parts:
+        with pytest.raises(ValueError):
+            DiffChar(3, 2, harmonic)
+
+
+def test_constructor_rejects_bad_transgression():
+    with pytest.raises(ValueError):
+        DiffChar(3, 2, None, TorusForm.single(3, 1, idx=(1, 2)))  # wrong degree
+    with pytest.raises(ValueError):
+        DiffChar(3, 2, None, TorusForm.single(3, GaussRat(0, 1), idx=(1,)))  # complex
+    with pytest.raises(ValueError):
+        DiffChar(3, 2, None, dx(4, 1))  # wrong n
+    with pytest.raises(ValueError):
+        DiffChar(2, 3)  # degree above the dimension
 
 
 # -- cup product --------------------------------------------------------------
@@ -123,7 +149,7 @@ def test_cup_with_form_character():
                                   [0, 0, 0, 2], [0, 0, -2, 0]]))
     left = DiffChar.from_form(rho).cup(y)
     right = DiffChar.from_form(rho.wedge(y.curvature()))
-    assert left.harmonic == right.harmonic == {}
+    assert left.harmonic == right.harmonic == TorusForm.zero(4)
     assert left.trans == right.trans
 
 
@@ -139,7 +165,7 @@ def test_cup_of_line_classes():
 
 
 def test_cup_rejects_odd_degrees_and_overflow():
-    odd_char = DiffChar(2, 1, {(1,): Fraction(1)})
+    odd_char = DiffChar(2, 1, dx(2, 1))
     with pytest.raises(PreconditionError):
         odd_char.cup(DiffChar.unit(2))
     x = cs_class(line_T2(1))
@@ -177,10 +203,10 @@ def test_cup_commutative_as_classes():
 # -- circle integration --------------------------------------------------------
 
 def test_integrate_circle_harmonic():
-    char = DiffChar(2, 2, {(1, 2): Fraction(3)})
+    char = DiffChar(2, 2, TorusForm.volume(2) * 3)
     reduced = char.integrate_circle(axis=1)
     assert reduced.degree == 1 and reduced.n == 1
-    assert reduced.harmonic == {(1,): Fraction(3)}
+    assert reduced.harmonic == dx(1, 1) * 3
 
 
 def test_integrate_circle_commutes_with_curvature():
@@ -193,7 +219,7 @@ def test_integrate_circle_commutes_with_curvature():
         if rng.random() < 0.5:
             harmonic[(2, 3)] = Fraction(rng.randint(-2, 2))
         trans = rand_real_form(rng, n, 1)
-        char = DiffChar(n, 2, {k: v for k, v in harmonic.items() if v}, trans)
+        char = DiffChar(n, 2, TorusForm.from_harmonic(n, harmonic), trans)
         reduced = char.integrate_circle(axis=1)
         assert reduced.curvature() == char.curvature().fiber_integrate_circle(1)
 

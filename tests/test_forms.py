@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chernforge.forms import (EvenForm, TorusForm, _koszul_sign, chern_transform,
-                              parse_form, total_chern_transform)
+from chernforge.forms import (TorusForm, _koszul_sign, chern_transform, parse_form,
+                              total_chern_transform)
 from chernforge.generators import rand_form, rand_homogeneous, rand_int_matrix
 from chernforge.scalars import GaussRat
 
@@ -205,33 +205,31 @@ def test_restrict_t():
 def test_chern_transform_examples():
     eta = TorusForm.volume(2).pullback([[1, 0, 0, 0], [0, 1, 0, 0]])
     zeta = TorusForm.single(4, 1, idx=(1, 2, 3, 4))
-    even = EvenForm(4, {2: eta})
-    assert chern_transform(even, 1) == eta
-    both = EvenForm(4, {2: eta, 4: zeta})
+    assert chern_transform(eta, 1) == eta
+    both = eta + zeta
     expected = eta.wedge(eta) * Fraction(1, 2) - zeta
     assert chern_transform(both, 2) == expected
-    assert chern_transform(EvenForm(4, {}), 2).is_zero()
+    assert chern_transform(TorusForm.zero(4), 2).is_zero()
 
 
 def test_chern_transform_ignores_degree_zero():
     eta = TorusForm.single(4, 2, idx=(1, 2))
-    with_unit = EvenForm(4, {0: TorusForm.const(4, 5), 2: eta})
-    without = EvenForm(4, {2: eta})
+    with_unit = TorusForm.const(4, 5) + eta
     for i in (1, 2):
-        assert chern_transform(with_unit, i) == chern_transform(without, i)
+        assert chern_transform(with_unit, i) == chern_transform(eta, i)
 
 
 def test_chern_transform_dimension_cap():
     eta = TorusForm.single(2, 1, idx=(1, 2))
     with pytest.raises(ValueError):
-        chern_transform(EvenForm(2, {2: eta}), 2)
+        chern_transform(eta, 2)
 
 
 def test_total_chern_transform_examples():
-    assert total_chern_transform(EvenForm(4, {})).component(0) == \
-        TorusForm.const(4, 1)
+    assert total_chern_transform(TorusForm.zero(4)) == TorusForm.const(4, 1)
     eta = TorusForm.single(4, 3, idx=(1, 2))
-    total = total_chern_transform(EvenForm(4, {2: eta}))
+    total = total_chern_transform(eta)
+    assert total.component(0) == TorusForm.const(4, 1)
     assert total.component(2) == eta
     assert total.component(4) == eta.wedge(eta) * Fraction(1, 2)
 
@@ -241,15 +239,14 @@ def test_total_transform_is_multiplicative_on_sums():
     for _ in range(30):
         n = 4
         def random_even():
-            parts = {2: rand_homogeneous(rng, n, 2)}
+            even = rand_homogeneous(rng, n, 2)
             if rng.random() < 0.5:
-                parts[4] = rand_homogeneous(rng, n, 4)
-            return EvenForm(n, parts)
+                even = even + rand_homogeneous(rng, n, 4)
+            return even
         omega = random_even()
         omega_p = random_even()
-        summed = total_chern_transform(omega.add(omega_p)).total()
-        product = total_chern_transform(omega).total().wedge(
-            total_chern_transform(omega_p).total())
+        summed = total_chern_transform(omega + omega_p)
+        product = total_chern_transform(omega).wedge(total_chern_transform(omega_p))
         assert summed == product
 
 
@@ -258,12 +255,12 @@ def test_chern_transform_naturality():
     for _ in range(40):
         n = 4
         m = rng.choice([2, 3, 4])
-        parts = {2: rand_homogeneous(rng, n, 2)}
+        parts = [rand_homogeneous(rng, n, 2)]
         if rng.random() < 0.5:
-            parts[4] = rand_homogeneous(rng, n, 4)
-        even = EvenForm(n, parts)
+            parts.append(rand_homogeneous(rng, n, 4))
+        even = sum(parts, TorusForm.zero(n))
         matrix = rand_int_matrix(rng, n, m)
-        pulled = EvenForm(m, {d: f.pullback(matrix) for d, f in parts.items()})
+        pulled = sum((f.pullback(matrix) for f in parts), TorusForm.zero(m))
         for i in (1, 2):
             if 2 * i > m:
                 continue
@@ -271,9 +268,13 @@ def test_chern_transform_naturality():
                 chern_transform(pulled, i)
 
 
-def test_even_form_rejects_odd_content():
+def test_chern_transform_rejects_odd_content():
     with pytest.raises(ValueError):
-        EvenForm.from_form(dx(2, 1))
+        chern_transform(dx(2, 1), 1)
+    with pytest.raises(ValueError):
+        chern_transform(TorusForm.volume(2) + dx(2, 1), 1)
+    with pytest.raises(ValueError):
+        total_chern_transform(dx(2, 1))
 
 
 # -- serialization -----------------------------------------------------------

@@ -2,8 +2,11 @@
 
 The SHA-256 of every pinned report was recorded before the integer
 numerator form kernel replaced the per-term Gaussian-rational one; a
-pure speedup must leave all of them unchanged.  Only the verify suites
-that finish in well under a second are pinned, to keep tier-1 fast.
+pure speedup must leave all of them unchanged.  The whitney, diagram
+and gauge digests were recorded later, before a character's harmonic
+part became a form; they take about 1.5, 1.1 and 0.3 s and guard the
+character and Chern-class layers.  The remaining suites are not pinned,
+to keep tier-1 fast.
 """
 
 import hashlib
@@ -32,11 +35,14 @@ CONFIG_DIGESTS = {
 
 VERIFY_DIGESTS = {
     "calculus": "946787a129aa1cc3d8890816420eae536f9559ba8729521236b490cb4f8f9450",
+    "diagram": "870eaa4552912088428d69954a66e47a559fd98e726a7862bebe6631d07a1d14",
+    "gauge": "7ab8c194823e5db28bbeec8b9cea43635fe764cfdd7c0888dd78cecb440a7b1f",
     "multiplicativity": "3b8f6c916b9efdbe0f8f43b3a4682325a0644c9ae063d1890537f75eb971bbfa",
     "naturality": "3595fdf4aa266d0d825f6daddaaa3954b2beb30ce2a61341b66f16d4486f9ffe",
     "newton": "1b4953124c0a872d0a56954c0314f6253ddfed38aad228d25d7c21ee475a466d",
     "odd": "46d9165413b608fc25b261af502cee372904c27af394ee269afbb30bcb932fe9",
     "paths": "34a341113648287a070f372ce32ee6e30b430c4f2ad4db0b8693dbf5b7625e0e",
+    "whitney": "3f8b92d9ff7134156295ec9e1067c95a38133cefbb0b7a74962722e2700b012c",
 }
 
 
