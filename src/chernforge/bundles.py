@@ -33,7 +33,9 @@ def _check_antisymmetric(matrix: tuple[tuple[int, ...], ...], n: int):
 class LineBundle:
     """Rank-1 hermitian bundle with connection data on T^n."""
 
-    __slots__ = ("n", "K", "theta", "beta", "_curvature")
+    # _cs_class holds the line's Cheeger-Simons class, built once by
+    # diffchar.cs_class (diffchar imports this module, not the reverse)
+    __slots__ = ("n", "K", "theta", "beta", "_harmonic", "_curvature", "_cs_class")
 
     def __init__(self, n: int, K: Optional[Sequence[Sequence[int]]] = None,
                  theta: Optional[Sequence] = None,
@@ -53,17 +55,21 @@ class LineBundle:
             raise ValueError("connection perturbation must be a 1-form")
         if not self.beta.is_real():
             raise ValueError("connection perturbation must be real")
-        self._curvature = None
+        self._harmonic = self._curvature = self._cs_class = None
 
     @classmethod
     def flat(cls, n: int, theta: Optional[Sequence] = None) -> "LineBundle":
         return cls(n, theta=theta)
 
     def harmonic_curvature(self) -> TorusForm:
-        """The translation-invariant curvature part sum K_jl dx_j dx_l."""
-        return TorusForm.from_harmonic(self.n, {
-            (j + 1, l + 1): self.K[j][l]
-            for j in range(self.n) for l in range(j + 1, self.n)})
+        """The translation-invariant curvature part sum K_jl dx_j dx_l, built once."""
+        if self._harmonic is None:
+            # integer data: key (t_exp, freq, mask of {j+1, l+1}), numerator (K_jl, 0)
+            zero_freq = (0,) * self.n
+            self._harmonic = TorusForm._make(self.n, False, 1, {
+                (0, zero_freq, 1 << (j + 1) | 1 << (l + 1)): (self.K[j][l], 0)
+                for j in range(self.n) for l in range(j + 1, self.n)})
+        return self._harmonic
 
     def curvature(self) -> TorusForm:
         if self._curvature is None:

@@ -5,7 +5,8 @@ described by a config file; ``verify`` runs a named property suite over
 seeded cases.  Every number in every report is exact and the same seed
 produces byte-identical output.
 
-Exit codes: 0 success, 1 suite failure, 2 parse/usage error,
+Exit codes: 0 success, 1 suite failure, 2 parse/usage error (a config
+that cannot be read or parsed, or a report that cannot be written),
 3 precondition violation.
 """
 
@@ -18,13 +19,17 @@ import json
 import os
 import sys
 
-from .config import parse_config
+from .config import Config, parse_config
 from .diffchar import chern_class, odd_chern_class
 from .errors import ConfigError, PreconditionError
 from .verify import (DEFAULT_DEGREE, DEGREE_SUITES, MAX_DEGREE, SUITES,
                      check_degree, run_suite)
 
 ENV_DEGREE = "CHERNFORGE_DEGREE"
+
+
+class _OutputError(Exception):
+    """The report could not be written to ``--out``."""
 
 
 def _resolve_degree(flag_value) -> int:
@@ -134,15 +139,29 @@ def _emit(report: dict, fmt: str, out_path) -> None:
     else:
         rendered = _render_text(report)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            raise _OutputError(exc) from None
     else:
         sys.stdout.write(rendered)
 
 
+def _read_config(path: str) -> Config:
+    """Parse the config file at ``path``; unreadable files are config errors."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ConfigError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse_config(text)
+
+
 def _cmd_chern(args) -> int:
-    with open(args.config, encoding="utf-8") as handle:
-        config = parse_config(handle.read())
+    config = _read_config(args.config)
     cycle = config.build_cycle()
     indices = config.indices or list(range(1, cycle.n // 2 + 1))
     if not indices:
@@ -154,8 +173,7 @@ def _cmd_chern(args) -> int:
 
 
 def _cmd_odd(args) -> int:
-    with open(args.config, encoding="utf-8") as handle:
-        config = parse_config(handle.read())
+    config = _read_config(args.config)
     cycle = config.build_odd_cycle()
     indices = config.indices or [i for i in range(1, cycle.n + 1, 2)]
     classes = [_class_entry(i, odd_chern_class(cycle, i)) for i in indices]
@@ -233,8 +251,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .bundles import DiagBundle, LineBundle, OddKCycle
 from .errors import PreconditionError
-from .forms import TorusForm, chern_transform
+from .forms import TorusForm, chern_transforms
 from .symfun import chern_polynomial, elementary_symmetric
 
 Subset = tuple[int, ...]
@@ -134,10 +134,17 @@ class DiffChar:
         return value.re % 1
 
     def holonomy_table(self) -> dict[Subset, Fraction]:
+        """Holonomy mod 1 over every (d-1)-subtorus, zero ones included."""
         if self.degree == 0:
             return {}
-        return {subset: self.holonomy(subset)
-                for subset in combinations(range(1, self.n + 1), self.degree - 1)}
+        integrals = self.trans.invariant_table(self.degree - 1)
+        table = {}
+        for subset in combinations(range(1, self.n + 1), self.degree - 1):
+            re_part, im_part = integrals.get(subset, (Fraction(0), Fraction(0)))
+            if im_part:
+                raise ArithmeticError("holonomy of a real transgression must be real")
+            table[subset] = re_part % 1
+        return table
 
     # -- additive structure -----------------------------------------------
 
@@ -234,9 +241,14 @@ class DiffChar:
 
 
 class KCycle:
-    """Cycle for an even differential K-class: bundle plus odd real form."""
+    """Cycle for an even differential K-class: bundle plus odd real form.
 
-    __slots__ = ("bundle", "rho", "_curvature")
+    Memos: the curvature, every Chern class per transgression path
+    (``_classes``, filled by :func:`chern_class`) and the character
+    components of :func:`chern_class_via_ch` (``_ch_components``).
+    """
+
+    __slots__ = ("bundle", "rho", "_curvature", "_classes", "_ch_components")
 
     def __init__(self, bundle: DiagBundle, rho: Optional[TorusForm] = None):
         self.bundle = bundle
@@ -249,7 +261,8 @@ class KCycle:
         if not rho.is_real():
             raise ValueError("cycle form must be real")
         self.rho = rho
-        self._curvature = None
+        self._curvature = self._ch_components = None
+        self._classes: dict[tuple, list[DiffChar]] = {}
 
     @property
     def n(self) -> int:
@@ -279,20 +292,15 @@ def cs_class(line: LineBundle) -> DiffChar:
 
     Curvature is the bundle curvature; the holonomy along coordinate
     loop l is theta_l plus the loop integral of the perturbation, mod 1.
+    Built once per line and kept on it.
     """
-    trans = line.beta
-    for l, shift in enumerate(line.theta, start=1):
-        if shift:
-            trans = trans + TorusForm.dx(line.n, l) * shift
-    return DiffChar(line.n, 2, line.harmonic_curvature(), trans)
-
-
-def _sigma_cup(chars: Sequence[DiffChar], i: int, n: int) -> DiffChar:
-    """Elementary symmetric polynomial of degree-2 characters under cup."""
-    if i == 0:
-        return DiffChar.unit(n)
-    return elementary_symmetric(chars, i, DiffChar.cup, DiffChar.add,
-                                DiffChar.zero(n, 2 * i))
+    if line._cs_class is None:
+        trans = line.beta
+        for l, shift in enumerate(line.theta, start=1):
+            if shift:
+                trans = trans + TorusForm.dx(line.n, l) * shift
+        line._cs_class = DiffChar(line.n, 2, line.harmonic_curvature(), trans)
+    return line._cs_class
 
 
 DEFAULT_PATH: tuple[tuple[int, Fraction], ...] = ((1, Fraction(1)),)
@@ -317,47 +325,87 @@ def _normalize_path(path) -> tuple[tuple[int, Fraction], ...]:
     return tuple(cleaned)
 
 
-def _transgression_term(cycle: KCycle, i: int,
-                        path: tuple[tuple[int, Fraction], ...]) -> DiffChar:
-    """a(int_t C_i(curvature of the path cycle)) for rho_t = q(t) rho."""
-    n = cycle.n
+def _chern_classes(cycle: KCycle, path: tuple[tuple[int, Fraction], ...]) -> list[DiffChar]:
+    """[1, c_1, ..., c_(n//2)] of a cycle along a path, in one pass.
+
+    The base classes are the elementary symmetric polynomials of the
+    Cheeger-Simons line classes under cup, built one line at a time by
+    E_k <- E_k + E_(k-1) u c(L); cup and add are exactly bilinear, so
+    this stores the same forms as summing the cup of every k-subset.
+    The transgression correction a(int_t C_k(R)) along rho_t = q(t) rho
+    comes from one Newton pass over the path curvature R.  Both
+    compatibility postconditions are asserted for every index.
+    """
+    n, top = cycle.n, cycle.n // 2
+    base = [DiffChar.unit(n)] + [DiffChar.zero(n, 2 * k) for k in range(1, top + 1)]
+    harmonic = [TorusForm.const(n, 1)] + [TorusForm.zero(n)] * top
+    for count, line in enumerate(cycle.bundle.lines):
+        c1, h1 = cs_class(line), line.harmonic_curvature()
+        for k in range(min(count + 1, top), 1, -1):
+            base[k] = base[k].add(base[k - 1].cup(c1))
+            harmonic[k] = harmonic[k] + harmonic[k - 1].wedge(h1)
+        base[1] = base[1].add(c1)
+        harmonic[1] = harmonic[1] + h1
     rho_t = TorusForm.zero(n, has_t=True)
     promoted = cycle.rho.with_t()
     for exponent, coeff in path:
-        rho_t = rho_t + promoted.mul_t(exponent) * Fraction(coeff)
+        rho_t = rho_t + promoted.mul_t(exponent) * coeff
     curv_path = cycle.bundle.chern_character().with_t() + rho_t.d()
-    integrated = chern_transform(curv_path, i).fiber_integrate_t()
-    return DiffChar.from_form(integrated, degree=2 * i, n=n)
+    integrands = chern_transforms(curv_path, top)
+    expected_curvature = chern_transforms(cycle.curvature(), top)
+    classes = [base[0]]
+    for i in range(1, top + 1):
+        result = base[i].add(DiffChar.from_form(integrands[i].fiber_integrate_t(),
+                                                degree=2 * i, n=n))
+        if result.curvature() != expected_curvature[i]:
+            raise ArithmeticError(f"curvature compatibility failed at index {i}")
+        if result.harmonic != harmonic[i]:
+            raise ArithmeticError(f"underlying-class compatibility failed at index {i}")
+        classes.append(result)
+    return classes
 
 
 def chern_class(cycle: KCycle, i: int, path=None) -> DiffChar:
     """The degree-2i differential Chern class of a cycle.
 
-    Builds the base class as the i'th elementary symmetric polynomial of
-    the Cheeger-Simons line classes under cup, then adds the
-    transgression correction a(int_t C_i(R)) along the path
-    rho_t = q(t) rho (linear by default).  Two compatibility
-    postconditions are asserted on every call: the curvature equals the
+    The base class is the i'th elementary symmetric polynomial of the
+    Cheeger-Simons line classes under cup, plus the transgression
+    correction a(int_t C_i(R)) along the path rho_t = q(t) rho (linear
+    by default), C_i being the Newton's-identity form transform.  Every
+    index of a cycle and path is computed in one pass on the first
+    call and kept on the cycle; that pass asserts, for every index, the
+    two compatibility postconditions: the curvature equals the
     universal polynomial of the cycle curvature, and the harmonic part
     equals the symmetric polynomial of the underlying integral data.
     """
-    n = cycle.n
     if i < 1:
         raise PreconditionError("class index must be >= 1")
-    if 2 * i > n:
-        raise PreconditionError(f"no degree-{2 * i} classes on T^{n}")
+    if 2 * i > cycle.n:
+        raise PreconditionError(f"no degree-{2 * i} classes on T^{cycle.n}")
     path = _normalize_path(path)
-    base = _sigma_cup([cs_class(line) for line in cycle.bundle.lines], i, n)
-    result = base.add(_transgression_term(cycle, i, path))
-    expected_curvature = chern_transform(cycle.curvature(), i)
-    if result.curvature() != expected_curvature:
-        raise ArithmeticError(f"curvature compatibility failed at index {i}")
-    expected_harmonic = elementary_symmetric(
-        [line.harmonic_curvature() for line in cycle.bundle.lines], i,
-        TorusForm.wedge, add, TorusForm.zero(n))
-    if result.harmonic != expected_harmonic:
-        raise ArithmeticError(f"underlying-class compatibility failed at index {i}")
-    return result
+    classes = cycle._classes.get(path)
+    if classes is None:
+        classes = cycle._classes[path] = _chern_classes(cycle, path)
+    return classes[i]
+
+
+def _character_components(cycle: KCycle) -> list[Optional[DiffChar]]:
+    """[None, ch_1, ..., ch_(n//2)] of a cycle as characters, built once."""
+    if cycle._ch_components is None:
+        n, top = cycle.n, cycle.n // 2
+        comps = [None] + [DiffChar.zero(n, 2 * j) for j in range(1, top + 1)]
+        for line in cycle.bundle.lines:
+            c1 = cs_class(line)
+            power = None
+            for j in range(1, top + 1):
+                power = c1 if power is None else power.cup(c1)
+                comps[j] = comps[j].add(power.scale(Fraction(1, factorial(j))))
+        for j in range(1, top + 1):
+            part = cycle.rho.component(2 * j - 1)
+            if not part.is_zero():
+                comps[j] = comps[j].add(DiffChar.from_form(part, degree=2 * j, n=n))
+        cycle._ch_components = comps
+    return cycle._ch_components
 
 
 def chern_class_via_ch(cycle: KCycle, i: int) -> DiffChar:
@@ -374,17 +422,7 @@ def chern_class_via_ch(cycle: KCycle, i: int) -> DiffChar:
         raise PreconditionError("class index must be >= 1")
     if 2 * i > n:
         raise PreconditionError(f"no degree-{2 * i} classes on T^{n}")
-    comps: dict[int, DiffChar] = {j: DiffChar.zero(n, 2 * j) for j in range(1, i + 1)}
-    for line in cycle.bundle.lines:
-        c1 = cs_class(line)
-        power = None
-        for j in range(1, i + 1):
-            power = c1 if power is None else power.cup(c1)
-            comps[j] = comps[j].add(power.scale(Fraction(1, factorial(j))))
-    for j in range(1, i + 1):
-        part = cycle.rho.component(2 * j - 1)
-        if not part.is_zero():
-            comps[j] = comps[j].add(DiffChar.from_form(part, degree=2 * j, n=n))
+    comps = _character_components(cycle)
     poly = chern_polynomial(i)
     result = DiffChar.zero(n, 2 * i)
     for mono, coeff in poly.terms.items():
@@ -475,10 +513,8 @@ def _require_admissible_shift(shift: TorusForm):
     if not shift.is_closed():
         raise PreconditionError("shift must be closed")
     for degree in shift.degrees():
-        component = shift.component(degree)
-        for subset in combinations(range(1, shift.n + 1), degree):
-            value = component.subtorus_integral(subset)
-            if not value.is_real() or value.re.denominator != 1:
+        for re_part, im_part in shift.invariant_table(degree).values():
+            if im_part or re_part.denominator != 1:
                 raise PreconditionError("shift must have integer periods")
 
 

@@ -36,7 +36,7 @@ d(int_t a) + int_t(d a) = a|_{t=1} - a|_{t=0}:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import add, neg
 import re
 from typing import Iterable, Optional, Sequence
@@ -412,15 +412,26 @@ class TorusForm:
         degs = self.degrees()
         if degs and degs != {len(subset)}:
             raise ValueError(f"degree mismatch: form degrees {sorted(degs)}, subtorus {subset}")
-        target = sum(1 << j for j in subset)
-        positions = [j - 1 for j in subset]
-        re_sum = im_sum = 0
-        for (m, freq, mask), (re_num, im_num) in self.terms.items():
-            if mask != target or any(freq[p] for p in positions):
-                continue
-            re_sum += re_num
-            im_sum += im_num
-        return GaussRat(Fraction(re_sum, self.den), Fraction(im_sum, self.den))
+        re_part, im_part = self.invariant_table(len(subset)).get(subset, (0, 0))
+        return GaussRat(re_part, im_part)
+
+    def invariant_table(self, degree: int) -> dict[tuple[int, ...], tuple[Fraction, Fraction]]:
+        """Subtorus integrals of the degree-``degree`` part, in one scan.
+
+        Maps each index set to the (real, imaginary) sum of the terms of
+        that degree whose frequency vanishes on their own index set: the
+        only terms with a non-zero integral over the coordinate subtorus
+        through the basepoint 0.  Missing index sets integrate to zero.
+        """
+        if self.has_t:
+            raise ValueError("subtorus integrals are defined on t-free forms")
+        positions = {mask: [j - 1 for j in _indices(mask)]
+                     for mask in {key[2] for key in self.terms} if mask.bit_count() == degree}
+        sums = _accumulate({}, (
+            (mask, num) for (_, freq, mask), num in self.terms.items()
+            if mask in positions and not any(freq[p] for p in positions[mask])))
+        return {_indices(mask): (Fraction(re_sum, self.den), Fraction(im_sum, self.den))
+                for mask, (re_sum, im_sum) in sums.items()}
 
     def period(self, subset: Iterable[int]) -> GaussRat:
         """Subtorus integral of a closed form (checked)."""
@@ -586,50 +597,53 @@ def parse_form(text: str, n: Optional[int] = None,
     return TorusForm(n, collect(terms), has_t=has_t)
 
 
+def chern_transforms(form: TorusForm, top: int) -> list[TorusForm]:
+    """[1, C_1(form), ..., C_top(form)]: every universal polynomial at once.
+
+    C_k is the degree-k universal polynomial with the degree-2j
+    component of ``form`` substituted for the j'th variable, so it is
+    the k'th elementary symmetric function of roots whose j'th power
+    sums are p_j = j! * component(2j).  Newton's identity
+
+        k * C_k = sum_{j=1..k} (-1)^(j-1) * C_(k-j) ^ p_j,   C_0 = 1,
+
+    builds them in one pass; the degree-0 component never enters.
+    Even forms commute and the arithmetic is exact, so the stored
+    forms equal those of evaluating each polynomial monomial by
+    monomial.  A form with odd-degree content is rejected.
+    """
+    if any(degree % 2 for degree in form.degrees()):
+        raise ValueError("form has odd-degree content")
+    cap = form.n + (1 if form.has_t else 0)
+    if 2 * top > cap:
+        raise ValueError(f"degree {2 * top} exceeds the dimension cap {cap}")
+    sums = [None] + [form.component(2 * j) * factorial(j) for j in range(1, top + 1)]
+    classes = [TorusForm.const(form.n, 1, has_t=form.has_t)]
+    for k in range(1, top + 1):
+        # the j = k term is p_k itself, C_0 being the constant 1
+        total = sums[k] if k % 2 else -sums[k]
+        for j in range(1, k):
+            term = classes[k - j].wedge(sums[j])
+            total = total + term if j % 2 else total - term
+        classes.append(total * Fraction(1, k))
+    return classes
+
+
 def chern_transform(form: TorusForm, i: int) -> TorusForm:
     """Apply the degree-i universal polynomial to an even form.
 
-    Substitutes the degree-2j component for the j'th variable; the
-    degree-0 component never enters.  Components wedge-commute, so the
-    substitution order is immaterial.  A form with odd-degree content
-    is rejected.
+    Entry ``i`` of :func:`chern_transforms` (Newton's identity): the
+    degree-2j component stands for the j'th variable and the degree-0
+    component never enters.  A form with odd-degree content is
+    rejected.
     """
-    from .symfun import chern_polynomial
-
-    if any(degree % 2 for degree in form.degrees()):
-        raise ValueError("form has odd-degree content")
     if i < 1:
         raise ValueError("index must be >= 1")
-    cap = form.n + (1 if form.has_t else 0)
-    if 2 * i > cap:
-        raise ValueError(f"degree {2 * i} exceeds the dimension cap {cap}")
-    poly = chern_polynomial(i)
-    powers: dict[tuple[int, int], TorusForm] = {}
-
-    def power(j: int, exp: int) -> TorusForm:
-        key = (j, exp)
-        if key not in powers:
-            if exp == 1:
-                powers[key] = form.component(2 * j)
-            else:
-                powers[key] = power(j, exp - 1).wedge(power(j, 1))
-        return powers[key]
-
-    total = TorusForm.zero(form.n, form.has_t)
-    for mono, coeff in poly.terms.items():
-        term = TorusForm.const(form.n, Fraction(coeff), has_t=form.has_t)
-        for (prime, idx), exp in mono:
-            term = term.wedge(power(idx, exp))
-            if term.is_zero():
-                break
-        total = total + term
-    return total
+    return chern_transforms(form, i)[i]
 
 
 def total_chern_transform(form: TorusForm) -> TorusForm:
     """1 + sum of all chern_transform components up to the dimension cap."""
     cap = form.n + (1 if form.has_t else 0)
-    total = TorusForm.const(form.n, 1, has_t=form.has_t)
-    for i in range(1, cap // 2 + 1):
-        total = total + chern_transform(form, i)
-    return total
+    one, *components = chern_transforms(form, cap // 2)
+    return sum(components, one)

@@ -50,7 +50,11 @@ def elementary_symmetric(factors, i: int, times, plus, zero):
     Adds, onto ``zero``, the left-to-right product under ``times`` of
     every i-subset, subsets in lexicographic order.  Both orders are
     fixed because the cup product of characters commutes only up to
-    exact transgressions, so another order stores other forms.
+    exact transgressions, so another order stores other forms.  The
+    one-factor-at-a-time recurrence E_k <- E_k + E_(k-1) * x of
+    ``diffchar.chern_class`` stores the same forms as this subset order:
+    each of its products also multiplies factors in increasing order,
+    and cup and add are exactly bilinear.
     """
     total = zero
     for subset in combinations(factors, i):

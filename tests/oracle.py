@@ -9,7 +9,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from chernforge.symfun import RootPoly
+from chernforge.forms import TorusForm
+from chernforge.symfun import RootPoly, chern_polynomial
 
 
 def brute_elementary_symmetric(i: int, k: int) -> RootPoly:
@@ -44,3 +45,19 @@ def brute_total_product(k: int, bound: int) -> RootPoly:
                 expvec[pos] = 1
             terms[tuple(expvec)] = Fraction(1)
     return RootPoly(k, bound, terms)
+
+
+def evaluate_chern_polynomial(form: TorusForm, i: int) -> TorusForm:
+    """chern_polynomial(i) evaluated monomial by monomial on an even form.
+
+    The degree-2j component stands for the j'th variable; each monomial
+    is the constant coefficient wedged with one factor per power.
+    """
+    total = TorusForm.zero(form.n, form.has_t)
+    for mono, coeff in chern_polynomial(i).terms.items():
+        term = TorusForm.const(form.n, Fraction(coeff), has_t=form.has_t)
+        for (_, j), exponent in mono:
+            for _ in range(exponent):
+                term = term.wedge(form.component(2 * j))
+        total = total + term
+    return total

@@ -217,6 +217,38 @@ def test_zero_denominator_exit_code(tmp_path, capsys, command, text):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["chern", "odd"])
+def test_config_directory_exit_code(tmp_path, capsys, command):
+    assert main([command, "--config", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["chern", "odd"])
+def test_config_not_utf8_exit_code(tmp_path, capsys, command):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("dim = 1\n# d\u00e9j\u00e0 vu\n".encode("latin-1"))
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert "not UTF-8" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_out_exit_code(config_path, tmp_path, capsys, target):
+    out = tmp_path / target
+    assert main(["chern", "--config", config_path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("output error: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("cases", ["0", "-5", "two"])
 def test_verify_rejects_bad_case_count(capsys, cases):
     assert main(["verify", "--suite", "whitney", "--cases", cases]) == 2

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
+from oracle import evaluate_chern_polynomial
 
 from chernforge.bundles import DiagBundle, LineBundle, OddKCycle
 from chernforge.diffchar import (DiffChar, KCycle, chern_class,
@@ -12,9 +14,11 @@ from chernforge.diffchar import (DiffChar, KCycle, chern_class,
 from chernforge.errors import PreconditionError
 from chernforge.forms import TorusForm, chern_transform
 from chernforge.generators import (rand_cycle, rand_int_matrix,
-                                   rand_integral_shift, rand_odd_cycle,
+                                   rand_integral_shift, rand_line_bundle,
+                                   rand_odd_cycle, rand_odd_real_form,
                                    rand_phase, rand_real_form)
 from chernforge.scalars import GaussRat
+from chernforge.symfun import elementary_symmetric
 
 dx = TorusForm.dx
 
@@ -58,6 +62,20 @@ def test_holonomy_examples():
     flat = cs_class(LineBundle.flat(2, theta=(Fraction(1, 4), 0)))
     assert flat.holonomy((1,)) == Fraction(1, 4)
     assert flat.curvature().is_zero()
+
+
+def test_holonomy_table_has_every_subtorus():
+    rng = Random(64)
+    for n in (2, 3, 4):
+        for degree in range(2, min(n, 3) + 1):
+            char = DiffChar.from_form(rand_real_form(rng, n, degree - 1), degree=degree, n=n)
+            table = char.holonomy_table()
+            assert list(table) == list(combinations(range(1, n + 1), degree - 1))
+            for subset, value in table.items():
+                assert value == char.holonomy(subset)
+    imaginary = DiffChar._make(2, 2, TorusForm.zero(2), dx(2, 1) * GaussRat(0, 1))
+    with pytest.raises(ArithmeticError):
+        imaginary.holonomy_table()
 
 
 def test_cs_class_examples():
@@ -253,6 +271,50 @@ def test_chern_class_without_form_part_is_cheeger_simons():
         line = rand_line_bundle(rng, n)
         cycle = KCycle(DiagBundle.of(line))
         assert chern_class(cycle, 1).same_class(cs_class(line))
+
+
+def reference_chern_class(cycle, i, path):
+    """One index from scratch: the cup of every i-subset of line classes,
+    plus the transgression of the polynomial-evaluated path transform."""
+    n = cycle.n
+    base = elementary_symmetric([cs_class(line) for line in cycle.bundle.lines], i,
+                                DiffChar.cup, DiffChar.add, DiffChar.zero(n, 2 * i))
+    promoted = cycle.rho.with_t()
+    rho_t = sum((promoted.mul_t(exponent) * coeff for exponent, coeff in path),
+                TorusForm.zero(n, has_t=True))
+    curv_path = cycle.bundle.chern_character().with_t() + rho_t.d()
+    integrated = evaluate_chern_polynomial(curv_path, i).fiber_integrate_t()
+    return base.add(DiffChar.from_form(integrated, degree=2 * i, n=n))
+
+
+def test_one_pass_stores_the_subset_construction_seeded():
+    rng = Random(62)
+    for n in range(2, 7):
+        for rank in range(1, 5):
+            lines = [rand_line_bundle(rng, n) for _ in range(rank)]
+            cycle = KCycle(DiagBundle(lines), rand_odd_real_form(rng, n, max_modes=1))
+            for path in (None, QUADRATIC, SMOOTHSTEP):
+                for i in range(1, n // 2 + 1):
+                    got = chern_class(cycle, i, path)
+                    want = reference_chern_class(cycle, i, path or ((1, Fraction(1)),))
+                    assert got.harmonic == want.harmonic
+                    assert got.trans == want.trans
+
+
+def test_classes_and_line_classes_are_built_once():
+    rng = Random(63)
+    cycle = rand_cycle(rng, 4, max_rank=2)
+    first = chern_class(cycle, 1)
+    assert chern_class(cycle, 1) is first
+    assert chern_class(cycle, 1, ((1, 1),)) is first
+    assert total_chern_class(cycle).component(4) is chern_class(cycle, 2)
+    quadratic = chern_class(cycle, 1, QUADRATIC)
+    assert quadratic is not first
+    assert chern_class(cycle, 1, QUADRATIC) is quadratic
+    assert chern_class(cycle, 2, QUADRATIC) is not chern_class(cycle, 2)
+    line = cycle.bundle.lines[0]
+    assert cs_class(line) is cs_class(line)
+    assert line.harmonic_curvature() is line.harmonic_curvature()
 
 
 def test_chern_class_form_shift_example():

@@ -6,9 +6,10 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import evaluate_chern_polynomial
 
-from chernforge.forms import (TorusForm, _koszul_sign, chern_transform, parse_form,
-                              total_chern_transform)
+from chernforge.forms import (TorusForm, _koszul_sign, chern_transform, chern_transforms,
+                              parse_form, total_chern_transform)
 from chernforge.generators import rand_form, rand_homogeneous, rand_int_matrix
 from chernforge.scalars import GaussRat
 
@@ -71,6 +72,19 @@ def test_period_of_exact_vanishes():
                 continue
             subset = tuple(range(1, degree + 1))
             assert component.subtorus_integral(subset) == 0
+
+
+def test_invariant_table_example():
+    form = (TorusForm.single(3, 2, idx=(1, 2))
+            + TorusForm.single(3, GaussRat(0, 1), freq=(0, 0, 1), idx=(1, 2))
+            + TorusForm.single(3, 5, freq=(1, 0, 0), idx=(1, 2))
+            + TorusForm.single(3, 7, idx=(3,)))
+    # the freq (1,0,0) term oscillates along its own subtorus and drops
+    assert form.invariant_table(2) == {(1, 2): (Fraction(2), Fraction(1))}
+    assert form.invariant_table(1) == {(3,): (Fraction(7), Fraction(0))}
+    assert form.invariant_table(3) == {}
+    with pytest.raises(ValueError):
+        form.with_t().invariant_table(2)
 
 
 def test_fiber_integrate_t_examples():
@@ -223,6 +237,25 @@ def test_chern_transform_dimension_cap():
     eta = TorusForm.single(2, 1, idx=(1, 2))
     with pytest.raises(ValueError):
         chern_transform(eta, 2)
+    with pytest.raises(ValueError):
+        chern_transforms(eta, 2)
+
+
+def test_chern_transforms_match_polynomial_evaluation_seeded():
+    rng = Random(61)
+    for case in range(30):
+        has_t = case % 2 == 1
+        n = rng.randint(1, 5)
+        cap = n + has_t
+        even = sum((rand_homogeneous(rng, n, degree, has_t=has_t)
+                    for degree in range(0, cap + 1, 2)), TorusForm.zero(n, has_t=has_t))
+        transforms = chern_transforms(even, cap // 2)
+        assert len(transforms) == cap // 2 + 1
+        assert transforms[0] == TorusForm.const(n, 1, has_t=has_t)
+        for i in range(1, cap // 2 + 1):
+            expected = evaluate_chern_polynomial(even, i)
+            assert transforms[i] == expected
+            assert chern_transform(even, i) == expected
 
 
 def test_total_chern_transform_examples():
@@ -275,6 +308,8 @@ def test_chern_transform_rejects_odd_content():
         chern_transform(TorusForm.volume(2) + dx(2, 1), 1)
     with pytest.raises(ValueError):
         total_chern_transform(dx(2, 1))
+    with pytest.raises(ValueError):
+        chern_transforms(dx(2, 1), 0)
 
 
 # -- serialization -----------------------------------------------------------

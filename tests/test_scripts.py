@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import re
 import subprocess
@@ -17,3 +18,30 @@ def test_quick_plan_passes_every_suite():
     assert result.returncode == 0, result.stdout + result.stderr
     verdicts = re.findall(r"^\w+ +(PASS|FAIL) +checks=", result.stdout, re.M)
     assert verdicts == ["PASS"] * 9
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_verdicts():
+    judge = load_bench_pairs().judge
+    base = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+    faster = [0.75 * v for v in base]
+    gain = judge(base, faster, "lower", 0.25)
+    assert gain["verdict"] == "gain" and gain["wins"] == 10
+    assert abs(gain["ratio_of_medians"] - 0.75) < 1e-9
+    assert judge(base, [1.3 * v for v in base], "lower", 0.25)["verdict"] == "worse"
+    assert judge(base, [1.1 * v for v in base], "lower", 0.25)["verdict"] == "within"
+    # nine wins of ten still count as a gain; eight do not
+    nine = faster[:9] + [2.0]
+    assert judge(base, nine, "lower", 0.25)["verdict"] == "gain"
+    assert judge(base, faster[:8] + [2.0, 2.0], "lower", 0.25)["verdict"] == "within"
+    wide = [0.5, 1.5, 0.6, 1.4, 1.0, 0.7, 1.3, 0.8, 1.2, 1.0]
+    assert judge(wide, [v * 0.95 for v in wide], "lower", 0.25)["verdict"] == "unresolved"
+    assert judge(wide, [0.4] * 10, "lower", 0.25)["verdict"] == "gain"
+    assert judge(base, [0.7 * v for v in base], "higher", 0.25)["verdict"] == "worse"
