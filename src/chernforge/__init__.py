@@ -7,7 +7,6 @@ from .diffchar import (DiffChar, KCycle, TotalChar, chern_class,
                        cs_class, odd_chern_class, total_chern_class)
 from .errors import ConfigError, PreconditionError
 from .forms import TorusForm, chern_transform, parse_form, total_chern_transform
-from .scalars import GaussRat
 from .symfun import (GradedPoly, RootPoly, ch_from_chern, chern_polynomial,
                      expand_in_roots, total_chern_truncated, verify_sum_identity)
 
@@ -15,7 +14,6 @@ __all__ = [
     "ConfigError",
     "DiagBundle",
     "DiffChar",
-    "GaussRat",
     "GradedPoly",
     "KCycle",
     "LineBundle",

@@ -120,7 +120,8 @@ class DiffChar:
         """
         if not self.integral:
             raise PreconditionError("period table of a non-integral character")
-        return {idx: int(coeff) for idx, coeff in self.harmonic.harmonic_table().items()}
+        return {idx: int(re_part)
+                for idx, (re_part, _) in self.harmonic.invariant_table(self.degree).items()}
 
     def holonomy(self, subset: Sequence[int]) -> Fraction:
         subset = tuple(sorted(subset))
@@ -128,10 +129,10 @@ class DiffChar:
             raise ValueError(
                 f"holonomy of a degree-{self.degree} character needs a "
                 f"{self.degree - 1}-subtorus")
-        value = self.trans.subtorus_integral(subset)
-        if not value.is_real():
-            raise ArithmeticError("holonomy of a real transgression must be real")
-        return value.re % 1
+        table = self.holonomy_table()
+        if subset not in table:
+            raise ValueError(f"bad subtorus {subset} for T^{self.n}")
+        return table[subset]
 
     def holonomy_table(self) -> dict[Subset, Fraction]:
         """Holonomy mod 1 over every (d-1)-subtorus, zero ones included."""
@@ -451,17 +452,16 @@ class TotalChar:
         self.comps = dict(comps)
 
     def component(self, degree: int) -> DiffChar:
-        if degree == 0:
-            return DiffChar.unit(self.n)
         return self.comps.get(degree, DiffChar.zero(self.n, degree))
 
     def cup(self, other: "TotalChar") -> "TotalChar":
+        """Degree by degree, the unit terms added directly: 1 u x = x u 1 = x."""
         if self.n != other.n:
             raise ValueError("total classes on different tori")
         out: dict[int, DiffChar] = {}
         for k in range(1, self.n // 2 + 1):
-            acc = DiffChar.zero(self.n, 2 * k)
-            for a in range(0, k + 1):
+            acc = self.component(2 * k).add(other.component(2 * k))
+            for a in range(1, k):
                 acc = acc.add(self.component(2 * a).cup(other.component(2 * (k - a))))
             out[2 * k] = acc
         return TotalChar(self.n, out)

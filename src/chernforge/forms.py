@@ -20,9 +20,10 @@ Koszul sign is a popcount parity (:func:`_koszul_sign`).  Every form is
 normalized on construction: no zero numerator is stored,
 gcd(den, every numerator) == 1 and the zero form has den == 1.  Equal
 forms therefore have equal storage, and equality is structural.
-:class:`GaussRat` coefficients and tuple index sets appear only at the
-boundary: the public constructor, parsing, harmonic tables, subtorus
-integrals and text.
+Coefficients enter as an int, a Fraction or an ``(re, im)`` pair of
+them and subtorus integrals leave as Fractions, so this storage is the
+only Gaussian-rational type.  Tuple index sets appear only at the
+boundary: the public constructor, parsing, invariant tables and text.
 
 Orientation conventions, pinned by the interval Stokes identity
 d(int_t a) + int_t(d a) = a|_{t=1} - a|_{t=0}:
@@ -40,8 +41,6 @@ from math import factorial, gcd, lcm
 from operator import add, neg
 import re
 from typing import Iterable, Optional, Sequence
-
-from .scalars import GaussRat, collect
 
 # Term key: (t_exponent, frequency vector, index-set bitmask).
 Key = tuple[int, tuple[int, ...], int]
@@ -68,11 +67,16 @@ def _indices(mask: int) -> tuple[int, ...]:
 
 
 def _gauss_parts(value) -> tuple[int, int, int]:
-    """(re, im, den) with value == (re + im*i) / den and den the least."""
+    """(re, im, den) with value == (re + im*i) / den and den the least.
+
+    ``value`` is an int, a Fraction or an ``(re, im)`` tuple of them.
+    """
     if isinstance(value, (int, Fraction)):
         return value.numerator, 0, value.denominator
-    value = GaussRat.coerce(value)
-    re_part, im_part = value.re, value.im
+    if not (isinstance(value, tuple) and len(value) == 2
+            and all(isinstance(part, (int, Fraction)) for part in value)):
+        raise TypeError(f"cannot use {value!r} as a form coefficient")
+    re_part, im_part = value
     den = lcm(re_part.denominator, im_part.denominator)
     return (re_part.numerator * (den // re_part.denominator),
             im_part.numerator * (den // im_part.denominator), den)
@@ -93,7 +97,7 @@ def _normalized(den: int, terms: dict) -> tuple[int, dict]:
 
 
 def _accumulate(out: dict, pairs) -> dict:
-    """Add Gaussian-integer numerators per key into ``out``."""
+    """Add ``(re, im)`` pairs per key into ``out``."""
     get = out.get
     for key, (re_num, im_num) in pairs:
         prev = get(key)
@@ -397,12 +401,13 @@ class TorusForm:
 
         return self._make(self.n - 1, False, self.den, _accumulate({}, integrated()))
 
-    def subtorus_integral(self, subset: Iterable[int]) -> GaussRat:
+    def subtorus_integral(self, subset: Iterable[int]) -> Fraction:
         """Integral over the coordinate subtorus through the basepoint 0.
 
         Coordinates outside ``subset`` are frozen at 0; the normalized
         volume of every subtorus is 1.  The form must be homogeneous of
-        degree ``len(subset)``.
+        degree ``len(subset)`` and the integral real; read both parts of
+        a complex one from :meth:`invariant_table`.
         """
         if self.has_t:
             raise ValueError("subtorus integrals are defined on t-free forms")
@@ -412,8 +417,10 @@ class TorusForm:
         degs = self.degrees()
         if degs and degs != {len(subset)}:
             raise ValueError(f"degree mismatch: form degrees {sorted(degs)}, subtorus {subset}")
-        re_part, im_part = self.invariant_table(len(subset)).get(subset, (0, 0))
-        return GaussRat(re_part, im_part)
+        re_part, im_part = self.invariant_table(len(subset)).get(subset, (Fraction(0), 0))
+        if im_part:
+            raise ValueError(f"integral over subtorus {subset} is not real")
+        return re_part
 
     def invariant_table(self, degree: int) -> dict[tuple[int, ...], tuple[Fraction, Fraction]]:
         """Subtorus integrals of the degree-``degree`` part, in one scan.
@@ -433,26 +440,15 @@ class TorusForm:
         return {_indices(mask): (Fraction(re_sum, self.den), Fraction(im_sum, self.den))
                 for mask, (re_sum, im_sum) in sums.items()}
 
-    def period(self, subset: Iterable[int]) -> GaussRat:
+    def period(self, subset: Iterable[int]) -> Fraction:
         """Subtorus integral of a closed form (checked)."""
         if not self.is_closed():
             raise ValueError("period requires a closed form")
         return self.subtorus_integral(subset)
 
-    def integrate_torus(self) -> GaussRat:
+    def integrate_torus(self) -> Fraction:
         """Top-degree integral over the whole torus."""
         return self.subtorus_integral(range(1, self.n + 1))
-
-    def harmonic_table(self) -> dict[tuple[int, ...], Fraction]:
-        """Inverse of :meth:`from_harmonic` on real translation-invariant forms."""
-        table: dict[tuple[int, ...], Fraction] = {}
-        for (t_exp, freq, mask), (re_num, im_num) in self.terms.items():
-            if t_exp or any(freq):
-                raise ValueError("form has non-harmonic content")
-            if im_num:
-                raise ValueError("harmonic data must be real")
-            table[_indices(mask)] = Fraction(re_num, self.den)
-        return table
 
     # -- pullback ---------------------------------------------------------
 
@@ -512,8 +508,8 @@ class TorusForm:
                       for (t_exp, freq, mask), num in self.terms.items())
         lines = []
         for idx, t_exp, freq, (re_num, im_num) in rows:
-            coeff = GaussRat(Fraction(re_num, self.den), Fraction(im_num, self.den))
-            parts = [str(coeff)]
+            sign = "-" if im_num < 0 else "+"
+            parts = [f"({Fraction(re_num, self.den)}{sign}{Fraction(abs(im_num), self.den)}i)"]
             if t_exp:
                 parts.append(f"t^{t_exp}")
             parts.append("exp[" + ",".join(str(v) for v in freq) + "]")
@@ -570,7 +566,7 @@ def parse_form(text: str, n: Optional[int] = None,
         if n is None:
             raise ValueError("cannot infer dimension of the zero form")
         return TorusForm.zero(n, has_t=bool(has_t))
-    terms: list[tuple[Key, GaussRat]] = []
+    terms = []
     saw_t = False
     for piece in pieces:
         match = _TERM_RE.match(piece)
@@ -578,7 +574,7 @@ def parse_form(text: str, n: Optional[int] = None,
             raise ValueError(f"bad form term: {piece!r}")
         re_part, im_part, t_exp, freq_part, idx_part = match.groups()
         try:
-            coeff = GaussRat(Fraction(re_part), Fraction(im_part.replace(" ", "")))
+            coeff = (Fraction(re_part), Fraction(im_part.replace(" ", "")))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in form term: {piece!r}") from None
         freq = tuple(int(v) for v in freq_part.split(",")) if freq_part.strip() else ()
@@ -594,7 +590,8 @@ def parse_form(text: str, n: Optional[int] = None,
         terms.append(((m, freq, idx), coeff))
     if has_t is None:
         has_t = saw_t
-    return TorusForm(n, collect(terms), has_t=has_t)
+    # duplicate terms add up; the constructor drops those that cancel
+    return TorusForm(n, _accumulate({}, terms), has_t=has_t)
 
 
 def chern_transforms(form: TorusForm, top: int) -> list[TorusForm]:

@@ -14,7 +14,6 @@ from random import Random
 from .bundles import DiagBundle, LineBundle, OddKCycle
 from .diffchar import KCycle
 from .forms import TorusForm
-from .scalars import GaussRat
 
 MAX_CURVATURE = 3
 MAX_DENOMINATOR = 12
@@ -37,22 +36,26 @@ def rand_subset(rng: Random, n: int, size: int) -> tuple[int, ...]:
     return tuple(sorted(rng.sample(range(1, n + 1), size)))
 
 
+def _add_term(terms: dict, key, re_part: Fraction, im_part: Fraction):
+    old_re, old_im = terms.get(key, (0, 0))
+    terms[key] = (old_re + re_part, old_im + im_part)
+
+
 def rand_form(rng: Random, n: int, max_terms: int = MAX_MODES,
               has_t: bool = False, max_t_exp: int = 2) -> TorusForm:
     """General (complex) form with a handful of small Fourier modes."""
     terms = {}
     indices = list(range(0 if has_t else 1, n + 1))
     for _ in range(rng.randint(1, max_terms)):
-        coeff = GaussRat(rand_fraction(rng), rand_fraction(rng))
-        if not coeff:
+        re_part, im_part = rand_fraction(rng), rand_fraction(rng)
+        if not (re_part or im_part):
             continue
         freq = tuple(rng.randint(-1, 1) for _ in range(n))
         size = rng.randint(0, min(len(indices), 3))
         idx = tuple(sorted(rng.sample(indices, size)))
         t_exp = rng.randint(0, max_t_exp) if has_t else 0
-        key = (t_exp, freq, idx)
-        terms[key] = terms.get(key, GaussRat()) + coeff
-    return TorusForm(n, {k: c for k, c in terms.items() if c}, has_t=has_t)
+        _add_term(terms, (t_exp, freq, idx), re_part, im_part)
+    return TorusForm(n, terms, has_t=has_t)
 
 
 def rand_homogeneous(rng: Random, n: int, degree: int, max_terms: int = 3,
@@ -63,15 +66,14 @@ def rand_homogeneous(rng: Random, n: int, degree: int, max_terms: int = 3,
         return TorusForm.zero(n, has_t=has_t)
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
-        coeff = GaussRat(rand_fraction(rng), rand_fraction(rng))
-        if not coeff:
+        re_part, im_part = rand_fraction(rng), rand_fraction(rng)
+        if not (re_part or im_part):
             continue
         idx = tuple(sorted(rng.sample(indices, degree)))
         freq = tuple(rng.randint(-1, 1) for _ in range(n))
         t_exp = rng.randint(0, max_t_exp) if has_t else 0
-        key = (t_exp, freq, idx)
-        terms[key] = terms.get(key, GaussRat()) + coeff
-    return TorusForm(n, {k: c for k, c in terms.items() if c}, has_t=has_t)
+        _add_term(terms, (t_exp, freq, idx), re_part, im_part)
+    return TorusForm(n, terms, has_t=has_t)
 
 
 def rand_real_form(rng: Random, n: int, degree: int,
@@ -84,11 +86,11 @@ def rand_real_form(rng: Random, n: int, degree: int,
     for _ in range(rng.randint(0, max_modes)):
         idx = rand_subset(rng, n, degree)
         freq = rand_frequency(rng, n)
-        amp = GaussRat(rand_fraction(rng), rand_fraction(rng))
-        if not amp:
+        re_part, im_part = rand_fraction(rng), rand_fraction(rng)
+        if not (re_part or im_part):
             continue
-        pair = TorusForm(n, {(0, freq, idx): amp,
-                             (0, tuple(-x for x in freq), idx): amp.conj()})
+        pair = TorusForm(n, {(0, freq, idx): (re_part, im_part),
+                             (0, tuple(-x for x in freq), idx): (re_part, -im_part)})
         total = total + pair
     if allow_harmonic and rng.random() < 0.7:
         coeff = rand_fraction(rng)
@@ -137,8 +139,8 @@ def rand_phase(rng: Random, n: int, max_modes: int = 2) -> TorusForm:
         if not amp:
             continue
         half = Fraction(amp, 2)
-        pair = TorusForm(n, {(0, freq, ()): GaussRat(0, -half),
-                             (0, tuple(-x for x in freq), ()): GaussRat(0, half)})
+        pair = TorusForm(n, {(0, freq, ()): (0, -half),
+                             (0, tuple(-x for x in freq), ()): (0, half)})
         total = total + pair
     return total
 

@@ -18,7 +18,6 @@ from math import factorial, lcm, prod
 from operator import add, mul
 from typing import Callable, Optional
 
-from .scalars import collect
 
 # A variable is (alphabet, index) with alphabet 0 for s_i and 1 for the
 # primed copy; a monomial is a sorted tuple of (variable, exponent)
@@ -27,6 +26,26 @@ Var = tuple[int, int]
 Mono = tuple[tuple[Var, int], ...]
 
 ONE_MONO: Mono = ()
+
+
+def collect(pairs, start=()) -> dict:
+    """Sum exact values per key onto a copy of the sparse map ``start``,
+    dropping every key whose sum is zero.
+
+    Sparse maps store only non-zero coefficients, so equal values have
+    identical key sets and equality stays structural.
+    """
+    out = dict(start)
+    get = out.get
+    for key, value in pairs:
+        existing = get(key)
+        if existing is not None:
+            value = existing + value
+        if value:
+            out[key] = value
+        elif existing is not None:
+            del out[key]
+    return out
 
 
 def mono_degree(mono: Mono) -> int:

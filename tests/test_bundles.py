@@ -8,13 +8,12 @@ from chernforge.bundles import DiagBundle, LineBundle, OddKCycle
 from chernforge.forms import TorusForm
 from chernforge.generators import (rand_bundle, rand_line_bundle,
                                    rand_odd_cycle, rand_phase)
-from chernforge.scalars import GaussRat
 
 
 def sin_one_form(n, freq, axis, amplitude=Fraction(1, 2)):
     half = Fraction(amplitude, 2)
-    return TorusForm(n, {(0, freq, (axis,)): GaussRat(0, -half),
-                         (0, tuple(-x for x in freq), (axis,)): GaussRat(0, half)})
+    return TorusForm(n, {(0, freq, (axis,)): (0, -half),
+                         (0, tuple(-x for x in freq), (axis,)): (0, half)})
 
 
 def test_curvature_examples():
@@ -45,9 +44,8 @@ def test_period_integrality_invariant():
         curv = line.curvature()
         for subset in combinations(range(1, n + 1), 2):
             period = curv.period(subset)
-            assert period.is_real()
             j, l = subset
-            assert period.re == line.K[j - 1][l - 1]
+            assert period == line.K[j - 1][l - 1]
 
 
 def test_chern_character_examples():
@@ -182,10 +180,23 @@ def test_odd_cycle_validation():
     constant = TorusForm.const(2, Fraction(1, 2))
     with pytest.raises(ValueError):
         OddKCycle(2, [((0, 0), constant)])  # constant mode
-    cos_pair = TorusForm(2, {(0, (1, 0), ()): GaussRat(Fraction(1, 2)),
-                             (0, (-1, 0), ()): GaussRat(Fraction(1, 2))})
+    cos_pair = TorusForm(2, {(0, (1, 0), ()): Fraction(1, 2),
+                             (0, (-1, 0), ()): Fraction(1, 2)})
     with pytest.raises(ValueError):
         OddKCycle(2, [((0, 0), cos_pair)])  # nonzero at the basepoint
+
+
+def test_odd_cycle_rejects_constant_mode_vanishing_at_basepoint():
+    # 1/3 - (1/3) cos(2 pi x_1): zero at the basepoint, mean 1/3
+    dip = (TorusForm.const(2, Fraction(1, 3))
+           + TorusForm(2, {(0, (1, 0), ()): Fraction(-1, 6),
+                           (0, (-1, 0), ()): Fraction(-1, 6)}))
+    assert dip.subtorus_integral(()) == 0
+    with pytest.raises(ValueError, match="constant Fourier mode"):
+        OddKCycle(2, [((1, 0), dip)])
+    sine = TorusForm(2, {(0, (1, 1), ()): (0, Fraction(-1, 4)),
+                         (0, (-1, -1), ()): (0, Fraction(1, 4))})
+    assert OddKCycle(2, [((1, 0), sine)]).components[0][1] == sine
 
 
 def test_whitney_at_form_level():

@@ -17,7 +17,6 @@ from chernforge.generators import (rand_cycle, rand_int_matrix,
                                    rand_integral_shift, rand_line_bundle,
                                    rand_odd_cycle, rand_odd_real_form,
                                    rand_phase, rand_real_form)
-from chernforge.scalars import GaussRat
 from chernforge.symfun import elementary_symmetric
 
 dx = TorusForm.dx
@@ -28,8 +27,8 @@ SMOOTHSTEP = ((2, Fraction(3)), (3, Fraction(-2)))
 
 def sin_form(n, freq, idx, amplitude=Fraction(1, 2)):
     half = Fraction(amplitude, 2)
-    return TorusForm(n, {(0, freq, idx): GaussRat(0, -half),
-                         (0, tuple(-x for x in freq), idx): GaussRat(0, half)})
+    return TorusForm(n, {(0, freq, idx): (0, -half),
+                         (0, tuple(-x for x in freq), idx): (0, half)})
 
 
 def line_T2(k, theta=None):
@@ -64,6 +63,17 @@ def test_holonomy_examples():
     assert flat.curvature().is_zero()
 
 
+def test_holonomy_rejects_bad_subtorus():
+    line = cs_class(line_T2(1, theta=(Fraction(1, 3), 0)))
+    three = DiffChar.from_form(TorusForm.single(3, Fraction(1, 5), idx=(1, 3)))
+    for char, subset in ((line, (0,)), (line, (3,)), (three, (1, 1)), (three, (2, 4))):
+        with pytest.raises(ValueError):
+            char.holonomy(subset)
+    with pytest.raises(ValueError):
+        line.holonomy((1, 2))  # wrong size
+    assert three.holonomy((3, 1)) == Fraction(1, 5)
+
+
 def test_holonomy_table_has_every_subtorus():
     rng = Random(64)
     for n in (2, 3, 4):
@@ -73,7 +83,7 @@ def test_holonomy_table_has_every_subtorus():
             assert list(table) == list(combinations(range(1, n + 1), degree - 1))
             for subset, value in table.items():
                 assert value == char.holonomy(subset)
-    imaginary = DiffChar._make(2, 2, TorusForm.zero(2), dx(2, 1) * GaussRat(0, 1))
+    imaginary = DiffChar._make(2, 2, TorusForm.zero(2), dx(2, 1) * (0, 1))
     with pytest.raises(ArithmeticError):
         imaginary.holonomy_table()
 
@@ -116,7 +126,7 @@ def test_curvature_periods_match_table():
         from itertools import combinations
         for subset in combinations(range(1, n + 1), 2):
             period = curv.period(subset)
-            assert period.re == char.period_table().get(subset, 0)
+            assert period == char.period_table().get(subset, 0)
 
 
 def test_curvature_is_harmonic_plus_d_trans():
@@ -132,7 +142,7 @@ def test_constructor_rejects_bad_harmonic_part():
         TorusForm(3, {(0, (1, 0, 0), (1, 2)): 1,  # real, but non-zero frequency
                       (0, (-1, 0, 0), (1, 2)): 1}),
         TorusForm.single(3, 1, idx=(0, 1), has_t=True),  # t data
-        TorusForm.single(3, GaussRat(1, 1), idx=(1, 2)),  # complex coefficient
+        TorusForm.single(3, (1, 1), idx=(1, 2)),  # complex coefficient
         TorusForm.from_harmonic(3, {(1, 2, 3): 1}),  # wrong degree
         good + TorusForm.from_harmonic(3, {(1,): 1}),  # mixed degrees
         TorusForm.from_harmonic(4, {(1, 2): 1}),  # wrong n
@@ -146,7 +156,7 @@ def test_constructor_rejects_bad_transgression():
     with pytest.raises(ValueError):
         DiffChar(3, 2, None, TorusForm.single(3, 1, idx=(1, 2)))  # wrong degree
     with pytest.raises(ValueError):
-        DiffChar(3, 2, None, TorusForm.single(3, GaussRat(0, 1), idx=(1,)))  # complex
+        DiffChar(3, 2, None, TorusForm.single(3, (0, 1), idx=(1,)))  # complex
     with pytest.raises(ValueError):
         DiffChar(3, 2, None, dx(4, 1))  # wrong n
     with pytest.raises(ValueError):
@@ -391,6 +401,19 @@ def test_total_class_T2():
     total = total_chern_class(KCycle(DiagBundle.of(line_T2(5))))
     assert sorted(total.comps) == [2]
     assert total.component(2).period_table() == {(1, 2): 5}
+
+
+def test_unit_cup_stores_the_other_factor_seeded():
+    rng = Random(71)
+    for n in range(2, 7):
+        unit = DiffChar.unit(n)
+        for _ in range(2):
+            total = total_chern_class(rand_cycle(rng, n, max_rank=2))
+            for x in total.comps.values():
+                for product in (unit.cup(x), x.cup(unit)):
+                    assert product.degree == x.degree
+                    assert product.harmonic == x.harmonic
+                    assert product.trans == x.trans
 
 
 def test_group_hom_unit_case():

@@ -11,7 +11,6 @@ from oracle import evaluate_chern_polynomial
 from chernforge.forms import (TorusForm, _koszul_sign, chern_transform, chern_transforms,
                               parse_form, total_chern_transform)
 from chernforge.generators import rand_form, rand_homogeneous, rand_int_matrix
-from chernforge.scalars import GaussRat
 
 dx = TorusForm.dx
 
@@ -37,7 +36,7 @@ def test_exterior_d_examples():
     assert t_dx1.d() == dt_dx1
     # stored derivative: multiplication by i * frequency
     mode = TorusForm.single(2, 1, freq=(2, 0), idx=())
-    assert mode.d() == TorusForm.single(2, GaussRat(0, 2), freq=(2, 0), idx=(1,))
+    assert mode.d() == TorusForm.single(2, (0, 2), freq=(2, 0), idx=(1,))
 
 
 def test_integrate_torus_examples():
@@ -53,12 +52,42 @@ def test_integrate_torus_examples():
 def test_period_examples():
     assert dx(2, 1).period((1,)) == 1
     assert dx(2, 1).period((2,)) == 0
-    beta = TorusForm(2, {(0, (1, 0), (2,)): GaussRat(0, Fraction(-1, 2)),
-                         (0, (-1, 0), (2,)): GaussRat(0, Fraction(1, 2))})
+    beta = TorusForm(2, {(0, (1, 0), (2,)): (0, Fraction(-1, 2)),
+                         (0, (-1, 0), (2,)): (0, Fraction(1, 2))})
     form = TorusForm.volume(2) * 5 + beta.d()
     assert form.period((1, 2)) == 5
     with pytest.raises(ValueError):
         beta.period((2,))  # not closed
+
+
+def test_integrals_of_non_real_invariant_part_raise():
+    form = TorusForm.single(2, (1, Fraction(-1, 3)), idx=(1, 2))
+    with pytest.raises(ValueError):
+        form.integrate_torus()
+    with pytest.raises(ValueError):
+        form.subtorus_integral((1, 2))
+    with pytest.raises(ValueError):
+        (form + TorusForm.volume(2) * 2).period((1, 2))
+    assert form.invariant_table(2) == {(1, 2): (Fraction(1), Fraction(-1, 3))}
+    # an imaginary part that oscillates along the subtorus integrates to zero
+    wave = TorusForm.single(2, (0, 1), freq=(1, 0), idx=(1, 2))
+    assert (TorusForm.volume(2) + wave).integrate_torus() == 1
+
+
+def test_constructor_coefficients():
+    assert TorusForm.const(1, (Fraction(1, 2), 3)).to_text() == "(1/2+3i) exp[0] d{}"
+    assert TorusForm.const(1, (2, Fraction(0))) == TorusForm.const(1, 2)
+    assert TorusForm.single(1, (0, 0), idx=(1,)).is_zero()
+    assert dx(1, 1) * (0, Fraction(1, 2)) == TorusForm.single(1, (0, Fraction(1, 2)), idx=(1,))
+    for bad in (0.5, "1/2", (1, 2, 3), (Fraction(1), 0.5), [1, 2], None):
+        with pytest.raises(TypeError):
+            TorusForm(1, {(0, (0,), ()): bad})
+        with pytest.raises(TypeError):
+            TorusForm.single(1, bad, idx=(1,))
+        with pytest.raises(TypeError):
+            TorusForm.const(1, bad)
+        with pytest.raises(TypeError):
+            dx(1, 1) * bad
 
 
 def test_period_of_exact_vanishes():
@@ -76,7 +105,7 @@ def test_period_of_exact_vanishes():
 
 def test_invariant_table_example():
     form = (TorusForm.single(3, 2, idx=(1, 2))
-            + TorusForm.single(3, GaussRat(0, 1), freq=(0, 0, 1), idx=(1, 2))
+            + TorusForm.single(3, (0, 1), freq=(0, 0, 1), idx=(1, 2))
             + TorusForm.single(3, 5, freq=(1, 0, 0), idx=(1, 2))
             + TorusForm.single(3, 7, idx=(3,)))
     # the freq (1,0,0) term oscillates along its own subtorus and drops
@@ -191,8 +220,8 @@ def test_graded_commutativity_seeded():
 
 
 def test_reality_predicates():
-    cos_mode = TorusForm(2, {(0, (1, 0), ()): GaussRat(Fraction(1, 2)),
-                             (0, (-1, 0), ()): GaussRat(Fraction(1, 2))})
+    cos_mode = TorusForm(2, {(0, (1, 0), ()): Fraction(1, 2),
+                             (0, (-1, 0), ()): Fraction(1, 2)})
     assert cos_mode.is_real()
     assert cos_mode.d().is_real()
     lopsided = TorusForm.single(2, 1, freq=(1, 0), idx=())
@@ -315,11 +344,25 @@ def test_chern_transform_rejects_odd_content():
 # -- serialization -----------------------------------------------------------
 
 def test_serialization_golden():
-    a = TorusForm.single(2, GaussRat(Fraction(1, 2), Fraction(-3, 4)),
+    a = TorusForm.single(2, (Fraction(1, 2), Fraction(-3, 4)),
                          freq=(1, -2), idx=(0, 1), t_exp=2, has_t=True)
     assert a.to_text() == "(1/2-3/4i) t^2 exp[1,-2] d{t,1}"
     assert TorusForm.zero(2).to_text() == "0"
     assert parse_form(a.to_text()) == a
+
+
+def test_to_text_folds_imaginary_sign():
+    assert TorusForm.const(0, (Fraction(1, 2), Fraction(-3, 4))).to_text() == "(1/2-3/4i) exp[] d{}"
+    assert TorusForm.const(0, 1).to_text() == "(1+0i) exp[] d{}"
+    assert TorusForm.const(0, (0, 1)).to_text() == "(0+1i) exp[] d{}"
+    assert TorusForm.const(0, (-2, Fraction(-1, 6))).to_text() == "(-2-1/6i) exp[] d{}"
+
+
+def test_parse_form_sums_duplicates_and_drops_cancelled_terms():
+    text = ("(1/2+1i) exp[0,0] d{1} + (1/3-1/4i) exp[1,0] d{2}\n"
+            "(1/2-1/3i) exp[0,0] d{1} + (-1/3+1/4i) exp[1,0] d{2}")
+    assert parse_form(text) == TorusForm.single(2, (1, Fraction(2, 3)), idx=(1,))
+    assert parse_form("(1+0i) exp[0,1] d{} + (-1+0i) exp[0,1] d{}", n=2).is_zero()
 
 
 def test_parse_form_multi_term_and_plus_separated():
@@ -361,12 +404,12 @@ small_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 def test_round_trip_hypothesis(entries):
     terms = {}
     for re_part, im_part, k1, k2, idx in entries:
-        coeff = GaussRat(re_part, im_part)
-        if not coeff:
+        if not (re_part or im_part):
             continue
         key = (0, (k1, k2), idx)
-        terms[key] = terms.get(key, GaussRat()) + coeff
-    form = TorusForm(2, {k: c for k, c in terms.items() if c})
+        old_re, old_im = terms.get(key, (0, 0))
+        terms[key] = (old_re + re_part, old_im + im_part)
+    form = TorusForm(2, {k: c for k, c in terms.items() if c != (0, 0)})
     assert parse_form(form.to_text(), n=2) == form
 
 

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from oracle import brute_character_component, brute_elementary_symmetric
 from chernforge.symfun import (GradedPoly, RootPoly, ch_from_chern,
-                               chern_polynomial, expand_in_roots, mono_degree,
-                               total_chern_truncated, verify_sum_identity)
+                               chern_polynomial, collect, expand_in_roots,
+                               mono_degree, total_chern_truncated,
+                               verify_sum_identity)
 
 s1 = GradedPoly.var(1)
 s2 = GradedPoly.var(2)
@@ -182,6 +183,16 @@ def test_root_poly_equality_and_truncation():
 def test_mono_degree_grading():
     poly = chern_polynomial(4)
     assert {mono_degree(m) for m in poly.terms} == {4}
+
+
+def test_collect_sums_per_key_and_drops_zeros():
+    pairs = [("a", 1), ("b", 2), ("c", Fraction(1, 2)),
+             ("a", -1), ("c", Fraction(1, 2))]
+    out = collect(pairs)
+    assert out == {"b": 2, "c": 1}
+    assert list(out) == ["b", "c"]  # first-appearance order
+    assert collect([(0, Fraction(1, 2)), (0, Fraction(-1, 2))]) == {}
+    assert collect([((1, 0), 3), ((0, 1), 0)]) == {(1, 0): 3}
 
 
 def test_sums_drop_zero_coefficients_structurally():
