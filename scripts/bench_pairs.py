@@ -7,8 +7,8 @@ Usage:
                                  [--seed FIRST] [--out PATH]
 
 The change is this checkout, uncommitted edits included; the base is
-REV, checked out in a temporary ``git worktree`` that is removed
-afterwards.  Pair p runs ``bench/run.py --seed FIRST+p --trace 0`` once
+the files of REV, unpacked by ``git archive`` into a temporary
+directory that is removed afterwards.  Pair p runs ``bench/run.py --seed FIRST+p --trace 0`` once
 in each tree for each workload, the base first in even pairs and the
 change first in odd ones.  For every workload and end-to-end metric the
 output holds both sides' medians and quartiles, the per-pair
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import platform
@@ -41,6 +42,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -55,18 +57,17 @@ def git(*args: str) -> str:
 
 
 @contextlib.contextmanager
-def base_worktree(rev: str):
-    """A detached checkout of ``rev`` in a temporary directory."""
+def base_tree(rev: str):
+    """The files of ``rev`` in a temporary directory; the repository is untouched."""
     holder = tempfile.mkdtemp(prefix="bench-base-")
-    path = os.path.join(holder, "tree")
     try:
-        git("worktree", "add", "--detach", path, rev)
-        yield Path(path)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(holder, filter="data")
+        yield Path(holder)
     finally:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", path],
-                       capture_output=True)
         shutil.rmtree(holder, ignore_errors=True)
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -172,10 +173,10 @@ def main() -> int:
         "nproc": len(os.sched_getaffinity(0)),
     }
     runs: dict[str, list] = {name: [] for name in workloads}
-    with base_worktree(args.base) as base_tree:
+    with base_tree(args.base) as base_dir:
         for p, seed in enumerate(record["seeds"]):
             for workload in workloads:
-                sides = [("base", base_tree), ("change", ROOT)]
+                sides = [("base", base_dir), ("change", ROOT)]
                 if p % 2:
                     sides.reverse()
                 result = {}

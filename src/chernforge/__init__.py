@@ -1,7 +1,7 @@
 """Exact differential Chern class computations on flat tori."""
 
 from .bundles import DiagBundle, LineBundle, OddKCycle
-from .diffchar import (DiffChar, KCycle, TotalChar, chern_class,
+from .diffchar import (DiffChar, KCycle, chern_class,
                        chern_class_via_ch, check_group_hom,
                        check_path_independence, check_shift_invariance,
                        cs_class, odd_chern_class, total_chern_class)
@@ -21,7 +21,6 @@ __all__ = [
     "PreconditionError",
     "RootPoly",
     "TorusForm",
-    "TotalChar",
     "ch_from_chern",
     "chern_class",
     "chern_class_via_ch",

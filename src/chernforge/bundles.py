@@ -144,9 +144,6 @@ class DiagBundle:
             raise ValueError("direct sum needs equal dimensions")
         return DiagBundle(self.lines + other.lines)
 
-    def curvature_forms(self) -> list[TorusForm]:
-        return [line.curvature() for line in self.lines]
-
     def chern_character(self) -> TorusForm:
         """Exponential character form: rank in degree 0, sum of F^k/k! above."""
         if self._character is not None:
@@ -163,15 +160,6 @@ class DiagBundle:
         self._character = total
         return total
 
-    def elementary_symmetric_curvature(self, i: int) -> TorusForm:
-        """The i'th elementary symmetric polynomial of the line curvatures."""
-        if i < 0:
-            raise ValueError("index must be >= 0")
-        if i == 0:
-            return TorusForm.const(self.n, 1)
-        return elementary_symmetric(self.curvature_forms(), i, TorusForm.wedge, add,
-                                    TorusForm.zero(self.n))
-
     def chern_form(self, i: int) -> TorusForm:
         """Degree-2i Chern form, computed along two routes and compared.
 
@@ -184,7 +172,10 @@ class DiagBundle:
         if 2 * i > self.n:
             raise ValueError(f"no {2 * i}-forms on T^{self.n}")
         via_character = chern_transform(self.chern_character(), i)
-        via_roots = self.elementary_symmetric_curvature(i)
+        via_roots = elementary_symmetric(
+            [line.curvature() for line in self.lines],
+            [TorusForm.const(self.n, 1)] + [TorusForm.zero(self.n)] * i,
+            TorusForm.wedge, add)[i]
         if via_character != via_roots:
             raise ArithmeticError(
                 f"chern_form route disagreement at i={i}: "

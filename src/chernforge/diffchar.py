@@ -11,9 +11,10 @@ that pair.
 
 The main constructions: the degree-2i class of a cycle (bundle plus odd
 form) built from Cheeger-Simons line classes and a transgression
-correction, an independent route through the exponential character
-components, Whitney/sum behaviour of the total class, and odd classes
-by suspension and circle integration.
+correction, every index of a cycle at once; an independent route
+through the exponential character components; the Whitney check on the
+total class, which is the plain list [1, c_1, ..., c_(n//2)]; and odd
+classes by suspension and circle integration.
 """
 
 from __future__ import annotations
@@ -89,16 +90,13 @@ class DiffChar:
         return cls(n, 0, TorusForm.const(n, 1))
 
     @classmethod
-    def from_form(cls, rho: TorusForm, degree: Optional[int] = None,
-                  n: Optional[int] = None) -> "DiffChar":
+    def from_form(cls, rho: TorusForm, degree: Optional[int] = None) -> "DiffChar":
         """The inclusion of forms: harmonic part zero, transgression rho."""
-        if n is None:
-            n = rho.n
         if degree is None:
             if rho.is_zero():
                 raise ValueError("degree of the zero-form character is ambiguous")
             degree = rho.degree() + 1
-        return cls(n, degree, None, rho)
+        return cls(rho.n, degree, None, rho)
 
     # -- structure maps ---------------------------------------------------
 
@@ -326,27 +324,31 @@ def _normalize_path(path) -> tuple[tuple[int, Fraction], ...]:
     return tuple(cleaned)
 
 
-def _chern_classes(cycle: KCycle, path: tuple[tuple[int, Fraction], ...]) -> list[DiffChar]:
-    """[1, c_1, ..., c_(n//2)] of a cycle along a path, in one pass.
+def _chern_classes(cycle: KCycle, path) -> list[DiffChar]:
+    """[1, c_1, ..., c_(n//2)] of a cycle along a path, in one pass kept
+    on the cycle per path.
 
     The base classes are the elementary symmetric polynomials of the
-    Cheeger-Simons line classes under cup, built one line at a time by
-    E_k <- E_k + E_(k-1) u c(L); cup and add are exactly bilinear, so
-    this stores the same forms as summing the cup of every k-subset.
-    The transgression correction a(int_t C_k(R)) along rho_t = q(t) rho
+    Cheeger-Simons line classes under cup, and the expected harmonic
+    parts those of the line harmonic curvatures, both from one
+    :func:`elementary_symmetric` pass over the lines.  The
+    transgression correction a(int_t C_k(R)) along rho_t = q(t) rho
     comes from one Newton pass over the path curvature R.  Both
     compatibility postconditions are asserted for every index.
     """
+    path = _normalize_path(path)
+    if path in cycle._classes:
+        return cycle._classes[path]
     n, top = cycle.n, cycle.n // 2
-    base = [DiffChar.unit(n)] + [DiffChar.zero(n, 2 * k) for k in range(1, top + 1)]
-    harmonic = [TorusForm.const(n, 1)] + [TorusForm.zero(n)] * top
-    for count, line in enumerate(cycle.bundle.lines):
-        c1, h1 = cs_class(line), line.harmonic_curvature()
-        for k in range(min(count + 1, top), 1, -1):
-            base[k] = base[k].add(base[k - 1].cup(c1))
-            harmonic[k] = harmonic[k] + harmonic[k - 1].wedge(h1)
-        base[1] = base[1].add(c1)
-        harmonic[1] = harmonic[1] + h1
+    # below T^2 a line has no degree-2 class, and the total class is [1]
+    lines = cycle.bundle.lines if top else ()
+    base = elementary_symmetric(
+        [cs_class(line) for line in lines],
+        [DiffChar.unit(n)] + [DiffChar.zero(n, 2 * k) for k in range(1, top + 1)],
+        DiffChar.cup, DiffChar.add)
+    harmonic = elementary_symmetric(
+        [line.harmonic_curvature() for line in lines],
+        [TorusForm.const(n, 1)] + [TorusForm.zero(n)] * top, TorusForm.wedge, add)
     rho_t = TorusForm.zero(n, has_t=True)
     promoted = cycle.rho.with_t()
     for exponent, coeff in path:
@@ -357,12 +359,13 @@ def _chern_classes(cycle: KCycle, path: tuple[tuple[int, Fraction], ...]) -> lis
     classes = [base[0]]
     for i in range(1, top + 1):
         result = base[i].add(DiffChar.from_form(integrands[i].fiber_integrate_t(),
-                                                degree=2 * i, n=n))
+                                                degree=2 * i))
         if result.curvature() != expected_curvature[i]:
             raise ArithmeticError(f"curvature compatibility failed at index {i}")
         if result.harmonic != harmonic[i]:
             raise ArithmeticError(f"underlying-class compatibility failed at index {i}")
         classes.append(result)
+    cycle._classes[path] = classes
     return classes
 
 
@@ -383,11 +386,7 @@ def chern_class(cycle: KCycle, i: int, path=None) -> DiffChar:
         raise PreconditionError("class index must be >= 1")
     if 2 * i > cycle.n:
         raise PreconditionError(f"no degree-{2 * i} classes on T^{cycle.n}")
-    path = _normalize_path(path)
-    classes = cycle._classes.get(path)
-    if classes is None:
-        classes = cycle._classes[path] = _chern_classes(cycle, path)
-    return classes[i]
+    return _chern_classes(cycle, path)[i]
 
 
 def _character_components(cycle: KCycle) -> list[Optional[DiffChar]]:
@@ -404,7 +403,7 @@ def _character_components(cycle: KCycle) -> list[Optional[DiffChar]]:
         for j in range(1, top + 1):
             part = cycle.rho.component(2 * j - 1)
             if not part.is_zero():
-                comps[j] = comps[j].add(DiffChar.from_form(part, degree=2 * j, n=n))
+                comps[j] = comps[j].add(DiffChar.from_form(part, degree=2 * j))
         cycle._ch_components = comps
     return cycle._ch_components
 
@@ -437,65 +436,26 @@ def chern_class_via_ch(cycle: KCycle, i: int) -> DiffChar:
     return result
 
 
-class TotalChar:
-    """Total class 1 + (degree 2) + (degree 4) + ...; the unit is implicit."""
-
-    __slots__ = ("n", "comps")
-
-    def __init__(self, n: int, comps: dict[int, DiffChar]):
-        self.n = n
-        for degree, char in comps.items():
-            if degree % 2 or degree < 2:
-                raise ValueError("total classes have components in degrees 2, 4, ...")
-            if char.n != n or char.degree != degree:
-                raise ValueError("component in the wrong group")
-        self.comps = dict(comps)
-
-    def component(self, degree: int) -> DiffChar:
-        return self.comps.get(degree, DiffChar.zero(self.n, degree))
-
-    def cup(self, other: "TotalChar") -> "TotalChar":
-        """Degree by degree, the unit terms added directly: 1 u x = x u 1 = x."""
-        if self.n != other.n:
-            raise ValueError("total classes on different tori")
-        out: dict[int, DiffChar] = {}
-        for k in range(1, self.n // 2 + 1):
-            acc = self.component(2 * k).add(other.component(2 * k))
-            for a in range(1, k):
-                acc = acc.add(self.component(2 * a).cup(other.component(2 * (k - a))))
-            out[2 * k] = acc
-        return TotalChar(self.n, out)
-
-    def same_class(self, other: "TotalChar") -> bool:
-        degrees = set(self.comps) | set(other.comps)
-        return all(self.component(d).same_class(other.component(d)) for d in degrees)
-
-    def discrepancy(self, other: "TotalChar") -> dict:
-        degrees = sorted(set(self.comps) | set(other.comps))
-        per_degree = {str(d): self.component(d).discrepancy(other.component(d))
-                      for d in degrees}
-        return {
-            "verdict": all(entry["verdict"] for entry in per_degree.values()),
-            "components": per_degree,
-        }
-
-    def __repr__(self):
-        return f"TotalChar(T^{self.n}, degrees={sorted(self.comps)})"
-
-
-def total_chern_class(cycle: KCycle) -> TotalChar:
-    comps = {2 * i: chern_class(cycle, i) for i in range(1, cycle.n // 2 + 1)}
-    return TotalChar(cycle.n, comps)
+def total_chern_class(cycle: KCycle) -> list[DiffChar]:
+    """The total class [1, c_1, ..., c_(n//2)], a copy of the memoised list."""
+    return list(_chern_classes(cycle, None))
 
 
 def check_group_hom(w: KCycle, v: KCycle) -> tuple[bool, dict]:
-    """Whitney check: total class of the sum against the cup of totals."""
+    """Whitney check: total class of the sum against the cup of totals,
+    formed degree by degree with the unit terms added directly."""
     if w.n != v.n:
         raise ValueError("cycles on different tori")
     combined = total_chern_class(w.add(v))
-    product = total_chern_class(w).cup(total_chern_class(v))
-    report = combined.discrepancy(product)
-    return report["verdict"], report
+    x, y = total_chern_class(w), total_chern_class(v)
+    components = {}
+    for k in range(1, len(combined)):
+        product = x[k].add(y[k])
+        for a in range(1, k):
+            product = product.add(x[a].cup(y[k - a]))
+        components[str(2 * k)] = combined[k].discrepancy(product)
+    verdict = all(entry["verdict"] for entry in components.values())
+    return verdict, {"verdict": verdict, "components": components}
 
 
 def check_path_independence(cycle: KCycle, i: int, path) -> bool:
@@ -535,14 +495,15 @@ def odd_chern_class(cycle: OddKCycle, i: int) -> DiffChar:
         raise PreconditionError("odd classes need an odd positive index")
     if i > cycle.n:
         raise PreconditionError(f"no degree-{i} classes on T^{cycle.n}")
-    even = chern_class(cycle.suspended(), (i + 1) // 2)
-    result = even.integrate_circle(axis=1)
+    half = (i + 1) // 2
+    result = chern_class(cycle.suspended(), half).integrate_circle(axis=1)
     N = cycle.n + 1
     windings = [TorusForm.from_harmonic(N, {(1, l + 1): m_l
                                             for l, m_l in enumerate(winding, start=1)})
                 for winding, _ in cycle.components]
-    expected = elementary_symmetric(windings, (i + 1) // 2, TorusForm.wedge, add,
-                                    TorusForm.zero(N))
+    expected = elementary_symmetric(
+        windings, [TorusForm.const(N, 1)] + [TorusForm.zero(N)] * half,
+        TorusForm.wedge, add)[half]
     if result.harmonic != expected.fiber_integrate_circle(1):
         raise ArithmeticError("odd-class periods disagree with the winding data")
     return result

@@ -26,6 +26,9 @@ def rand_fraction(rng: Random, max_num: int = 3,
 
 
 def rand_frequency(rng: Random, n: int, spread: int = 1) -> tuple[int, ...]:
+    """A non-zero vector in [-spread, spread]^n; none exists for n or spread < 1."""
+    if n < 1 or spread < 1:
+        raise ValueError(f"no non-zero frequency vector on T^{n} with spread {spread}")
     while True:
         freq = tuple(rng.randint(-spread, spread) for _ in range(n))
         if any(freq):

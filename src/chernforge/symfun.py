@@ -12,7 +12,6 @@ its primed twin both carry degree ``i``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import chain, combinations, groupby, repeat
 from math import factorial, lcm, prod
 from operator import add, mul
@@ -63,22 +62,26 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted(merged.items()))
 
 
-def elementary_symmetric(factors, i: int, times, plus, zero):
-    """e_i of ``factors`` in any ring, for i >= 1.
+def elementary_symmetric(factors, start: list, times, plus) -> list:
+    """[e_0, e_1, ..., e_top] of ``factors`` in any ring, in one pass.
 
-    Adds, onto ``zero``, the left-to-right product under ``times`` of
-    every i-subset, subsets in lexicographic order.  Both orders are
-    fixed because the cup product of characters commutes only up to
-    exact transgressions, so another order stores other forms.  The
-    one-factor-at-a-time recurrence E_k <- E_k + E_(k-1) * x of
-    ``diffchar.chern_class`` stores the same forms as this subset order:
-    each of its products also multiplies factors in increasing order,
-    and cup and add are exactly bilinear.
+    ``start`` is ``[1, 0_1, ..., 0_top]``, since a zero can depend on its
+    degree.  Each factor x updates E_k <- E_k + E_(k-1) * x from the top
+    down (E_1 <- E_1 + x); entries above the number of factors stay the
+    start zeros.  The order is fixed because the cup product of
+    characters commutes only up to exact transgressions, so another
+    order stores other forms.  Every product here multiplies factors in
+    their given order, so with ``times`` and ``plus`` exactly bilinear
+    this stores the same forms as summing the product of every k-subset.
     """
-    total = zero
-    for subset in combinations(factors, i):
-        total = plus(total, reduce(times, subset))
-    return total
+    out = list(start)
+    top = len(out) - 1
+    for count, x in enumerate(factors):
+        for k in range(min(count + 1, top), 1, -1):
+            out[k] = plus(out[k], times(out[k - 1], x))
+        if top:
+            out[1] = plus(out[1], x)
+    return out
 
 
 def _truncated_product(left: dict, right: dict, bound: int) -> dict:
@@ -451,39 +454,29 @@ def expand_in_roots(poly: GradedPoly, k: int, bound: int) -> RootPoly:
         for expvec in _arrangements(part, k)})
 
 
-def total_chern_truncated(bound: int, alphabet: str = "unprimed") -> GradedPoly:
-    """1 + C_1 + ... + C_bound in the requested alphabet.
-
-    ``alphabet`` is one of ``unprimed``, ``primed`` or ``sum``; the last
-    substitutes each variable by the sum of its two copies.
-    """
+def total_chern_truncated(bound: int) -> GradedPoly:
+    """1 + C_1 + ... + C_bound in the unprimed alphabet."""
     if bound < 0:
         raise ValueError("truncation bound must be >= 0")
     total = GradedPoly.const(1)
     for i in range(1, bound + 1):
         total = total + chern_polynomial(i)
-    if alphabet == "unprimed":
-        return total
-    if alphabet == "primed":
-        return total.to_alphabet(1)
-    if alphabet == "sum":
-        return total.substitute(
-            lambda var: GradedPoly.var(var[1], 0) + GradedPoly.var(var[1], 1),
-            trunc=bound,
-        )
-    raise ValueError(f"unknown alphabet {alphabet!r}")
+    return total
 
 
 def verify_sum_identity(bound: int) -> tuple[bool, GradedPoly]:
     """Check multiplicativity of the total class up to ``bound``.
 
-    Returns the verdict together with the discrepancy polynomial, which
-    is zero exactly when the identity holds at this truncation.
+    The truncated total is built once; its image under s_i -> s_i + s'_i
+    is compared with its product with the primed copy.  Returns the
+    verdict together with the discrepancy polynomial, which is zero
+    exactly when the identity holds at this truncation.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    lhs = total_chern_truncated(bound, "sum")
-    rhs = total_chern_truncated(bound, "unprimed").mul_trunc(
-        total_chern_truncated(bound, "primed"), bound)
+    total = total_chern_truncated(bound)
+    lhs = total.substitute(
+        lambda var: GradedPoly.var(var[1], 0) + GradedPoly.var(var[1], 1), trunc=bound)
+    rhs = total.mul_trunc(total.to_alphabet(1), bound)
     diff = lhs - rhs
     return diff.is_zero(), diff

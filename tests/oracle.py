@@ -6,6 +6,7 @@ independent.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import factorial
 
@@ -22,6 +23,18 @@ def brute_elementary_symmetric(i: int, k: int) -> RootPoly:
             expvec[pos] = 1
         terms[tuple(expvec)] = Fraction(1)
     return RootPoly(k, i, terms)
+
+
+def subset_elementary_symmetric(factors, i: int, times, plus, zero):
+    """e_i of ``factors`` for i >= 1 by enumerating subsets.
+
+    Adds, onto ``zero``, the left-to-right product under ``times`` of
+    every i-subset, subsets in lexicographic order.
+    """
+    total = zero
+    for subset in combinations(factors, i):
+        total = plus(total, reduce(times, subset))
+    return total
 
 
 def brute_character_component(j: int, k: int, bound: int) -> RootPoly:

@@ -1,9 +1,10 @@
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 from random import Random
 
 import pytest
-from oracle import evaluate_chern_polynomial
+from oracle import evaluate_chern_polynomial, subset_elementary_symmetric
 
 from chernforge.bundles import DiagBundle, LineBundle, OddKCycle
 from chernforge.diffchar import (DiffChar, KCycle, chern_class,
@@ -78,7 +79,7 @@ def test_holonomy_table_has_every_subtorus():
     rng = Random(64)
     for n in (2, 3, 4):
         for degree in range(2, min(n, 3) + 1):
-            char = DiffChar.from_form(rand_real_form(rng, n, degree - 1), degree=degree, n=n)
+            char = DiffChar.from_form(rand_real_form(rng, n, degree - 1), degree=degree)
             table = char.holonomy_table()
             assert list(table) == list(combinations(range(1, n + 1), degree - 1))
             for subset, value in table.items():
@@ -258,7 +259,7 @@ def test_integrate_circle_on_form_characters_carries_degree_twist():
         rho = rand_real_form(rng, 3, 1)
         char = DiffChar.from_form(rho, degree=2)
         reduced = char.integrate_circle(axis=1)
-        twisted = DiffChar.from_form(-(rho.fiber_integrate_circle(1)), degree=1, n=2)
+        twisted = DiffChar.from_form(-(rho.fiber_integrate_circle(1)), degree=1)
         assert reduced.trans == twisted.trans
         assert reduced.same_class(twisted)
 
@@ -287,14 +288,14 @@ def reference_chern_class(cycle, i, path):
     """One index from scratch: the cup of every i-subset of line classes,
     plus the transgression of the polynomial-evaluated path transform."""
     n = cycle.n
-    base = elementary_symmetric([cs_class(line) for line in cycle.bundle.lines], i,
-                                DiffChar.cup, DiffChar.add, DiffChar.zero(n, 2 * i))
+    base = subset_elementary_symmetric([cs_class(line) for line in cycle.bundle.lines], i,
+                                       DiffChar.cup, DiffChar.add, DiffChar.zero(n, 2 * i))
     promoted = cycle.rho.with_t()
     rho_t = sum((promoted.mul_t(exponent) * coeff for exponent, coeff in path),
                 TorusForm.zero(n, has_t=True))
     curv_path = cycle.bundle.chern_character().with_t() + rho_t.d()
     integrated = evaluate_chern_polynomial(curv_path, i).fiber_integrate_t()
-    return base.add(DiffChar.from_form(integrated, degree=2 * i, n=n))
+    return base.add(DiffChar.from_form(integrated, degree=2 * i))
 
 
 def test_one_pass_stores_the_subset_construction_seeded():
@@ -311,13 +312,43 @@ def test_one_pass_stores_the_subset_construction_seeded():
                     assert got.trans == want.trans
 
 
+def test_elementary_symmetric_matches_subset_oracle_seeded():
+    rng = Random(73)
+    for rank in range(5):
+        for n in (2, 4, 6):
+            forms = [rand_real_form(rng, n, 0) + rand_real_form(rng, n, 2)
+                     for _ in range(rank)]
+            top = rank + 2
+            start = [TorusForm.const(n, 1)] + [TorusForm.zero(n)] * top
+            got = elementary_symmetric(forms, start, TorusForm.wedge, add)
+            assert len(got) == top + 1 and got[0] is start[0]
+            for k in range(1, top + 1):
+                assert got[k] == subset_elementary_symmetric(
+                    forms, k, TorusForm.wedge, add, TorusForm.zero(n))
+            for k in range(rank + 1, top + 1):
+                assert got[k] is start[k]
+
+            chars = [cs_class(rand_line_bundle(rng, n)) for _ in range(rank)]
+            top = n // 2
+            start = [DiffChar.unit(n)] + [DiffChar.zero(n, 2 * k) for k in range(1, top + 1)]
+            got = elementary_symmetric(chars, start, DiffChar.cup, DiffChar.add)
+            assert len(got) == top + 1 and got[0] is start[0]
+            for k in range(1, top + 1):
+                want = subset_elementary_symmetric(chars, k, DiffChar.cup, DiffChar.add,
+                                                   DiffChar.zero(n, 2 * k))
+                assert got[k].harmonic == want.harmonic
+                assert got[k].trans == want.trans
+            for k in range(rank + 1, top + 1):
+                assert got[k] is start[k]
+
+
 def test_classes_and_line_classes_are_built_once():
     rng = Random(63)
     cycle = rand_cycle(rng, 4, max_rank=2)
     first = chern_class(cycle, 1)
     assert chern_class(cycle, 1) is first
     assert chern_class(cycle, 1, ((1, 1),)) is first
-    assert total_chern_class(cycle).component(4) is chern_class(cycle, 2)
+    assert total_chern_class(cycle)[2] is chern_class(cycle, 2)
     quadratic = chern_class(cycle, 1, QUADRATIC)
     assert quadratic is not first
     assert chern_class(cycle, 1, QUADRATIC) is quadratic
@@ -393,14 +424,14 @@ def test_route_agreement_rank_one_cancellation():
 
 def test_total_class_of_zero_cycle_is_unit():
     total = total_chern_class(KCycle.zero(4))
-    for degree in (2, 4):
-        assert total.component(degree).same_class(DiffChar.zero(4, degree))
+    for k in (1, 2):
+        assert total[k].same_class(DiffChar.zero(4, 2 * k))
 
 
 def test_total_class_T2():
     total = total_chern_class(KCycle(DiagBundle.of(line_T2(5))))
-    assert sorted(total.comps) == [2]
-    assert total.component(2).period_table() == {(1, 2): 5}
+    assert len(total) == 2
+    assert total[1].period_table() == {(1, 2): 5}
 
 
 def test_unit_cup_stores_the_other_factor_seeded():
@@ -409,7 +440,7 @@ def test_unit_cup_stores_the_other_factor_seeded():
         unit = DiffChar.unit(n)
         for _ in range(2):
             total = total_chern_class(rand_cycle(rng, n, max_rank=2))
-            for x in total.comps.values():
+            for x in total[1:]:
                 for product in (unit.cup(x), x.cup(unit)):
                     assert product.degree == x.degree
                     assert product.harmonic == x.harmonic
@@ -428,6 +459,19 @@ def test_group_hom_flat_rational_holonomies():
     b = KCycle(DiagBundle.of(LineBundle.flat(4, theta=(0, Fraction(2, 5), 0, 0))))
     ok, report = check_group_hom(a, b)
     assert ok, report
+
+
+def test_group_hom_report_keys():
+    rng = Random(74)
+    entry_keys = {"verdict", "curvature_discrepancy", "holonomy_discrepancy"}
+    for n, degrees in ((1, []), (2, ["2"]), (4, ["2", "4"]), (6, ["2", "4", "6"])):
+        ok, report = check_group_hom(rand_cycle(rng, n, max_rank=2),
+                                     rand_cycle(rng, n, max_rank=2))
+        assert list(report) == ["verdict", "components"]
+        assert ok and report["verdict"] is ok
+        assert list(report["components"]) == degrees
+        for entry in report["components"].values():
+            assert set(entry) == entry_keys
 
 
 def test_group_hom_seeded():

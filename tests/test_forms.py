@@ -10,7 +10,8 @@ from oracle import evaluate_chern_polynomial
 
 from chernforge.forms import (TorusForm, _koszul_sign, chern_transform, chern_transforms,
                               parse_form, total_chern_transform)
-from chernforge.generators import rand_form, rand_homogeneous, rand_int_matrix
+from chernforge.generators import (rand_form, rand_frequency, rand_homogeneous,
+                                   rand_int_matrix, rand_phase, rand_real_form)
 
 dx = TorusForm.dx
 
@@ -234,6 +235,26 @@ def test_degenerate_dimension_zero():
     assert point.integrate_torus() == 7
     assert point.d().is_zero()
     assert point.wedge(point) == TorusForm.const(0, 49)
+
+
+def test_random_frequency_needs_a_circle():
+    for n, spread in ((0, 1), (-1, 1), (2, 0)):
+        with pytest.raises(ValueError):
+            rand_frequency(Random(0), n, spread)
+    for seed in range(10):
+        if Random(seed).randint(0, 2):  # the first draw picks the mode count
+            with pytest.raises(ValueError):
+                rand_real_form(Random(seed), 0, 0)
+            with pytest.raises(ValueError):
+                rand_phase(Random(seed), 0)
+    # on T^n with n >= 1 the draws are those of plain rejection sampling
+    for n in (1, 2, 4):
+        rng, reference = Random(n), Random(n)
+        for _ in range(20):
+            want = ()
+            while not any(want):
+                want = tuple(reference.randint(-1, 1) for _ in range(n))
+            assert rand_frequency(rng, n) == want
 
 
 def test_restrict_t():
