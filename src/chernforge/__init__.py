@@ -1,8 +1,7 @@
 """Exact differential Chern class computations on flat tori."""
 
-from .bundles import DiagBundle, LineBundle, OddKCycle
-from .diffchar import (DiffChar, KCycle, chern_class,
-                       chern_class_via_ch, check_group_hom,
+from .bundles import DiagBundle, KCycle, LineBundle, OddKCycle
+from .diffchar import (DiffChar, chern_class, chern_class_via_ch, check_group_hom,
                        check_path_independence, check_shift_invariance,
                        cs_class, odd_chern_class, total_chern_class)
 from .errors import ConfigError, PreconditionError

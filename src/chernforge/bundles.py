@@ -5,9 +5,9 @@ harmonic curvature data, Chern-normalized so its entries are the
 periods of the curvature over coordinate 2-subtori), rational holonomy
 shifts along the coordinate loops, and a real periodic 1-form
 perturbing the connection.  Diagonal direct sums of lines stand in for
-higher-rank bundles; odd cycles are diagonal unitaries given by
-windings and phases, realized as even cycles by a clutching-style
-suspension.
+higher-rank bundles.  An even cycle pairs such a sum with an odd real
+form; odd cycles are diagonal unitaries given by windings and phases,
+realized as even cycles by a clutching-style suspension.
 """
 
 from __future__ import annotations
@@ -64,10 +64,8 @@ class LineBundle:
     def harmonic_curvature(self) -> TorusForm:
         """The translation-invariant curvature part sum K_jl dx_j dx_l, built once."""
         if self._harmonic is None:
-            # integer data: key (t_exp, freq, mask of {j+1, l+1}), numerator (K_jl, 0)
-            zero_freq = (0,) * self.n
-            self._harmonic = TorusForm._make(self.n, False, 1, {
-                (0, zero_freq, 1 << (j + 1) | 1 << (l + 1)): (self.K[j][l], 0)
+            self._harmonic = TorusForm.from_harmonic(self.n, {
+                (j + 1, l + 1): self.K[j][l]
                 for j in range(self.n) for l in range(j + 1, self.n)})
         return self._harmonic
 
@@ -204,6 +202,53 @@ class DiagBundle:
         return f"DiagBundle(T^{self.n}, rank={self.rank})"
 
 
+class KCycle:
+    """Cycle for an even differential K-class: bundle plus odd real form.
+
+    Memos: the curvature, every Chern class per transgression path
+    (``_classes``, filled by ``diffchar.chern_class``) and the character
+    components of ``diffchar.chern_class_via_ch`` (``_ch_components``).
+    """
+
+    __slots__ = ("bundle", "rho", "_curvature", "_classes", "_ch_components")
+
+    def __init__(self, bundle: DiagBundle, rho: Optional[TorusForm] = None):
+        self.bundle = bundle
+        if rho is None:
+            rho = TorusForm.zero(bundle.n)
+        if rho.n != bundle.n or rho.has_t:
+            raise ValueError("odd form lives on the wrong space")
+        if any(d % 2 == 0 for d in rho.degrees()):
+            raise ValueError("cycle form must have odd degrees")
+        if not rho.is_real():
+            raise ValueError("cycle form must be real")
+        self.rho = rho
+        self._curvature = self._ch_components = None
+        self._classes: dict[tuple, list] = {}
+
+    @property
+    def n(self) -> int:
+        return self.bundle.n
+
+    @classmethod
+    def zero(cls, n: int) -> "KCycle":
+        return cls(DiagBundle.trivial(n), TorusForm.zero(n))
+
+    def curvature(self) -> TorusForm:
+        if self._curvature is None:
+            self._curvature = self.bundle.chern_character() + self.rho.d()
+        return self._curvature
+
+    def add(self, other: "KCycle") -> "KCycle":
+        return KCycle(self.bundle.direct_sum(other.bundle), self.rho + other.rho)
+
+    def pullback(self, matrix: Sequence[Sequence[int]]) -> "KCycle":
+        return KCycle(self.bundle.pullback(matrix), self.rho.pullback(matrix))
+
+    def __repr__(self):
+        return f"KCycle({self.bundle!r}, rho={self.rho.to_text()!r})"
+
+
 class OddKCycle:
     """Diagonal unitary on T^n: winding vectors plus phase functions.
 
@@ -279,11 +324,9 @@ class OddKCycle:
         correction = TorusForm.single(N, -1, idx=(1,)).wedge(phases.pullback(drop_circle))
         return DiagBundle(lines), correction
 
-    def suspended(self):
-        """The suspension as an even cycle (a ``KCycle``), built once."""
+    def suspended(self) -> KCycle:
+        """The suspension as an even cycle, built once."""
         if self._suspended is None:
-            from .diffchar import KCycle
-
             self._suspended = KCycle(*self.suspend())
         return self._suspended
 

@@ -5,9 +5,11 @@ described by a config file; ``verify`` runs a named property suite over
 seeded cases.  Every number in every report is exact and the same seed
 produces byte-identical output.
 
-Exit codes: 0 success, 1 suite failure, 2 parse/usage error (a config
-that cannot be read or parsed, or a report that cannot be written),
-3 precondition violation.
+Exit codes: 0 success; 1 an identity check failed (a ``verify`` check
+that does not hold or raises, or a ``chern``/``odd`` postcondition,
+reported as one ``postcondition failed:`` line); 2 parse/usage error (a
+config that cannot be read or parsed, or a report that cannot be
+written); 3 precondition violation.
 """
 
 from __future__ import annotations
@@ -257,6 +259,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 3
+    except ArithmeticError as exc:
+        print(f"postcondition failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

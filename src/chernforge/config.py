@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .bundles import DiagBundle, LineBundle, OddKCycle
-from .diffchar import KCycle
+from .bundles import DiagBundle, KCycle, LineBundle, OddKCycle
 from .errors import ConfigError
 from .forms import TorusForm, parse_form, split_form_terms
 

@@ -25,7 +25,7 @@ from math import factorial
 from operator import add
 from typing import Optional, Sequence
 
-from .bundles import DiagBundle, LineBundle, OddKCycle
+from .bundles import KCycle, LineBundle, OddKCycle
 from .errors import PreconditionError
 from .forms import TorusForm, chern_transforms
 from .symfun import chern_polynomial, elementary_symmetric
@@ -237,53 +237,6 @@ class DiffChar:
     def __repr__(self):
         return (f"DiffChar(T^{self.n}, deg={self.degree}, "
                 f"harmonic={self.harmonic.to_text()!r}, trans={self.trans.to_text()!r})")
-
-
-class KCycle:
-    """Cycle for an even differential K-class: bundle plus odd real form.
-
-    Memos: the curvature, every Chern class per transgression path
-    (``_classes``, filled by :func:`chern_class`) and the character
-    components of :func:`chern_class_via_ch` (``_ch_components``).
-    """
-
-    __slots__ = ("bundle", "rho", "_curvature", "_classes", "_ch_components")
-
-    def __init__(self, bundle: DiagBundle, rho: Optional[TorusForm] = None):
-        self.bundle = bundle
-        if rho is None:
-            rho = TorusForm.zero(bundle.n)
-        if rho.n != bundle.n or rho.has_t:
-            raise ValueError("odd form lives on the wrong space")
-        if any(d % 2 == 0 for d in rho.degrees()):
-            raise ValueError("cycle form must have odd degrees")
-        if not rho.is_real():
-            raise ValueError("cycle form must be real")
-        self.rho = rho
-        self._curvature = self._ch_components = None
-        self._classes: dict[tuple, list[DiffChar]] = {}
-
-    @property
-    def n(self) -> int:
-        return self.bundle.n
-
-    @classmethod
-    def zero(cls, n: int) -> "KCycle":
-        return cls(DiagBundle.trivial(n), TorusForm.zero(n))
-
-    def curvature(self) -> TorusForm:
-        if self._curvature is None:
-            self._curvature = self.bundle.chern_character() + self.rho.d()
-        return self._curvature
-
-    def add(self, other: "KCycle") -> "KCycle":
-        return KCycle(self.bundle.direct_sum(other.bundle), self.rho + other.rho)
-
-    def pullback(self, matrix: Sequence[Sequence[int]]) -> "KCycle":
-        return KCycle(self.bundle.pullback(matrix), self.rho.pullback(matrix))
-
-    def __repr__(self):
-        return f"KCycle({self.bundle!r}, rho={self.rho.to_text()!r})"
 
 
 def cs_class(line: LineBundle) -> DiffChar:

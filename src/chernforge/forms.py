@@ -23,7 +23,8 @@ forms therefore have equal storage, and equality is structural.
 Coefficients enter as an int, a Fraction or an ``(re, im)`` pair of
 them and subtorus integrals leave as Fractions, so this storage is the
 only Gaussian-rational type.  Tuple index sets appear only at the
-boundary: the public constructor, parsing, invariant tables and text.
+boundary: the public constructor, ``from_harmonic``, parsing, invariant
+tables and text.
 
 Orientation conventions, pinned by the interval Stokes identity
 d(int_t a) + int_t(d a) = a|_{t=1} - a|_{t=0}:
@@ -96,6 +97,13 @@ def _normalized(den: int, terms: dict) -> tuple[int, dict]:
                            for key, (re_num, im_num) in clean.items()}
 
 
+def _over_common_den(parts: dict) -> tuple[int, dict]:
+    """``{key: (re, im, den)}`` over the lcm of the dens: ``(den, {key: (re, im)})``."""
+    den = lcm(*(part[2] for part in parts.values()))
+    return den, {key: (re_num * (den // part_den), im_num * (den // part_den))
+                 for key, (re_num, im_num, part_den) in parts.items()}
+
+
 def _accumulate(out: dict, pairs) -> dict:
     """Add ``(re, im)`` pairs per key into ``out``."""
     get = out.get
@@ -138,10 +146,7 @@ class TorusForm:
             if t_exp < 0:
                 raise ValueError("negative t exponent")
             parts[(t_exp, freq, sum(1 << j for j in idx))] = part
-        den = lcm(*(part[2] for part in parts.values()))
-        self.den, self.terms = _normalized(den, {
-            key: (re_num * (den // part_den), im_num * (den // part_den))
-            for key, (re_num, im_num, part_den) in parts.items()})
+        self.den, self.terms = _normalized(*_over_common_den(parts))
 
     @classmethod
     def _make(cls, n: int, has_t: bool, den: int, terms: dict) -> "TorusForm":
@@ -181,10 +186,22 @@ class TorusForm:
 
     @classmethod
     def from_harmonic(cls, n: int, table: dict) -> "TorusForm":
-        """Translation-invariant form sum c_I dx_I from a rational table {I: c_I}."""
+        """Translation-invariant form sum c_I dx_I from a table {I: c_I}.
+
+        Each I is a strictly increasing tuple within 1..n and each c_I a
+        coefficient as in the constructor; a bad I raises ``ValueError``.
+        """
         zero_freq = (0,) * n
-        return cls(n, {(0, zero_freq, tuple(idx)): Fraction(coeff)
-                       for idx, coeff in table.items()})
+        parts = {}
+        for idx, coeff in table.items():
+            mask = prev = 0
+            for j in idx:
+                if not prev < j <= n:
+                    raise ValueError(f"index set {idx} is not strictly increasing in 1..{n}")
+                mask |= 1 << j
+                prev = j
+            parts[(0, zero_freq, mask)] = _gauss_parts(coeff)
+        return cls._make(n, False, *_over_common_den(parts))
 
     # -- ring structure -------------------------------------------------
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .bundles import DiagBundle, LineBundle, OddKCycle
-from .diffchar import KCycle
+from .bundles import DiagBundle, KCycle, LineBundle, OddKCycle
 from .forms import TorusForm
 
 MAX_CURVATURE = 3

@@ -1,9 +1,16 @@
 """Named verification suites over seeded pseudo-random instances.
 
-Each suite runs a deterministic case stream and returns a report dict
-with pass/fail counts and the first counterexample, if any.  Reports
-contain no timing or environment data, so the same seed always yields
-the same bytes once rendered.
+A suite is a generator: given a seeded ``Random``, a case count and a
+truncation degree, it draws its cases in a fixed order and yields
+``(label, check)`` pairs, where ``check()`` returns ``None`` when the
+property holds and a dict of failure detail when it does not.
+:func:`run_suite` is the one loop over checks.  It runs each check as
+soon as it is yielded, counts it, records an exception raised by a
+check (or while drawing a case, which ends the stream) as a failing
+check whose ``error`` names the exception type, and returns a report
+dict with pass/fail counts and the first counterexample, if any.
+Reports contain no timing or environment data, so the same seed always
+yields the same bytes once rendered.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from random import Random
+from typing import Callable, Iterator, Optional
 
 from .bundles import OddKCycle
 from .diffchar import (chern_class, chern_class_via_ch, check_group_hom,
@@ -21,7 +29,8 @@ from .forms import TorusForm, chern_transform
 from .generators import (rand_cycle, rand_form, rand_homogeneous,
                          rand_int_matrix, rand_integral_shift, rand_odd_cycle,
                          rand_real_form)
-from .symfun import chern_polynomial, expand_in_roots, verify_sum_identity
+from .symfun import (GradedPoly, RootPoly, chern_polynomial, expand_in_roots,
+                     verify_sum_identity)
 
 DEFAULT_DEGREE = 8
 # At 16, newton takes about 0.2 s and multiplicativity about 2 s
@@ -33,6 +42,8 @@ DEGREE_SUITES = ("newton", "multiplicativity")
 
 QUADRATIC_PATH = ((2, Fraction(1)),)
 SMOOTHSTEP_PATH = ((2, Fraction(3)), (3, Fraction(-2)))
+
+Checks = Iterator[tuple[str, Callable[[], Optional[dict]]]]
 
 
 def check_degree(degree: int) -> int:
@@ -48,125 +59,78 @@ def check_degree(degree: int) -> int:
     return degree
 
 
-def _report(name: str, seed: int, checks: int, failures: list) -> dict:
-    return {
-        "suite": name,
-        "seed": seed,
-        "checks": checks,
-        "passes": checks - len(failures),
-        "failures": len(failures),
-        "ok": not failures,
-        "first_counterexample": failures[0] if failures else None,
-    }
+def _verdict(holds: bool, **detail) -> Optional[dict]:
+    """A check's result: ``None`` when it holds, else its failure detail."""
+    return None if holds else detail
 
 
-def _brute_elementary_symmetric(i: int, k: int):
+def _brute_elementary_symmetric(i: int, k: int) -> RootPoly:
     """Degree-i elementary symmetric polynomial by direct enumeration."""
-    from .symfun import RootPoly
-    terms = {}
-    for subset in combinations(range(k), i):
-        expvec = [0] * k
-        for pos in subset:
-            expvec[pos] = 1
-        terms[tuple(expvec)] = Fraction(1)
-    return RootPoly(k, i, terms)
+    return RootPoly(k, i, {tuple(int(pos in subset) for pos in range(k)): Fraction(1)
+                           for subset in combinations(range(k), i)})
 
 
-def suite_newton(seed: int = 0, cases: int = 0, degree: int = DEFAULT_DEGREE) -> dict:
+def suite_newton(rng: Random, cases: int, degree: int) -> Checks:
     """Root-expansion oracle for the universal polynomials."""
-    failures = []
-    checks = 0
-    from .symfun import GradedPoly
+    s1, s2, s3 = (GradedPoly.var(j) for j in (1, 2, 3))
     expected_low = {
-        1: GradedPoly.var(1),
-        2: GradedPoly.var(1) * GradedPoly.var(1) * Fraction(1, 2) - GradedPoly.var(2),
-        3: (GradedPoly.var(1) * GradedPoly.var(1) * GradedPoly.var(1) * Fraction(1, 6)
-            - GradedPoly.var(1) * GradedPoly.var(2) + GradedPoly.var(3) * 2),
+        1: s1,
+        2: s1 * s1 * Fraction(1, 2) - s2,
+        3: s1 * s1 * s1 * Fraction(1, 6) - s1 * s2 + s3 * 2,
     }
     for i, poly in expected_low.items():
-        checks += 1
-        if chern_polynomial(i) != poly:
-            failures.append({"check": f"closed form at i={i}",
-                             "got": chern_polynomial(i).render()})
+        yield f"closed form at i={i}", lambda: _verdict(
+            chern_polynomial(i) == poly, got=chern_polynomial(i).render())
     for i in range(1, degree + 1):
-        checks += 1
         k = i + 2
-        expanded = expand_in_roots(chern_polynomial(i), k, i)
-        if expanded != _brute_elementary_symmetric(i, k):
-            failures.append({"check": f"root expansion at i={i}", "k": k})
-    return _report("newton", seed, checks, failures)
+        yield f"root expansion at i={i}", lambda: _verdict(
+            expand_in_roots(chern_polynomial(i), k, i) == _brute_elementary_symmetric(i, k),
+            k=k)
 
 
-def suite_multiplicativity(seed: int = 0, cases: int = 0,
-                           degree: int = DEFAULT_DEGREE) -> dict:
+def suite_multiplicativity(rng: Random, cases: int, degree: int) -> Checks:
     """Total-class sum identity at every truncation up to ``degree``."""
-    failures = []
-    checks = 0
     for bound in range(1, degree + 1):
-        checks += 1
-        ok, diff = verify_sum_identity(bound)
-        if not ok:
-            failures.append({"check": f"sum identity at N={bound}",
-                             "discrepancy": diff.render()})
-    return _report("multiplicativity", seed, checks, failures)
+        def check():
+            ok, diff = verify_sum_identity(bound)
+            return None if ok else {"discrepancy": diff.render()}
+        yield f"sum identity at N={bound}", check
 
 
-def suite_whitney(seed: int = 0, cases: int = 100) -> dict:
+def suite_whitney(rng: Random, cases: int, degree: int) -> Checks:
     """Group-homomorphism property of the total class on cycle pairs."""
-    rng = Random(seed)
-    failures = []
-    checks = 0
-    plan = [(4, cases), (6, max(1, cases // 5))]
-    for n, count in plan:
+    for n, count in ((4, cases), (6, max(1, cases // 5))):
         for index in range(count):
-            checks += 1
             w = rand_cycle(rng, n, max_rank=2)
             v = rand_cycle(rng, n, max_rank=2)
-            ok, detail = check_group_hom(w, v)
-            if not ok:
-                failures.append({"check": f"whitney T^{n} case {index}",
-                                 "detail": detail})
-    return _report("whitney", seed, checks, failures)
+            def check():
+                ok, detail = check_group_hom(w, v)
+                return _verdict(ok, detail=detail)
+            yield f"whitney T^{n} case {index}", check
 
 
-def suite_diagram(seed: int = 0, cases: int = 200) -> dict:
+def suite_diagram(rng: Random, cases: int, degree: int) -> Checks:
     """Curvature / underlying-class compatibility plus the two-route
-    agreement, over seeded cycles of dimension up to 6."""
-    rng = Random(seed)
-    failures = []
-    checks = 0
+    agreement, over seeded cycles of dimension up to 6.  The
+    compatibility and integrality postconditions raise."""
     dims = [2, 3, 4, 5, 6]
     for index in range(cases):
         n = dims[index % len(dims)]
         w = rand_cycle(rng, n, max_rank=2 if n >= 5 else 3)
         for i in range(1, n // 2 + 1):
-            checks += 1
-            try:
+            def check():
                 direct = chern_class(w, i)
-            except ArithmeticError as exc:
-                failures.append({"check": f"compatibility case {index} i={i}",
-                                 "error": str(exc)})
-                continue
-            if direct.curvature() != chern_transform(w.curvature(), i):
-                failures.append({"check": f"curvature square case {index} i={i}"})
-                continue
-            try:
+                if direct.curvature() != chern_transform(w.curvature(), i):
+                    return {"stage": "curvature square"}
                 via = chern_class_via_ch(w, i)
-            except ArithmeticError as exc:
-                failures.append({"check": f"integrality case {index} i={i}",
-                                 "error": str(exc)})
-                continue
-            if not direct.same_class(via):
-                failures.append({"check": f"route agreement case {index} i={i}",
-                                 "detail": direct.discrepancy(via)})
-    return _report("diagram", seed, checks, failures)
+                if not direct.same_class(via):
+                    return {"stage": "route agreement", "detail": direct.discrepancy(via)}
+                return None
+            yield f"diagram case {index} i={i}", check
 
 
-def suite_paths(seed: int = 0, cases: int = 50) -> dict:
+def suite_paths(rng: Random, cases: int, degree: int) -> Checks:
     """Path independence of the transgression correction."""
-    rng = Random(seed)
-    failures = []
-    checks = 0
     dims = [2, 3, 4]
     for index in range(cases):
         n = dims[index % len(dims)]
@@ -176,156 +140,144 @@ def suite_paths(seed: int = 0, cases: int = 50) -> dict:
         for i in range(1, n // 2 + 1):
             for label, path in (("t^2", QUADRATIC_PATH),
                                 ("3t^2-2t^3", SMOOTHSTEP_PATH)):
-                checks += 1
-                if not check_path_independence(w, i, path):
-                    failures.append({"check": f"path {label} case {index} i={i}"})
-    return _report("paths", seed, checks, failures)
+                yield (f"path {label} case {index} i={i}",
+                       lambda: _verdict(check_path_independence(w, i, path)))
 
 
-def suite_gauge(seed: int = 0, cases: int = 50) -> dict:
+def suite_gauge(rng: Random, cases: int, degree: int) -> Checks:
     """Invariance of the classes under exact and integral form shifts."""
-    rng = Random(seed)
-    failures = []
-    checks = 0
     dims = [2, 3, 4]
     for index in range(cases):
         n = dims[index % len(dims)]
         w = rand_cycle(rng, n)
         exact = rand_real_form(rng, n, 0, max_modes=2, allow_harmonic=False).d()
         integral = rand_integral_shift(rng, n)
+        shifts = (("exact", exact), ("integral", integral),
+                  ("combined", exact + integral))
         for i in range(1, n // 2 + 1):
-            for label, shift in (("exact", exact), ("integral", integral),
-                                 ("combined", exact + integral)):
-                checks += 1
-                if not check_shift_invariance(w, i, shift):
-                    failures.append({"check": f"{label} shift case {index} i={i}"})
-    return _report("gauge", seed, checks, failures)
+            for label, shift in shifts:
+                yield (f"{label} shift case {index} i={i}",
+                       lambda: _verdict(check_shift_invariance(w, i, shift)))
 
 
-def suite_odd(seed: int = 0, cases: int = 50) -> dict:
+def suite_odd(rng: Random, cases: int, degree: int) -> Checks:
     """Odd classes: winding periods and the suspension bookkeeping."""
-    rng = Random(seed)
-    failures = []
-    checks = 0
     for m in range(-3, 4):
-        checks += 1
-        cycle = OddKCycle.winding(1, (m,))
-        table = odd_chern_class(cycle, 1).period_table()
-        expected = {(1,): m} if m else {}
-        if table != expected:
-            failures.append({"check": f"winding {m}", "got": str(table)})
+        def winding():
+            table = odd_chern_class(OddKCycle.winding(1, (m,)), 1).period_table()
+            return _verdict(table == ({(1,): m} if m else {}), got=str(table))
+        yield f"winding {m}", winding
     dims = [1, 2, 3]
     for index in range(cases):
         n = dims[index % len(dims)]
         cycle = rand_odd_cycle(rng, n)
-        checks += 1
-        curv = cycle.suspended().curvature().fiber_integrate_circle(1)
-        if curv != cycle.odd_chern_form():
-            failures.append({"check": f"suspension bookkeeping case {index}"})
-            continue
-        for i in (1, 3):
-            if i > n:
-                continue
-            checks += 1
-            try:
-                odd_chern_class(cycle, i)
-            except ArithmeticError as exc:
-                failures.append({"check": f"odd class case {index} i={i}",
-                                 "error": str(exc)})
-    return _report("odd", seed, checks, failures)
+        yield f"suspension bookkeeping case {index}", lambda: _verdict(
+            cycle.suspended().curvature().fiber_integrate_circle(1)
+            == cycle.odd_chern_form())
+        for i in range(1, n + 1, 2):
+            def odd_class():
+                odd_chern_class(cycle, i)  # raises if a postcondition fails
+            yield f"odd class case {index} i={i}", odd_class
 
 
-def suite_naturality(seed: int = 0, cases: int = 100) -> dict:
+def suite_naturality(rng: Random, cases: int, degree: int) -> Checks:
     """Pullback naturality of the form transform and of the classes."""
-    rng = Random(seed)
-    failures = []
-    checks = 0
     for index in range(cases):
         n = rng.choice([2, 3, 4])
         m = rng.choice([2, 3])
         matrix = rand_int_matrix(rng, n, m)
-        parts = [rand_homogeneous(rng, n, degree) for degree in (2, 4) if degree <= n]
+        parts = [rand_homogeneous(rng, n, deg) for deg in (2, 4) if deg <= n]
         even = sum(parts, TorusForm.zero(n))
         for i in range(1, n // 2 + 1):
-            checks += 1
-            direct = chern_transform(even, i).pullback(matrix)
-            pulled = sum((f.pullback(matrix) for f in parts), TorusForm.zero(m))
-            if 2 * i > m:
-                continue
-            if direct != chern_transform(pulled, i):
-                failures.append({"check": f"form naturality case {index} i={i}"})
+            def form_check():
+                direct = chern_transform(even, i).pullback(matrix)
+                if 2 * i > m:
+                    return None
+                pulled = sum((f.pullback(matrix) for f in parts), TorusForm.zero(m))
+                return _verdict(direct == chern_transform(pulled, i))
+            yield f"form naturality case {index} i={i}", form_check
         w = rand_cycle(rng, n, max_rank=2)
         for i in range(1, min(n, m) // 2 + 1):
-            checks += 1
-            left = chern_class(w, i).pullback(matrix)
-            right = chern_class(w.pullback(matrix), i)
-            if not left.same_class(right):
-                failures.append({"check": f"class naturality case {index} i={i}"})
-    return _report("naturality", seed, checks, failures)
+            yield f"class naturality case {index} i={i}", lambda: _verdict(
+                chern_class(w, i).pullback(matrix).same_class(
+                    chern_class(w.pullback(matrix), i)))
 
 
-def suite_calculus(seed: int = 0, cases: int = 500) -> dict:
+def suite_calculus(rng: Random, cases: int, degree: int) -> Checks:
     """Structural identities of the form calculus."""
-    rng = Random(seed)
-    failures = []
-    checks = 0
     for index in range(cases):
         n = rng.choice([1, 2, 3, 4])
         has_t = rng.random() < 0.5
         a_deg = rng.randint(0, min(n + has_t, 3))
         a = rand_homogeneous(rng, n, a_deg, has_t=has_t)
         b = rand_form(rng, n, has_t=has_t)
-        checks += 1
-        if not a.d().d().is_zero() or not b.d().d().is_zero():
-            failures.append({"check": f"d squared case {index}"})
-        checks += 1
+        yield f"d squared case {index}", lambda: _verdict(
+            a.d().d().is_zero() and b.d().d().is_zero())
         sign = -1 if a_deg % 2 else 1
-        if (a.wedge(b)).d() != a.d().wedge(b) + a.wedge(b.d()) * sign:
-            failures.append({"check": f"leibniz case {index}"})
-        checks += 1
+        yield f"leibniz case {index}", lambda: _verdict(
+            a.wedge(b).d() == a.d().wedge(b) + a.wedge(b.d()) * sign)
         b_hom = rand_homogeneous(rng, n, rng.randint(0, min(n + has_t, 3)),
                                  has_t=has_t)
-        b_deg = b_hom.degree() or 0
-        comm_sign = -1 if (a_deg % 2 and b_deg % 2) else 1
-        if a.wedge(b_hom) != b_hom.wedge(a) * comm_sign:
-            failures.append({"check": f"graded commutativity case {index}"})
+        comm_sign = -1 if (a_deg % 2 and (b_hom.degree() or 0) % 2) else 1
+        yield f"graded commutativity case {index}", lambda: _verdict(
+            a.wedge(b_hom) == b_hom.wedge(a) * comm_sign)
         if has_t:
-            checks += 1
-            lhs = a.fiber_integrate_t().d() + a.d().fiber_integrate_t()
-            rhs = a.restrict_t(1) - a.restrict_t(0)
-            if lhs != rhs:
-                failures.append({"check": f"interval stokes case {index}"})
+            yield f"interval stokes case {index}", lambda: _verdict(
+                a.fiber_integrate_t().d() + a.d().fiber_integrate_t()
+                == a.restrict_t(1) - a.restrict_t(0))
         else:
-            checks += 1
             axis = rng.randint(1, n)
-            lhs = a.d().fiber_integrate_circle(axis)
-            rhs = -(a.fiber_integrate_circle(axis).d())
-            if lhs != rhs:
-                failures.append({"check": f"circle stokes case {index}"})
-    return _report("calculus", seed, checks, failures)
+            yield f"circle stokes case {index}", lambda: _verdict(
+                a.d().fiber_integrate_circle(axis)
+                == -(a.fiber_integrate_circle(axis).d()))
 
 
+# name -> (suite, default case count); newton and multiplicativity draw no cases
 SUITES = {
-    "newton": suite_newton,
-    "multiplicativity": suite_multiplicativity,
-    "whitney": suite_whitney,
-    "diagram": suite_diagram,
-    "paths": suite_paths,
-    "gauge": suite_gauge,
-    "odd": suite_odd,
-    "naturality": suite_naturality,
-    "calculus": suite_calculus,
+    "newton": (suite_newton, 0),
+    "multiplicativity": (suite_multiplicativity, 0),
+    "whitney": (suite_whitney, 100),
+    "diagram": (suite_diagram, 200),
+    "paths": (suite_paths, 50),
+    "gauge": (suite_gauge, 50),
+    "odd": (suite_odd, 50),
+    "naturality": (suite_naturality, 100),
+    "calculus": (suite_calculus, 500),
 }
 
 
 def run_suite(name: str, seed: int = 0, cases: int | None = None,
               degree: int = DEFAULT_DEGREE) -> dict:
+    """Run every check of suite ``name`` on the case stream of ``seed``.
+
+    A check that raises fails with ``error`` set to the exception type
+    and message; an exception while drawing a case fails one check and
+    ends the stream.
+    """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    fn = SUITES[name]
-    kwargs = {"seed": seed}
-    if cases is not None:
-        kwargs["cases"] = cases
-    if name in DEGREE_SUITES:
-        kwargs["degree"] = degree
-    return fn(**kwargs)
+    suite, default_cases = SUITES[name]
+    stream = suite(Random(seed), default_cases if cases is None else cases, degree)
+    checks, failures = 0, []
+    while True:
+        label = f"drawing the case of check {checks + 1}"
+        try:
+            item = next(stream, None)
+            if item is None:
+                break
+            label, check = item
+            detail = check()
+        except Exception as exc:
+            detail = {"error": f"{type(exc).__name__}: {exc}"}
+        checks += 1
+        if detail is not None:
+            failures.append({"check": label, **detail})
+    return {
+        "suite": name,
+        "seed": seed,
+        "checks": checks,
+        "passes": checks - len(failures),
+        "failures": len(failures),
+        "ok": not failures,
+        "first_counterexample": failures[0] if failures else None,
+    }

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from chernforge import cli
 from chernforge.cli import main
 from chernforge.errors import ConfigError, PreconditionError
 from chernforge.verify import MAX_DEGREE, check_degree
@@ -270,3 +271,20 @@ def test_usage_error_is_one_stderr_line(capsys, argv, message):
 
 def test_degree_only_on_verify(config_path, capsys):
     assert main(["chern", "--config", config_path, "--degree", "4"]) == 2
+
+
+@pytest.mark.parametrize("command, name", [("chern", "chern_class"),
+                                           ("odd", "odd_chern_class")])
+def test_postcondition_failure_is_one_stderr_line(tmp_path, capsys, monkeypatch,
+                                                  command, name):
+    path = tmp_path / "cycle.cfg"
+    path.write_text(BASIC if command == "chern" else ODD, encoding="utf-8")
+
+    def broken(cycle, i):
+        raise ArithmeticError(f"curvature compatibility failed at index {i}")
+
+    monkeypatch.setattr(cli, name, broken)
+    assert main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "postcondition failed: curvature compatibility failed at index 1\n"

@@ -91,6 +91,22 @@ def test_constructor_coefficients():
             dx(1, 1) * bad
 
 
+def test_from_harmonic_matches_constructor_and_rejects_bad_index_sets():
+    rng = Random(9)
+    for _ in range(30):
+        n = rng.randint(0, 6)
+        table = {subset: rng.choice([0, 2, -3, Fraction(5, 6), (Fraction(1, 4), -1)])
+                 for degree in range(n + 1)
+                 for subset in combinations(range(1, n + 1), degree)
+                 if rng.random() < 0.5}
+        built = TorusForm.from_harmonic(n, table)
+        expected = TorusForm(n, {(0, (0,) * n, idx): c for idx, c in table.items()})
+        assert (built.den, built.terms) == (expected.den, expected.terms)
+    for bad in [(2, 1), (1, 1), (0, 2), (1, 4), (-1,), (4,)]:
+        with pytest.raises(ValueError):
+            TorusForm.from_harmonic(3, {bad: 1})
+
+
 def test_period_of_exact_vanishes():
     rng = Random(5)
     for _ in range(40):
