@@ -13,12 +13,11 @@ realized as even cycles by a clutching-style suspension.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from operator import add
 from typing import Optional, Sequence
 
 from .forms import TorusForm, chern_transform
-from .symfun import elementary_symmetric
+from .symfun import divided_powers, elementary_symmetric
 
 
 def _check_antisymmetric(matrix: tuple[tuple[int, ...], ...], n: int):
@@ -148,13 +147,9 @@ class DiagBundle:
             return self._character
         total = TorusForm.const(self.n, self.rank)
         for line in self.lines:
-            F = line.curvature()
-            power = F
-            k = 1
-            while not power.is_zero() and 2 * k <= self.n:
-                total = total + power * Fraction(1, factorial(k))
-                k += 1
-                power = power.wedge(F)
+            for power in divided_powers(line.curvature(), self.n // 2,
+                                        TorusForm.wedge, TorusForm.__mul__):
+                total = total + power
         self._character = total
         return total
 
@@ -206,11 +201,12 @@ class KCycle:
     """Cycle for an even differential K-class: bundle plus odd real form.
 
     Memos: the curvature, every Chern class per transgression path
-    (``_classes``, filled by ``diffchar.chern_class``) and the character
-    components of ``diffchar.chern_class_via_ch`` (``_ch_components``).
+    (``_classes``, filled by ``diffchar.chern_class``) and every class
+    of the character-component route (``_via_ch``, the list
+    [1, c_1, ..., c_(n//2)] filled by ``diffchar.chern_class_via_ch``).
     """
 
-    __slots__ = ("bundle", "rho", "_curvature", "_classes", "_ch_components")
+    __slots__ = ("bundle", "rho", "_curvature", "_classes", "_via_ch")
 
     def __init__(self, bundle: DiagBundle, rho: Optional[TorusForm] = None):
         self.bundle = bundle
@@ -223,7 +219,7 @@ class KCycle:
         if not rho.is_real():
             raise ValueError("cycle form must be real")
         self.rho = rho
-        self._curvature = self._ch_components = None
+        self._curvature = self._via_ch = None
         self._classes: dict[tuple, list] = {}
 
     @property

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .bundles import DiagBundle, KCycle, LineBundle, OddKCycle
 from .errors import ConfigError
-from .forms import TorusForm, parse_form, split_form_terms
+from .forms import TorusForm, parse_form
 
 
 @dataclass
@@ -183,7 +183,7 @@ def parse_config(text: str) -> Config:
 
 
 def _form_line(form: TorusForm) -> str:
-    return " + ".join(split_form_terms(form.to_text()))
+    return " + ".join(form.to_text().splitlines())
 
 
 def serialize_config(config: Config) -> str:

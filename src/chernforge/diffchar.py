@@ -12,9 +12,11 @@ that pair.
 The main constructions: the degree-2i class of a cycle (bundle plus odd
 form) built from Cheeger-Simons line classes and a transgression
 correction, every index of a cycle at once; an independent route
-through the exponential character components; the Whitney check on the
-total class, which is the plain list [1, c_1, ..., c_(n//2)]; and odd
-classes by suspension and circle integration.
+that runs Newton's identity on the character components, also every
+index at once; the Whitney check on the total class, which is the
+plain list [1, c_1, ..., c_(n//2)]; and odd classes by suspension and
+circle integration.  The recurrences are the ring-generic ones of
+:mod:`symfun`, run here with cup as the product.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Optional, Sequence
 from .bundles import KCycle, LineBundle, OddKCycle
 from .errors import PreconditionError
 from .forms import TorusForm, chern_transforms
-from .symfun import chern_polynomial, elementary_symmetric
+from .symfun import divided_powers, elementary_symmetric, newton
 
 Subset = tuple[int, ...]
 
@@ -152,9 +154,6 @@ class DiffChar:
             raise ValueError("characters live in different groups")
         return DiffChar._make(self.n, self.degree, self.harmonic + other.harmonic,
                               self.trans + other.trans)
-
-    def neg(self) -> "DiffChar":
-        return DiffChar._make(self.n, self.degree, -self.harmonic, -self.trans)
 
     def scale(self, value) -> "DiffChar":
         value = Fraction(value)
@@ -342,51 +341,37 @@ def chern_class(cycle: KCycle, i: int, path=None) -> DiffChar:
     return _chern_classes(cycle, path)[i]
 
 
-def _character_components(cycle: KCycle) -> list[Optional[DiffChar]]:
-    """[None, ch_1, ..., ch_(n//2)] of a cycle as characters, built once."""
-    if cycle._ch_components is None:
-        n, top = cycle.n, cycle.n // 2
-        comps = [None] + [DiffChar.zero(n, 2 * j) for j in range(1, top + 1)]
-        for line in cycle.bundle.lines:
-            c1 = cs_class(line)
-            power = None
-            for j in range(1, top + 1):
-                power = c1 if power is None else power.cup(c1)
-                comps[j] = comps[j].add(power.scale(Fraction(1, factorial(j))))
-        for j in range(1, top + 1):
-            part = cycle.rho.component(2 * j - 1)
-            if not part.is_zero():
-                comps[j] = comps[j].add(DiffChar.from_form(part, degree=2 * j))
-        cycle._ch_components = comps
-    return cycle._ch_components
-
-
 def chern_class_via_ch(cycle: KCycle, i: int) -> DiffChar:
     """Independent route: evaluate the universal polynomial on the
     differential character components.
 
-    The degree-2j character component is the exponential series of the
-    line classes under cup plus the inclusion of the matching odd-form
-    component; the result must come out integral, which is asserted.
-    Contract: agrees with :func:`chern_class` as characters.
+    The degree-2j character component ch_j is the divided-power series
+    of the line classes under cup plus the inclusion of the matching
+    odd-form component; one :func:`newton` pass over the power sums
+    j! * ch_j gives every index, kept on the cycle.  Each class must
+    come out integral, which is asserted.  Contract: agrees with
+    :func:`chern_class` as characters.
     """
     n = cycle.n
     if i < 1:
         raise PreconditionError("class index must be >= 1")
     if 2 * i > n:
         raise PreconditionError(f"no degree-{2 * i} classes on T^{n}")
-    comps = _character_components(cycle)
-    poly = chern_polynomial(i)
-    result = DiffChar.zero(n, 2 * i)
-    for mono, coeff in poly.terms.items():
-        term = None
-        for (prime, idx), exp in mono:
-            for _ in range(exp):
-                term = comps[idx] if term is None else term.cup(comps[idx])
-        result = result.add(term.scale(Fraction(coeff)))
-    if not result.integral:
-        raise ArithmeticError("character route produced a non-integral class")
-    return result
+    if cycle._via_ch is None:
+        top = n // 2
+        comps = [DiffChar.from_form(cycle.rho.component(2 * j - 1), degree=2 * j)
+                 for j in range(1, top + 1)]
+        for line in cycle.bundle.lines:
+            powers = divided_powers(cs_class(line), top, DiffChar.cup, DiffChar.scale)
+            comps = list(map(DiffChar.add, comps, powers))
+        classes = newton([None] + [ch.scale(factorial(j)) for j, ch in enumerate(comps, 1)],
+                         [DiffChar.unit(n)], DiffChar.cup, DiffChar.add, DiffChar.scale)
+        for k, result in enumerate(classes[1:], 1):
+            if not result.integral:
+                raise ArithmeticError(
+                    f"character route produced a non-integral class at index {k}")
+        cycle._via_ch = classes
+    return cycle._via_ch[i]
 
 
 def total_chern_class(cycle: KCycle) -> list[DiffChar]:

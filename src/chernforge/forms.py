@@ -33,6 +33,8 @@ d(int_t a) + int_t(d a) = a|_{t=1} - a|_{t=0}:
   int(dt ^ eta) = +eta;
 * circle fibers integrate with the Koszul sign that moves dx_axis to
   the front, so int_circle(d a) = -d(int_circle a) on a closed fiber.
+
+The Chern transforms run :func:`symfun.newton` with the wedge product.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from math import factorial, gcd, lcm
 from operator import add, neg
 import re
 from typing import Iterable, Optional, Sequence
+
+from .symfun import newton
 
 # Term key: (t_exponent, frequency vector, index-set bitmask).
 Key = tuple[int, tuple[int, ...], int]
@@ -617,11 +621,8 @@ def chern_transforms(form: TorusForm, top: int) -> list[TorusForm]:
     C_k is the degree-k universal polynomial with the degree-2j
     component of ``form`` substituted for the j'th variable, so it is
     the k'th elementary symmetric function of roots whose j'th power
-    sums are p_j = j! * component(2j).  Newton's identity
-
-        k * C_k = sum_{j=1..k} (-1)^(j-1) * C_(k-j) ^ p_j,   C_0 = 1,
-
-    builds them in one pass; the degree-0 component never enters.
+    sums are p_j = j! * component(2j); :func:`symfun.newton` builds
+    them in one pass, and the degree-0 component never enters.
     Even forms commute and the arithmetic is exact, so the stored
     forms equal those of evaluating each polynomial monomial by
     monomial.  A form with odd-degree content is rejected.
@@ -632,15 +633,8 @@ def chern_transforms(form: TorusForm, top: int) -> list[TorusForm]:
     if 2 * top > cap:
         raise ValueError(f"degree {2 * top} exceeds the dimension cap {cap}")
     sums = [None] + [form.component(2 * j) * factorial(j) for j in range(1, top + 1)]
-    classes = [TorusForm.const(form.n, 1, has_t=form.has_t)]
-    for k in range(1, top + 1):
-        # the j = k term is p_k itself, C_0 being the constant 1
-        total = sums[k] if k % 2 else -sums[k]
-        for j in range(1, k):
-            term = classes[k - j].wedge(sums[j])
-            total = total + term if j % 2 else total - term
-        classes.append(total * Fraction(1, k))
-    return classes
+    return newton(sums, [TorusForm.const(form.n, 1, has_t=form.has_t)],
+                  TorusForm.wedge, TorusForm.__add__, TorusForm.__mul__)
 
 
 def chern_transform(form: TorusForm, i: int) -> TorusForm:

@@ -1,7 +1,11 @@
 """Exact graded polynomial algebra over the rationals.
 
-Houses the universal polynomials that turn Chern-character components
-into Chern classes, computed through Newton's identities, together with
+Houses the three recurrences behind every Chern class, written once
+with the ring given as callables and run on polynomials, forms and
+characters alike: :func:`elementary_symmetric` (roots to classes),
+:func:`newton` (power sums to classes) and :func:`divided_powers` (a
+root to its character series).  On top sit the universal polynomials
+that turn Chern-character components into Chern classes,
 the inverse conversion, expansion into Chern roots at a finite
 truncation, and the total-class sum identity behind the Whitney
 formula.  Variables come in two alphabets (``s1, s2, ...`` and a primed
@@ -81,6 +85,34 @@ def elementary_symmetric(factors, start: list, times, plus) -> list:
             out[k] = plus(out[k], times(out[k - 1], x))
         if top:
             out[1] = plus(out[1], x)
+    return out
+
+
+def newton(sums: list, start: list, times, plus, scale) -> list:
+    """[e_0, e_1, ..., e_top] from the power sums [_, p_1, ..., p_top].
+
+    Newton's identity k * e_k = sum_{j=1..k} (-1)^(j-1) * e_(k-j) * p_j
+    in any ring given by its operations; ``scale`` multiplies by a
+    Fraction.  ``start`` is a known prefix [e_0, ..., e_m], at least
+    [1], that the pass extends.  The signs are folded into the power
+    sums once, the j = k term is the signed p_k itself (e_0 being 1),
+    and ``e`` stays on the left of every product.
+    """
+    signed = [None] + [p if j % 2 else scale(p, -1) for j, p in enumerate(sums[1:], 1)]
+    out = list(start)
+    for k in range(len(out), len(sums)):
+        total = signed[k]
+        for j in range(1, k):
+            total = plus(total, times(out[k - j], signed[j]))
+        out.append(scale(total, Fraction(1, k)))
+    return out
+
+
+def divided_powers(x, top: int, times, scale) -> list:
+    """[x, x^2/2!, ..., x^top/top!] in any ring, one product per entry."""
+    out = []
+    for j in range(1, top + 1):
+        out.append(scale(times(out[-1], x), Fraction(1, j)) if out else x)
     return out
 
 
@@ -309,21 +341,13 @@ _SIGMA_CACHE: list[GradedPoly] = [GradedPoly.const(1)]
 _POWER_SUM_CACHE: list[GradedPoly] = [GradedPoly.const(0)]
 
 
-def _power_sum_as_vars(j: int) -> GradedPoly:
-    # p_j = j! * s_j since the j'th character component is p_j / j!
-    return GradedPoly.var(j).scale(factorial(j))
-
-
 def _sigma(i: int) -> GradedPoly:
-    # Newton's identities solved downward:
-    #   sigma_k = (1/k) * sum_{j=1..k} (-1)^{j-1} sigma_{k-j} p_j
-    while len(_SIGMA_CACHE) <= i:
-        k = len(_SIGMA_CACHE)
-        acc = GradedPoly()
-        for j in range(1, k + 1):
-            term = _SIGMA_CACHE[k - j] * _power_sum_as_vars(j)
-            acc = acc + term.scale(Fraction((-1) ** (j - 1), k))
-        _SIGMA_CACHE.append(acc)
+    # the j'th character component is p_j / j!, so p_j = j! * s_j; a
+    # request past the cache extends it up to i
+    if len(_SIGMA_CACHE) <= i:
+        _SIGMA_CACHE[:] = newton(
+            [None] + [GradedPoly.var(j).scale(factorial(j)) for j in range(1, i + 1)],
+            _SIGMA_CACHE, GradedPoly.__mul__, GradedPoly.__add__, GradedPoly.scale)
     return _SIGMA_CACHE[i]
 
 

@@ -507,6 +507,20 @@ def test_path_independence_examples():
         assert check_path_independence(w, i, SMOOTHSTEP)
 
 
+def test_a_path_stores_the_class_of_the_default_path_seeded():
+    # int_0^1 q'(t) H(q(t)) dt = int_0^1 H(u) du for every q with q(0) = 0
+    # and q(1) = 1, so the reparametrised transgression is the same form
+    rng = Random(3)
+    for n in range(2, 7):
+        for _ in range(4):
+            cycle = rand_cycle(rng, n, max_rank=2)
+            for path in (QUADRATIC, SMOOTHSTEP, ((1, Fraction(3)), (2, Fraction(-2)))):
+                for i in range(1, n // 2 + 1):
+                    got, want = chern_class(cycle, i, path), chern_class(cycle, i)
+                    assert got.harmonic == want.harmonic
+                    assert got.trans == want.trans
+
+
 def test_gauge_shift_examples():
     rho = dx(2, 1) * Fraction(1, 5) + sin_form(2, (1, 0), (2,))
     w = KCycle(DiagBundle.of(line_T2(2)), rho)

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from math import factorial
+from operator import add, mul
 from random import Random
 
 import pytest
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 
 from oracle import brute_character_component, brute_elementary_symmetric
 from chernforge.symfun import (GradedPoly, RootPoly, ch_from_chern,
-                               chern_polynomial, collect, expand_in_roots,
-                               mono_degree, total_chern_truncated,
+                               chern_polynomial, collect, divided_powers,
+                               elementary_symmetric, expand_in_roots,
+                               mono_degree, newton, total_chern_truncated,
                                verify_sum_identity)
 
 s1 = GradedPoly.var(1)
@@ -206,3 +209,23 @@ def test_sums_drop_zero_coefficients_structurally():
         assert (ra - ra).is_zero()
         assert set(((ra + rb) - rb).terms) == set(ra.terms)
         assert (ra + rb) - rb == ra
+
+
+def test_newton_on_power_sums_gives_the_elementary_symmetric_functions():
+    rng = Random(29)
+    for rank in range(6):
+        for _ in range(4):
+            roots = [Fraction(rng.randint(-5, 5)) for _ in range(rank)]
+            top = rank + 2  # entries above the rank must come out zero
+            sums = [None] + [sum(x ** j for x in roots) for j in range(1, top + 1)]
+            got = newton(sums, [Fraction(1)], mul, add, mul)
+            want = elementary_symmetric(roots, [Fraction(1)] + [Fraction(0)] * top, mul, add)
+            assert got == want, roots
+            assert newton(sums, want[:rank // 2 + 1], mul, add, mul) == want
+
+
+def test_divided_powers_over_fractions():
+    for x in (Fraction(0), Fraction(-3), Fraction(2, 7)):
+        for top in range(6):
+            assert divided_powers(x, top, mul, mul) == [
+                x ** j / factorial(j) for j in range(1, top + 1)]

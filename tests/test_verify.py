@@ -73,6 +73,18 @@ def test_diagram_labels_one_check_per_case_and_index(monkeypatch):
         "error": "ArithmeticError: curvature compatibility failed at index 1"}
 
 
+def test_naturality_checks_that_a_form_above_the_target_dimension_vanishes(monkeypatch):
+    clean = verify.run_suite("naturality", seed=7, cases=10)
+    original = verify.chern_transform
+    # every target torus has m <= 3, so the i = 2 transform must pull back to zero
+    monkeypatch.setattr(verify, "chern_transform",
+                        lambda form, i: original(form, 1 if i == 2 else i))
+    report = verify.run_suite("naturality", seed=7, cases=10)
+    assert report["checks"] == clean["checks"]
+    assert report["failures"] >= 1
+    assert report["first_counterexample"]["check"].endswith(" i=2")
+
+
 def test_odd_bookkeeping_failure_keeps_the_class_checks(monkeypatch):
     clean = verify.run_suite("odd", seed=7, cases=3)
     monkeypatch.setattr(OddKCycle, "odd_chern_form",
