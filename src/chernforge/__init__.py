@@ -5,7 +5,7 @@ from .diffchar import (DiffChar, chern_class, chern_class_via_ch, check_group_ho
                        check_path_independence, check_shift_invariance,
                        cs_class, odd_chern_class, total_chern_class)
 from .errors import ConfigError, PreconditionError
-from .forms import TorusForm, chern_transform, parse_form, total_chern_transform
+from .forms import TorusForm, chern_transform, parse_form
 from .symfun import (GradedPoly, RootPoly, ch_from_chern, chern_polynomial,
                      expand_in_roots, total_chern_truncated, verify_sum_identity)
 
@@ -33,7 +33,6 @@ __all__ = [
     "odd_chern_class",
     "parse_form",
     "total_chern_class",
-    "total_chern_transform",
     "total_chern_truncated",
     "verify_sum_identity",
 ]

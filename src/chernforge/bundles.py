@@ -13,11 +13,10 @@ realized as even cycles by a clutching-style suspension.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 from typing import Optional, Sequence
 
-from .forms import TorusForm, chern_transform
-from .symfun import divided_powers, elementary_symmetric
+from .forms import TorusForm
+from .symfun import divided_powers
 
 
 def _check_antisymmetric(matrix: tuple[tuple[int, ...], ...], n: int):
@@ -80,11 +79,6 @@ class LineBundle:
                   for r1, r2 in zip(self.K, other.K))
         theta = tuple(a + b for a, b in zip(self.theta, other.theta))
         return LineBundle(self.n, K, theta, self.beta + other.beta)
-
-    def dual(self) -> "LineBundle":
-        K = tuple(tuple(-v for v in row) for row in self.K)
-        theta = tuple(-v for v in self.theta)
-        return LineBundle(self.n, K, theta, -self.beta)
 
     def pullback(self, matrix: Sequence[Sequence[int]]) -> "LineBundle":
         """Pullback along x -> A x; rows of A index this bundle's coordinates."""
@@ -153,43 +147,6 @@ class DiagBundle:
         self._character = total
         return total
 
-    def chern_form(self, i: int) -> TorusForm:
-        """Degree-2i Chern form, computed along two routes and compared.
-
-        Evaluates the universal polynomial on the character form and the
-        elementary symmetric polynomial of the line curvatures; a
-        disagreement signals a defect and raises.
-        """
-        if i < 1:
-            raise ValueError("index must be >= 1")
-        if 2 * i > self.n:
-            raise ValueError(f"no {2 * i}-forms on T^{self.n}")
-        via_character = chern_transform(self.chern_character(), i)
-        via_roots = elementary_symmetric(
-            [line.curvature() for line in self.lines],
-            [TorusForm.const(self.n, 1)] + [TorusForm.zero(self.n)] * i,
-            TorusForm.wedge, add)[i]
-        if via_character != via_roots:
-            raise ArithmeticError(
-                f"chern_form route disagreement at i={i}: "
-                f"{via_character.to_text()} vs {via_roots.to_text()}"
-            )
-        return via_roots
-
-    def external_product(self, other: "DiagBundle") -> "DiagBundle":
-        """Pairwise external tensor products on the product torus."""
-        m, n = self.n, other.n
-        left = [[1 if r == s else 0 for s in range(m)] for r in range(m)]
-        left_rows = [row + [0] * n for row in left]
-        right_rows = [[0] * m + [1 if r == s else 0 for s in range(n)]
-                      for r in range(n)]
-        lines = []
-        for a in self.lines:
-            a_pulled = a.pullback(left_rows)
-            for b in other.lines:
-                lines.append(a_pulled.tensor(b.pullback(right_rows)))
-        return DiagBundle(lines)
-
     def pullback(self, matrix: Sequence[Sequence[int]]) -> "DiagBundle":
         return DiagBundle([line.pullback(matrix) for line in self.lines])
 
@@ -200,10 +157,11 @@ class DiagBundle:
 class KCycle:
     """Cycle for an even differential K-class: bundle plus odd real form.
 
-    Memos: the curvature, every Chern class per transgression path
-    (``_classes``, filled by ``diffchar.chern_class``) and every class
-    of the character-component route (``_via_ch``, the list
-    [1, c_1, ..., c_(n//2)] filled by ``diffchar.chern_class_via_ch``).
+    Memos: the curvature and two lists [1, c_1, ..., c_(n//2)], each
+    filled on first use: ``_classes``, the classes along the linear
+    transgression path t * rho, filled by ``diffchar.chern_class``, and
+    ``_via_ch``, the classes of the character-component route, filled
+    by ``diffchar.chern_class_via_ch``.
     """
 
     __slots__ = ("bundle", "rho", "_curvature", "_classes", "_via_ch")
@@ -219,8 +177,7 @@ class KCycle:
         if not rho.is_real():
             raise ValueError("cycle form must be real")
         self.rho = rho
-        self._curvature = self._via_ch = None
-        self._classes: dict[tuple, list] = {}
+        self._curvature = self._classes = self._via_ch = None
 
     @property
     def n(self) -> int:

@@ -254,43 +254,17 @@ def cs_class(line: LineBundle) -> DiffChar:
     return line._cs_class
 
 
-DEFAULT_PATH: tuple[tuple[int, Fraction], ...] = ((1, Fraction(1)),)
-
-
-def _normalize_path(path) -> tuple[tuple[int, Fraction], ...]:
-    """A path is a polynomial q(t) = sum c_e t^e with q(0)=0 and q(1)=1."""
-    if path is None:
-        return DEFAULT_PATH
-    cleaned = []
-    total = Fraction(0)
-    for exponent, coeff in path:
-        exponent = int(exponent)
-        coeff = Fraction(coeff)
-        if exponent < 1:
-            raise PreconditionError("path polynomial must vanish at t=0")
-        if coeff:
-            cleaned.append((exponent, coeff))
-            total += coeff
-    if total != 1:
-        raise PreconditionError("path polynomial must equal 1 at t=1")
-    return tuple(cleaned)
-
-
-def _chern_classes(cycle: KCycle, path) -> list[DiffChar]:
-    """[1, c_1, ..., c_(n//2)] of a cycle along a path, in one pass kept
-    on the cycle per path.
+def _classes_along(cycle: KCycle, rho_t: TorusForm) -> list[DiffChar]:
+    """[1, c_1, ..., c_(n//2)] of a cycle along the t-extended path rho_t.
 
     The base classes are the elementary symmetric polynomials of the
     Cheeger-Simons line classes under cup, and the expected harmonic
     parts those of the line harmonic curvatures, both from one
     :func:`elementary_symmetric` pass over the lines.  The
-    transgression correction a(int_t C_k(R)) along rho_t = q(t) rho
-    comes from one Newton pass over the path curvature R.  Both
+    transgression correction a(int_t C_k(R)) comes from one Newton pass
+    over the path curvature R = ch.with_t() + d rho_t.  Both
     compatibility postconditions are asserted for every index.
     """
-    path = _normalize_path(path)
-    if path in cycle._classes:
-        return cycle._classes[path]
     n, top = cycle.n, cycle.n // 2
     # below T^2 a line has no degree-2 class, and the total class is [1]
     lines = cycle.bundle.lines if top else ()
@@ -301,10 +275,6 @@ def _chern_classes(cycle: KCycle, path) -> list[DiffChar]:
     harmonic = elementary_symmetric(
         [line.harmonic_curvature() for line in lines],
         [TorusForm.const(n, 1)] + [TorusForm.zero(n)] * top, TorusForm.wedge, add)
-    rho_t = TorusForm.zero(n, has_t=True)
-    promoted = cycle.rho.with_t()
-    for exponent, coeff in path:
-        rho_t = rho_t + promoted.mul_t(exponent) * coeff
     curv_path = cycle.bundle.chern_character().with_t() + rho_t.d()
     integrands = chern_transforms(curv_path, top)
     expected_curvature = chern_transforms(cycle.curvature(), top)
@@ -317,28 +287,34 @@ def _chern_classes(cycle: KCycle, path) -> list[DiffChar]:
         if result.harmonic != harmonic[i]:
             raise ArithmeticError(f"underlying-class compatibility failed at index {i}")
         classes.append(result)
-    cycle._classes[path] = classes
     return classes
 
 
-def chern_class(cycle: KCycle, i: int, path=None) -> DiffChar:
+def _chern_classes(cycle: KCycle) -> list[DiffChar]:
+    """The classes along the linear path t * rho, built once per cycle."""
+    if cycle._classes is None:
+        cycle._classes = _classes_along(cycle, cycle.rho.with_t().mul_t(1))
+    return cycle._classes
+
+
+def chern_class(cycle: KCycle, i: int) -> DiffChar:
     """The degree-2i differential Chern class of a cycle.
 
     The base class is the i'th elementary symmetric polynomial of the
     Cheeger-Simons line classes under cup, plus the transgression
-    correction a(int_t C_i(R)) along the path rho_t = q(t) rho (linear
-    by default), C_i being the Newton's-identity form transform.  Every
-    index of a cycle and path is computed in one pass on the first
-    call and kept on the cycle; that pass asserts, for every index, the
-    two compatibility postconditions: the curvature equals the
-    universal polynomial of the cycle curvature, and the harmonic part
-    equals the symmetric polynomial of the underlying integral data.
+    correction a(int_t C_i(R)) along the linear path rho_t = t rho,
+    C_i being the Newton's-identity form transform.  Every index of a
+    cycle is computed in one pass on the first call and kept on the
+    cycle; that pass asserts, for every index, the two compatibility
+    postconditions: the curvature equals the universal polynomial of
+    the cycle curvature, and the harmonic part equals the symmetric
+    polynomial of the underlying integral data.
     """
     if i < 1:
         raise PreconditionError("class index must be >= 1")
     if 2 * i > cycle.n:
         raise PreconditionError(f"no degree-{2 * i} classes on T^{cycle.n}")
-    return _chern_classes(cycle, path)[i]
+    return _chern_classes(cycle)[i]
 
 
 def chern_class_via_ch(cycle: KCycle, i: int) -> DiffChar:
@@ -376,7 +352,7 @@ def chern_class_via_ch(cycle: KCycle, i: int) -> DiffChar:
 
 def total_chern_class(cycle: KCycle) -> list[DiffChar]:
     """The total class [1, c_1, ..., c_(n//2)], a copy of the memoised list."""
-    return list(_chern_classes(cycle, None))
+    return list(_chern_classes(cycle))
 
 
 def check_group_hom(w: KCycle, v: KCycle) -> tuple[bool, dict]:
@@ -396,9 +372,17 @@ def check_group_hom(w: KCycle, v: KCycle) -> tuple[bool, dict]:
     return verdict, {"verdict": verdict, "components": components}
 
 
-def check_path_independence(cycle: KCycle, i: int, path) -> bool:
-    """Recompute the class along a different path and compare exactly."""
-    return chern_class(cycle, i, path).same_class(chern_class(cycle, i))
+def check_path_independence(cycle: KCycle, i: int, rho_t: TorusForm) -> bool:
+    """Recompute the class along the t-extended path rho_t, which must run
+    from 0 at t = 0 to the cycle's form at t = 1, and compare exactly."""
+    if not rho_t.has_t:
+        raise PreconditionError("path must be a t-extended form")
+    if not rho_t.restrict_t(0).is_zero():
+        raise PreconditionError("path must vanish at t=0")
+    if rho_t.restrict_t(1) != cycle.rho:
+        raise PreconditionError("path must equal the cycle form at t=1")
+    expected = chern_class(cycle, i)
+    return _classes_along(cycle, rho_t)[i].same_class(expected)
 
 
 def _require_admissible_shift(shift: TorusForm):

@@ -45,7 +45,7 @@ from operator import add, neg
 import re
 from typing import Iterable, Optional, Sequence
 
-from .symfun import newton
+from .symfun import collect, newton
 
 # Term key: (t_exponent, frequency vector, index-set bitmask).
 Key = tuple[int, tuple[int, ...], int]
@@ -317,11 +317,6 @@ class TorusForm:
                 return False
         return True
 
-    def conj(self) -> "TorusForm":
-        return self._make(self.n, self.has_t, self.den,
-                         {(m, tuple(map(neg, freq)), mask): (re_num, -im_num)
-                          for (m, freq, mask), (re_num, im_num) in self.terms.items()})
-
     def degrees(self) -> set[int]:
         return {mask.bit_count() for (_, _, mask) in self.terms}
 
@@ -493,16 +488,11 @@ class TorusForm:
             """dy_I as {source mask: integer coefficient}: the minors of A."""
             partial = {0: 1}
             for j in _indices(spatial):
-                grown: dict[int, int] = {}
-                for chosen, c in partial.items():
-                    for l, entry in enumerate(rows[j - 1], start=1):
-                        bit = 1 << l
-                        if entry == 0 or chosen & bit:
-                            continue
-                        key = chosen | bit
-                        grown[key] = grown.get(key, 0) \
-                            + c * entry * _koszul_sign(chosen, bit)
-                partial = {key: c for key, c in grown.items() if c}
+                partial = collect(
+                    (chosen | 1 << l, c * entry * _koszul_sign(chosen, 1 << l))
+                    for chosen, c in partial.items()
+                    for l, entry in enumerate(rows[j - 1], start=1)
+                    if entry and not chosen >> l & 1)
             return partial
 
         def pulled():
@@ -648,10 +638,3 @@ def chern_transform(form: TorusForm, i: int) -> TorusForm:
     if i < 1:
         raise ValueError("index must be >= 1")
     return chern_transforms(form, i)[i]
-
-
-def total_chern_transform(form: TorusForm) -> TorusForm:
-    """1 + sum of all chern_transform components up to the dimension cap."""
-    cap = form.n + (1 if form.has_t else 0)
-    one, *components = chern_transforms(form, cap // 2)
-    return sum(components, one)

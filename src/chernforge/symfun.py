@@ -179,9 +179,6 @@ class GradedPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
         return GradedPoly._make(collect(other.terms.items(), self.terms))
 
@@ -222,15 +219,6 @@ class GradedPoly:
                         yield mono_mul(m1, m2), c1 * c2
 
         return GradedPoly._make(collect(products()))
-
-    def truncate(self, bound: int) -> "GradedPoly":
-        return GradedPoly({m: c for m, c in self.terms.items() if mono_degree(m) <= bound})
-
-    def max_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
-
-    def is_homogeneous(self, degree: int) -> bool:
-        return all(mono_degree(m) == degree for m in self.terms)
 
     def uses_only_unprimed(self) -> bool:
         return all(var[0] == 0 for mono in self.terms for var, _ in mono)

@@ -40,9 +40,6 @@ MAX_DEGREE = 16
 # the suites that read the truncation degree; the others ignore it
 DEGREE_SUITES = ("newton", "multiplicativity")
 
-QUADRATIC_PATH = ((2, Fraction(1)),)
-SMOOTHSTEP_PATH = ((2, Fraction(3)), (3, Fraction(-2)))
-
 Checks = Iterator[tuple[str, Callable[[], Optional[dict]]]]
 
 
@@ -130,18 +127,21 @@ def suite_diagram(rng: Random, cases: int, degree: int) -> Checks:
 
 
 def suite_paths(rng: Random, cases: int, degree: int) -> Checks:
-    """Path independence of the transgression correction."""
+    """Path independence of the transgression correction: the classes
+    along t^2 rho and (3t^2 - 2t^3) rho against those along t rho."""
     dims = [2, 3, 4]
     for index in range(cases):
         n = dims[index % len(dims)]
         w = rand_cycle(rng, n)
         while w.rho.is_zero():
             w = rand_cycle(rng, n)
+        quadratic = w.rho.with_t().mul_t(2)
+        paths = (("t^2", quadratic),
+                 ("3t^2-2t^3", quadratic * 3 - w.rho.with_t().mul_t(3) * 2))
         for i in range(1, n // 2 + 1):
-            for label, path in (("t^2", QUADRATIC_PATH),
-                                ("3t^2-2t^3", SMOOTHSTEP_PATH)):
+            for label, rho_t in paths:
                 yield (f"path {label} case {index} i={i}",
-                       lambda: _verdict(check_path_independence(w, i, path)))
+                       lambda: _verdict(check_path_independence(w, i, rho_t)))
 
 
 def suite_gauge(rng: Random, cases: int, degree: int) -> Checks:

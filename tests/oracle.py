@@ -9,9 +9,10 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import factorial
+from operator import add
 
-from chernforge.forms import TorusForm
-from chernforge.symfun import RootPoly, chern_polynomial
+from chernforge.forms import TorusForm, chern_transform, chern_transforms
+from chernforge.symfun import RootPoly, chern_polynomial, elementary_symmetric
 
 
 def brute_elementary_symmetric(i: int, k: int) -> RootPoly:
@@ -74,3 +75,34 @@ def evaluate_chern_polynomial(form: TorusForm, i: int) -> TorusForm:
                 term = term.wedge(form.component(2 * j))
         total = total + term
     return total
+
+
+def total_chern_transform(form: TorusForm) -> TorusForm:
+    """1 + C_1(form) + ... up to the dimension cap, as one form."""
+    cap = form.n + (1 if form.has_t else 0)
+    one, *components = chern_transforms(form, cap // 2)
+    return sum(components, one)
+
+
+def chern_form(bundle, i: int) -> TorusForm:
+    """Degree-2i Chern form of a diagonal bundle, along two routes.
+
+    Evaluates the universal polynomial on the character form and the
+    elementary symmetric polynomial of the line curvatures; a
+    disagreement raises.
+    """
+    if i < 1:
+        raise ValueError("index must be >= 1")
+    if 2 * i > bundle.n:
+        raise ValueError(f"no {2 * i}-forms on T^{bundle.n}")
+    via_character = chern_transform(bundle.chern_character(), i)
+    via_roots = elementary_symmetric(
+        [line.curvature() for line in bundle.lines],
+        [TorusForm.const(bundle.n, 1)] + [TorusForm.zero(bundle.n)] * i,
+        TorusForm.wedge, add)[i]
+    if via_character != via_roots:
+        raise ArithmeticError(
+            f"chern_form route disagreement at i={i}: "
+            f"{via_character.to_text()} vs {via_roots.to_text()}"
+        )
+    return via_roots

@@ -4,10 +4,10 @@ from operator import add
 from random import Random
 
 import pytest
-from oracle import evaluate_chern_polynomial, subset_elementary_symmetric
+from oracle import chern_form, evaluate_chern_polynomial, subset_elementary_symmetric
 
 from chernforge.bundles import DiagBundle, LineBundle, OddKCycle
-from chernforge.diffchar import (DiffChar, KCycle, chern_class,
+from chernforge.diffchar import (DiffChar, KCycle, _classes_along, chern_class,
                                  chern_class_via_ch, check_group_hom,
                                  check_path_independence,
                                  check_shift_invariance, cs_class,
@@ -22,8 +22,16 @@ from chernforge.symfun import elementary_symmetric
 
 dx = TorusForm.dx
 
-QUADRATIC = ((2, Fraction(1)),)
-SMOOTHSTEP = ((2, Fraction(3)), (3, Fraction(-2)))
+LINEAR = {1: 1}
+QUADRATIC = {2: 1}
+SMOOTHSTEP = {2: 3, 3: -2}
+
+
+def path(cycle, q):
+    """The t-extended path rho_t = q(t) rho, q given as {exponent: coefficient}."""
+    promoted = cycle.rho.with_t()
+    return sum((promoted.mul_t(exponent) * coeff for exponent, coeff in q.items()),
+               TorusForm.zero(cycle.n, has_t=True))
 
 
 def sin_form(n, freq, idx, amplitude=Fraction(1, 2)):
@@ -96,7 +104,8 @@ def test_cs_class_examples():
     assert pinned.holonomy_table() == {(1,): 0, (2,): 0}
 
     L = line_T2(1, theta=(Fraction(1, 3), 0))
-    trivial = cs_class(L.tensor(L.dual()))
+    dual = LineBundle(2, K=[[0, -1], [1, 0]], theta=(Fraction(-1, 3), 0))
+    trivial = cs_class(L.tensor(dual))
     assert trivial.same_class(DiffChar.zero(2, 2))
 
 
@@ -284,15 +293,12 @@ def test_chern_class_without_form_part_is_cheeger_simons():
         assert chern_class(cycle, 1).same_class(cs_class(line))
 
 
-def reference_chern_class(cycle, i, path):
+def reference_chern_class(cycle, i, rho_t):
     """One index from scratch: the cup of every i-subset of line classes,
     plus the transgression of the polynomial-evaluated path transform."""
     n = cycle.n
     base = subset_elementary_symmetric([cs_class(line) for line in cycle.bundle.lines], i,
                                        DiffChar.cup, DiffChar.add, DiffChar.zero(n, 2 * i))
-    promoted = cycle.rho.with_t()
-    rho_t = sum((promoted.mul_t(exponent) * coeff for exponent, coeff in path),
-                TorusForm.zero(n, has_t=True))
     curv_path = cycle.bundle.chern_character().with_t() + rho_t.d()
     integrated = evaluate_chern_polynomial(curv_path, i).fiber_integrate_t()
     return base.add(DiffChar.from_form(integrated, degree=2 * i))
@@ -304,12 +310,14 @@ def test_one_pass_stores_the_subset_construction_seeded():
         for rank in range(1, 5):
             lines = [rand_line_bundle(rng, n) for _ in range(rank)]
             cycle = KCycle(DiagBundle(lines), rand_odd_real_form(rng, n, max_modes=1))
-            for path in (None, QUADRATIC, SMOOTHSTEP):
+            for q in (LINEAR, QUADRATIC, SMOOTHSTEP):
+                rho_t = path(cycle, q)
+                classes = (total_chern_class(cycle) if q is LINEAR
+                           else _classes_along(cycle, rho_t))
                 for i in range(1, n // 2 + 1):
-                    got = chern_class(cycle, i, path)
-                    want = reference_chern_class(cycle, i, path or ((1, Fraction(1)),))
-                    assert got.harmonic == want.harmonic
-                    assert got.trans == want.trans
+                    want = reference_chern_class(cycle, i, rho_t)
+                    assert classes[i].harmonic == want.harmonic
+                    assert classes[i].trans == want.trans
 
 
 def test_elementary_symmetric_matches_subset_oracle_seeded():
@@ -347,12 +355,10 @@ def test_classes_and_line_classes_are_built_once():
     cycle = rand_cycle(rng, 4, max_rank=2)
     first = chern_class(cycle, 1)
     assert chern_class(cycle, 1) is first
-    assert chern_class(cycle, 1, ((1, 1),)) is first
     assert total_chern_class(cycle)[2] is chern_class(cycle, 2)
-    quadratic = chern_class(cycle, 1, QUADRATIC)
-    assert quadratic is not first
-    assert chern_class(cycle, 1, QUADRATIC) is quadratic
-    assert chern_class(cycle, 2, QUADRATIC) is not chern_class(cycle, 2)
+    # a path check builds its own classes and leaves the memo alone
+    assert check_path_independence(cycle, 1, path(cycle, QUADRATIC))
+    assert chern_class(cycle, 1) is first
     line = cycle.bundle.lines[0]
     assert cs_class(line) is cs_class(line)
     assert line.harmonic_curvature() is line.harmonic_curvature()
@@ -372,7 +378,7 @@ def test_chern_number_pin(k):
     char = chern_class(cycle, 1)
     expected = {(1, 2): k} if k else {}
     assert char.period_table() == expected
-    c1_form = cycle.bundle.chern_form(1)
+    c1_form = chern_form(cycle.bundle, 1)
     assert c1_form.integrate_torus() == k
 
 
@@ -382,8 +388,6 @@ def test_chern_class_preconditions():
         chern_class(cycle, 2)
     with pytest.raises(PreconditionError):
         chern_class(cycle, 0)
-    with pytest.raises(PreconditionError):
-        chern_class(cycle, 1, path=((2, Fraction(1, 2)),))
 
 
 def test_chern_class_beyond_rank_is_trivial():
@@ -493,7 +497,7 @@ def test_group_hom_seeded():
 def test_path_independence_trivial_path():
     rng = Random(50)
     w = rand_cycle(rng, 4)
-    assert check_path_independence(w, 1, ((1, Fraction(1)),))
+    assert check_path_independence(w, 1, path(w, LINEAR))
 
 
 def test_path_independence_examples():
@@ -503,8 +507,19 @@ def test_path_independence_examples():
     K = [[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
     w = KCycle(DiagBundle.of(LineBundle(4, K=K)), rho)
     for i in (1, 2):
-        assert check_path_independence(w, i, QUADRATIC)
-        assert check_path_independence(w, i, SMOOTHSTEP)
+        assert check_path_independence(w, i, path(w, QUADRATIC))
+        assert check_path_independence(w, i, path(w, SMOOTHSTEP))
+
+
+def test_path_independence_rejects_a_path_with_wrong_ends():
+    rho = dx(2, 1) * Fraction(1, 3) + sin_form(2, (1, 0), (2,))
+    w = KCycle(DiagBundle.of(line_T2(1)), rho)
+    sigma = dx(2, 2).with_t()
+    wrong_start = path(w, LINEAR) + sigma - sigma.mul_t(1)  # sigma at t = 0
+    wrong_end = path(w, {1: 2})  # 2 rho at t = 1
+    for rho_t in (wrong_start, wrong_end, rho):
+        with pytest.raises(PreconditionError):
+            check_path_independence(w, 1, rho_t)
 
 
 def test_a_path_stores_the_class_of_the_default_path_seeded():
@@ -514,9 +529,10 @@ def test_a_path_stores_the_class_of_the_default_path_seeded():
     for n in range(2, 7):
         for _ in range(4):
             cycle = rand_cycle(rng, n, max_rank=2)
-            for path in (QUADRATIC, SMOOTHSTEP, ((1, Fraction(3)), (2, Fraction(-2)))):
+            for q in (QUADRATIC, SMOOTHSTEP, {1: 3, 2: -2}):
+                classes = _classes_along(cycle, path(cycle, q))
                 for i in range(1, n // 2 + 1):
-                    got, want = chern_class(cycle, i, path), chern_class(cycle, i)
+                    got, want = classes[i], chern_class(cycle, i)
                     assert got.harmonic == want.harmonic
                     assert got.trans == want.trans
 

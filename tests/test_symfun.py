@@ -50,7 +50,7 @@ def test_chern_polynomial_rejects_bad_index():
 
 @pytest.mark.parametrize("i", range(1, 9))
 def test_homogeneity(i):
-    assert chern_polynomial(i).is_homogeneous(i)
+    assert all(mono_degree(mono) == i for mono in chern_polynomial(i).terms)
 
 
 def test_ch_from_chern_low_degree():
@@ -118,7 +118,7 @@ def test_expansion_matches_oracle_products_seeded():
     for k in range(1, 7):
         for _ in range(25):
             poly = _random_unprimed(rng, 8)
-            degree = poly.max_degree()
+            degree = max((mono_degree(mono) for mono in poly.terms), default=0)
             for bound in (degree - 2, degree - 1, degree, degree + 2):
                 assert expand_in_roots(poly, k, bound) == _expand_by_products(poly, k, bound)
 
@@ -173,7 +173,8 @@ def test_ring_laws(a, b, c):
 @settings(max_examples=40)
 @given(small_polys, small_polys, st.integers(0, 4))
 def test_truncated_product_is_truncation_of_product(a, b, bound):
-    assert a.mul_trunc(b, bound) == (a * b).truncate(bound)
+    assert a.mul_trunc(b, bound) == GradedPoly(
+        {mono: c for mono, c in (a * b).terms.items() if mono_degree(mono) <= bound})
 
 
 def test_root_poly_equality_and_truncation():
