@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .bundles import KCycle, LineBundle, OddKCycle
 from .errors import PreconditionError
-from .forms import TorusForm, chern_transforms
+from .forms import TorusForm, chern_log, chern_transforms
 from .symfun import divided_powers, elementary_symmetric, newton
 
 Subset = tuple[int, ...]
@@ -156,7 +156,9 @@ class DiffChar:
                               self.trans + other.trans)
 
     def scale(self, value) -> "DiffChar":
-        value = Fraction(value)
+        """Multiply by a rational ``value``, an int or a Fraction."""
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"cannot scale a character by {value!r}")
         return DiffChar._make(self.n, self.degree, self.harmonic * value,
                               self.trans * value)
 
@@ -261,9 +263,14 @@ def _classes_along(cycle: KCycle, rho_t: TorusForm) -> list[DiffChar]:
     Cheeger-Simons line classes under cup, and the expected harmonic
     parts those of the line harmonic curvatures, both from one
     :func:`elementary_symmetric` pass over the lines.  The
-    transgression correction a(int_t C_k(R)) comes from one Newton pass
-    over the path curvature R = ch.with_t() + d rho_t.  Both
-    compatibility postconditions are asserted for every index.
+    transgression correction a(int_t C_k(R)) of the path curvature
+    R = ch.with_t() + d rho_t comes from the product formula
+    C(R) = prod_l (1 + F_l) ^ exp(L(d rho_t)), L being the linear map of
+    :func:`chern_log`: the line factor e_a(F_1, ..., F_r) has no t, so
+    int_t C_k(R) = sum_(a<k) e_a ^ [int_t exp(L(d rho_t))]_(2(k-a)-1),
+    with one divided-power pass and one fiber integration for all k.
+    Both compatibility postconditions are asserted for every index; the
+    curvature is compared with the Newton pass on the cycle curvature.
     """
     n, top = cycle.n, cycle.n // 2
     # below T^2 a line has no degree-2 class, and the total class is [1]
@@ -275,13 +282,21 @@ def _classes_along(cycle: KCycle, rho_t: TorusForm) -> list[DiffChar]:
     harmonic = elementary_symmetric(
         [line.harmonic_curvature() for line in lines],
         [TorusForm.const(n, 1)] + [TorusForm.zero(n)] * top, TorusForm.wedge, add)
-    curv_path = cycle.bundle.chern_character().with_t() + rho_t.d()
-    integrands = chern_transforms(curv_path, top)
+    line_factor = elementary_symmetric(
+        [line.curvature() for line in lines],
+        [TorusForm.const(n, 1)] + [TorusForm.zero(n)] * (top - 1), TorusForm.wedge, add)
+    # the constant 1 of exp has no dt and integrates to zero
+    rho_factor = sum(divided_powers(chern_log(rho_t.d(), top), top,
+                                    TorusForm.wedge, TorusForm.__mul__),
+                     TorusForm.zero(n, has_t=True)).fiber_integrate_t()
     expected_curvature = chern_transforms(cycle.curvature(), top)
     classes = [base[0]]
     for i in range(1, top + 1):
-        result = base[i].add(DiffChar.from_form(integrands[i].fiber_integrate_t(),
-                                                degree=2 * i))
+        # e_0 = 1, so the a = 0 term needs no wedge
+        trans = rho_factor.component(2 * i - 1)
+        for a in range(1, i):
+            trans = trans + line_factor[a].wedge(rho_factor.component(2 * (i - a) - 1))
+        result = base[i].add(DiffChar.from_form(trans, degree=2 * i))
         if result.curvature() != expected_curvature[i]:
             raise ArithmeticError(f"curvature compatibility failed at index {i}")
         if result.harmonic != harmonic[i]:
@@ -303,11 +318,14 @@ def chern_class(cycle: KCycle, i: int) -> DiffChar:
     The base class is the i'th elementary symmetric polynomial of the
     Cheeger-Simons line classes under cup, plus the transgression
     correction a(int_t C_i(R)) along the linear path rho_t = t rho,
-    C_i being the Newton's-identity form transform.  Every index of a
-    cycle is computed in one pass on the first call and kept on the
-    cycle; that pass asserts, for every index, the two compatibility
+    C_i being the universal form transform and R = ch + d rho_t the
+    path curvature; the correction is read off the product formula
+    C(R) = prod_l (1 + F_l) ^ exp(L(d rho_t)).  Every index of a cycle
+    is computed in one pass on the first call and kept on the cycle;
+    that pass asserts, for every index, the two compatibility
     postconditions: the curvature equals the universal polynomial of
-    the cycle curvature, and the harmonic part equals the symmetric
+    the cycle curvature (a Newton pass, a different algorithm from the
+    product formula), and the harmonic part equals the symmetric
     polynomial of the underlying integral data.
     """
     if i < 1:

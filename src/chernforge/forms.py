@@ -34,7 +34,8 @@ d(int_t a) + int_t(d a) = a|_{t=1} - a|_{t=0}:
 * circle fibers integrate with the Koszul sign that moves dx_axis to
   the front, so int_circle(d a) = -d(int_circle a) on a closed fiber.
 
-The Chern transforms run :func:`symfun.newton` with the wedge product.
+The Chern transforms run :func:`symfun.newton` with the wedge product
+and are kept on the form they were computed from.
 """
 
 from __future__ import annotations
@@ -123,16 +124,18 @@ class TorusForm:
 
     Immutable by convention.  Stored in the normalized integer layout
     described in the module docstring, so equality of forms is equality
-    of the stored data.
+    of the stored data.  ``_transforms`` holds ``[1, C_1, ...]`` once
+    :func:`chern_transforms` has run on the form.
     """
 
-    __slots__ = ("n", "has_t", "den", "terms")
+    __slots__ = ("n", "has_t", "den", "terms", "_transforms")
 
     def __init__(self, n: int, terms: Optional[dict] = None, has_t: bool = False):
         if n < 0:
             raise ValueError("torus dimension must be >= 0")
         self.n = n
         self.has_t = bool(has_t)
+        self._transforms = None
         parts: dict[Key, tuple[int, int, int]] = {}
         for key, coeff in (terms or {}).items():
             part = _gauss_parts(coeff)
@@ -158,6 +161,7 @@ class TorusForm:
         self = object.__new__(cls)
         self.n, self.has_t = n, has_t
         self.den, self.terms = _normalized(den, terms)
+        self._transforms = None
         return self
 
     # -- constructors ---------------------------------------------------
@@ -616,15 +620,36 @@ def chern_transforms(form: TorusForm, top: int) -> list[TorusForm]:
     Even forms commute and the arithmetic is exact, so the stored
     forms equal those of evaluating each polynomial monomial by
     monomial.  A form with odd-degree content is rejected.
+
+    The list is kept on the form: a later call validates its arguments,
+    then extends the kept prefix if it is too short, and returns a
+    fresh list.
     """
     if any(degree % 2 for degree in form.degrees()):
         raise ValueError("form has odd-degree content")
     cap = form.n + (1 if form.has_t else 0)
     if 2 * top > cap:
         raise ValueError(f"degree {2 * top} exceeds the dimension cap {cap}")
-    sums = [None] + [form.component(2 * j) * factorial(j) for j in range(1, top + 1)]
-    return newton(sums, [TorusForm.const(form.n, 1, has_t=form.has_t)],
-                  TorusForm.wedge, TorusForm.__add__, TorusForm.__mul__)
+    known = form._transforms or [TorusForm.const(form.n, 1, has_t=form.has_t)]
+    if len(known) <= top:
+        sums = [None] + [form.component(2 * j) * factorial(j) for j in range(1, top + 1)]
+        known = form._transforms = newton(sums, known, TorusForm.wedge,
+                                          TorusForm.__add__, TorusForm.__mul__)
+    return known[:top + 1]
+
+
+def chern_log(form: TorusForm, top: int) -> TorusForm:
+    """L(form) = sum_(j <= top) (-1)^(j-1) (j-1)! component(2j).
+
+    Newton's identity in generating-function form: on an even form the
+    total transform 1 + C_1 + C_2 + ... is exp(L(form)) up to degree
+    2 * top.  L is linear, so exp(L) turns a sum of even forms into the
+    wedge of their total transforms.
+    """
+    total = TorusForm.zero(form.n, form.has_t)
+    for j in range(1, top + 1):
+        total = total + form.component(2 * j) * ((-1) ** (j - 1) * factorial(j - 1))
+    return total
 
 
 def chern_transform(form: TorusForm, i: int) -> TorusForm:

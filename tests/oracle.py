@@ -106,3 +106,15 @@ def chern_form(bundle, i: int) -> TorusForm:
             f"{via_character.to_text()} vs {via_roots.to_text()}"
         )
     return via_roots
+
+
+def path_transgressions(cycle, rho_t: TorusForm) -> list:
+    """[None, T_1, ..., T_top] with T_k = int_t C_k(ch.with_t() + d rho_t).
+
+    One Newton pass over the whole t-extended path curvature, then the
+    fiber integral over t of each entry; dt-free terms are computed and
+    dropped.  The engine builds the same forms from the product formula.
+    """
+    curv_path = cycle.bundle.chern_character().with_t() + rho_t.d()
+    return [None] + [form.fiber_integrate_t()
+                     for form in chern_transforms(curv_path, cycle.n // 2)[1:]]

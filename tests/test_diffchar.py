@@ -4,7 +4,8 @@ from operator import add
 from random import Random
 
 import pytest
-from oracle import chern_form, evaluate_chern_polynomial, subset_elementary_symmetric
+from oracle import (chern_form, evaluate_chern_polynomial, path_transgressions,
+                    subset_elementary_symmetric)
 
 from chernforge.bundles import DiagBundle, LineBundle, OddKCycle
 from chernforge.diffchar import (DiffChar, KCycle, _classes_along, chern_class,
@@ -27,11 +28,16 @@ QUADRATIC = {2: 1}
 SMOOTHSTEP = {2: 3, 3: -2}
 
 
-def path(cycle, q):
-    """The t-extended path rho_t = q(t) rho, q given as {exponent: coefficient}."""
-    promoted = cycle.rho.with_t()
+def t_poly(form, q):
+    """q(t) * form on the t-extended space, q given as {exponent: coefficient}."""
+    promoted = form.with_t()
     return sum((promoted.mul_t(exponent) * coeff for exponent, coeff in q.items()),
-               TorusForm.zero(cycle.n, has_t=True))
+               TorusForm.zero(form.n, has_t=True))
+
+
+def path(cycle, q):
+    """The t-extended path rho_t = q(t) rho."""
+    return t_poly(cycle.rho, q)
 
 
 def sin_form(n, freq, idx, amplitude=Fraction(1, 2)):
@@ -171,6 +177,19 @@ def test_constructor_rejects_bad_transgression():
         DiffChar(3, 2, None, dx(4, 1))  # wrong n
     with pytest.raises(ValueError):
         DiffChar(2, 3)  # degree above the dimension
+
+
+def test_scale_takes_only_rationals():
+    w = DiffChar(2, 2, TorusForm.from_harmonic(2, {(1, 2): 3}), dx(2, 1) * Fraction(1, 2))
+    third = w.scale(Fraction(1, 3))
+    assert third.harmonic == w.harmonic * Fraction(1, 3)
+    assert third.trans == w.trans * Fraction(1, 3)
+    assert w.scale(-2).trans == -(w.trans * 2)
+    # a float would enter as its binary expansion, a string as parsed
+    # text, and an (re, im) pair would make the character complex
+    for value in (0.1, "1/3", (0, 1)):
+        with pytest.raises(TypeError):
+            w.scale(value)
 
 
 # -- cup product --------------------------------------------------------------
@@ -535,6 +554,48 @@ def test_a_path_stores_the_class_of_the_default_path_seeded():
                     got, want = classes[i], chern_class(cycle, i)
                     assert got.harmonic == want.harmonic
                     assert got.trans == want.trans
+
+
+def test_product_formula_stores_the_newton_pass_transgression_seeded():
+    # the oracle runs Newton's identity over the whole t-extended path
+    # curvature; the engine wedges e_a(F) with int_t exp(L(d rho_t))
+    rng = Random(12)
+    for n in range(1, 7):
+        for _ in range(3):
+            cycle = rand_cycle(rng, n, max_rank=2 if n >= 5 else 3)
+            sigma1 = rand_real_form(rng, n, 1)
+            sigma3 = rand_real_form(rng, n, 3, max_modes=1)
+            top = n // 2
+            start = [DiffChar.unit(n)] + [DiffChar.zero(n, 2 * k) for k in range(1, top + 1)]
+            # below T^2 a line has no degree-2 class
+            line_classes = [cs_class(line) for line in cycle.bundle.lines] if top else []
+            base = elementary_symmetric(line_classes, start, DiffChar.cup, DiffChar.add)
+            linear = path(cycle, LINEAR)
+            paths = (linear, path(cycle, QUADRATIC), path(cycle, SMOOTHSTEP),
+                     linear + t_poly(sigma1, {1: 1, 2: -1}),
+                     linear + t_poly(sigma3, {2: 1, 3: -1}))
+            for rho_t in paths:
+                classes = _classes_along(cycle, rho_t)
+                want = path_transgressions(cycle, rho_t)
+                assert len(classes) == top + 1
+                for i in range(1, top + 1):
+                    assert classes[i].trans == base[i].trans + want[i]
+
+
+def test_an_off_ray_path_stores_another_form_of_the_same_class_seeded():
+    # for i = 1 the correction is int_t d/dt rho_t = rho on every path
+    rng = Random(5)
+    moved = 0
+    for n in range(4, 7):
+        for _ in range(3):
+            cycle = rand_cycle(rng, n, max_rank=2)
+            rho_t = path(cycle, LINEAR) + t_poly(rand_real_form(rng, n, 1), {1: 1, 2: -1})
+            classes = _classes_along(cycle, rho_t)
+            assert classes[1].trans == chern_class(cycle, 1).trans
+            for i in range(1, n // 2 + 1):
+                assert check_path_independence(cycle, i, rho_t)
+                moved += classes[i].trans != chern_class(cycle, i).trans
+    assert moved
 
 
 def test_gauge_shift_examples():

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import evaluate_chern_polynomial, total_chern_transform
 
-from chernforge.forms import (TorusForm, _koszul_sign, chern_transform, chern_transforms,
-                              parse_form)
+from chernforge.forms import (TorusForm, _koszul_sign, chern_log, chern_transform,
+                              chern_transforms, parse_form)
 from chernforge.generators import (rand_form, rand_frequency, rand_homogeneous,
                                    rand_int_matrix, rand_phase, rand_real_form)
+from chernforge.symfun import divided_powers
 
 dx = TorusForm.dx
 
@@ -375,6 +376,62 @@ def test_chern_transform_rejects_odd_content():
         chern_transform(TorusForm.volume(2) + dx(2, 1), 1)
     with pytest.raises(ValueError):
         chern_transforms(dx(2, 1), 0)
+
+
+def rand_even(rng, n, has_t):
+    cap = n + has_t
+    return sum((rand_homogeneous(rng, n, degree, has_t=has_t)
+                for degree in range(0, cap + 1, 2)), TorusForm.zero(n, has_t=has_t))
+
+
+def test_chern_transforms_memo_extends_and_hands_out_copies_seeded():
+    rng = Random(64)
+    for case in range(10):
+        has_t = case % 2 == 1
+        n = 6 - has_t
+        even = rand_even(rng, n, has_t)
+        for top in (1, 3, 2):
+            # even * 1 is a new form with the same data and no memo
+            assert chern_transforms(even, top) == chern_transforms(even * 1, top)
+        assert chern_transforms(even, 3)[2] is chern_transforms(even, 2)[2]
+        want = chern_transforms(even * 1, 3)
+        got = chern_transforms(even, 3)
+        got[1] = TorusForm.zero(n, has_t=has_t)
+        got.append(TorusForm.zero(n, has_t=has_t))
+        del got[2]
+        assert chern_transforms(even, 3) == want
+        assert chern_transforms(even, 1) == want[:2]
+
+
+def test_chern_transforms_validates_before_reading_the_memo():
+    eta = TorusForm.single(2, 1, idx=(1, 2))
+    memo = chern_transforms(eta, 1)
+    with pytest.raises(ValueError, match="dimension cap"):
+        chern_transforms(eta, 2)
+    # a memo long enough to answer still does not bypass the checks
+    eta._transforms = memo + [TorusForm.zero(2)]
+    with pytest.raises(ValueError, match="dimension cap"):
+        chern_transforms(eta, 2)
+    odd = dx(2, 1)
+    odd._transforms = memo
+    for top in (0, 1):
+        with pytest.raises(ValueError, match="odd-degree content"):
+            chern_transforms(odd, top)
+
+
+def test_chern_log_exponentiates_to_the_total_transform_seeded():
+    rng = Random(65)
+    for case in range(20):
+        has_t = case % 2 == 1
+        n = rng.randint(1, 5)
+        top = (n + has_t) // 2
+        even = rand_even(rng, n, has_t)
+        log = chern_log(even, top)
+        assert log.component(0).is_zero()
+        exp = sum(divided_powers(log, top, TorusForm.wedge, TorusForm.__mul__),
+                  TorusForm.const(n, 1, has_t=has_t))
+        for k, transform in enumerate(chern_transforms(even, top)):
+            assert exp.component(2 * k) == transform
 
 
 # -- serialization -----------------------------------------------------------

@@ -6,6 +6,7 @@ from chernforge import verify
 from chernforge.bundles import OddKCycle
 from chernforge.cli import main
 from chernforge.forms import TorusForm
+from chernforge.symfun import GradedPoly
 
 
 def _raise_on_call(monkeypatch, owner, name, call=2):
@@ -94,3 +95,20 @@ def test_odd_bookkeeping_failure_keeps_the_class_checks(monkeypatch):
     assert report["failures"] == 3
     assert report["first_counterexample"] == {"check": "suspension bookkeeping case 0"}
 
+
+
+def test_multiplicativity_computes_the_identity_once_and_cuts_it_per_bound(monkeypatch):
+    bounds = []
+    # a planted discrepancy of degree 3: the bounds below 3 must still pass
+    planted = GradedPoly.var(1) * GradedPoly.var(2)
+
+    def fake(bound):
+        bounds.append(bound)
+        return False, planted
+
+    monkeypatch.setattr(verify, "verify_sum_identity", fake)
+    report = verify.run_suite("multiplicativity", degree=5)
+    assert bounds == [5]
+    assert (report["checks"], report["failures"]) == (5, 3)
+    assert report["first_counterexample"] == {"check": "sum identity at N=3",
+                                              "discrepancy": planted.render()}
