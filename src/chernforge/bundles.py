@@ -42,8 +42,10 @@ class LineBundle:
         self.K = tuple(tuple(int(v) for v in row) for row in K) if K is not None \
             else tuple((0,) * n for _ in range(n))
         _check_antisymmetric(self.K, n)
-        self.theta = tuple(Fraction(v) for v in theta) if theta is not None \
-            else (Fraction(0),) * n
+        theta = tuple(theta) if theta is not None else (0,) * n
+        if not all(isinstance(v, (int, Fraction)) for v in theta):
+            raise TypeError(f"holonomy shifts must be ints or Fractions, got {theta!r}")
+        self.theta = tuple(Fraction(v) for v in theta)
         if len(self.theta) != n:
             raise ValueError(f"holonomy vector must have length {n}")
         self.beta = beta if beta is not None else TorusForm.zero(n)
@@ -71,14 +73,6 @@ class LineBundle:
         if self._curvature is None:
             self._curvature = self.harmonic_curvature() + self.beta.d()
         return self._curvature
-
-    def tensor(self, other: "LineBundle") -> "LineBundle":
-        if self.n != other.n:
-            raise ValueError("tensor product needs equal dimensions")
-        K = tuple(tuple(a + b for a, b in zip(r1, r2))
-                  for r1, r2 in zip(self.K, other.K))
-        theta = tuple(a + b for a, b in zip(self.theta, other.theta))
-        return LineBundle(self.n, K, theta, self.beta + other.beta)
 
     def pullback(self, matrix: Sequence[Sequence[int]]) -> "LineBundle":
         """Pullback along x -> A x; rows of A index this bundle's coordinates."""
@@ -229,9 +223,9 @@ class OddKCycle:
             if not phase.is_real():
                 raise ValueError("phase must be real")
             # the constant Fourier mode of a function is its mean
-            if phase.wedge(volume).integrate_torus():
+            if phase.wedge(volume).invariant_table(n):
                 raise ValueError("phase must have no constant Fourier mode")
-            if phase.subtorus_integral(()):
+            if phase.invariant_table(0):
                 raise ValueError("phase must vanish at the basepoint")
             comps.append((winding, phase))
         self.components = tuple(comps)

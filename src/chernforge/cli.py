@@ -18,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .config import Config, parse_config
@@ -27,23 +26,9 @@ from .errors import ConfigError, PreconditionError
 from .verify import (DEFAULT_DEGREE, DEGREE_SUITES, MAX_DEGREE, SUITES,
                      check_degree, run_suite)
 
-ENV_DEGREE = "CHERNFORGE_DEGREE"
-
 
 class _OutputError(Exception):
     """The report could not be written to ``--out``."""
-
-
-def _resolve_degree(flag_value) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(ENV_DEGREE)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{ENV_DEGREE} must be an integer, got {env!r}") from None
-    return DEFAULT_DEGREE
 
 
 def _case_count(text: str) -> int:
@@ -189,10 +174,9 @@ def _cmd_verify(args) -> int:
         print(f"unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}",
               file=sys.stderr)
         return 2
-    degree = _resolve_degree(args.degree)
     if args.suite in DEGREE_SUITES:
-        check_degree(degree)
-    suite = run_suite(args.suite, seed=args.seed, cases=args.cases, degree=degree)
+        check_degree(args.degree)
+    suite = run_suite(args.suite, seed=args.seed, cases=args.cases, degree=args.degree)
     report = {"command": "verify", "suite": suite}
     _emit(report, args.format or "text", args.out)
     return 0 if suite["ok"] else 1
@@ -235,9 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--cases", type=_case_count, default=None,
                         help="number of seeded cases (at least 1)")
-    verify.add_argument("--degree", type=int, default=None,
-                        help=f"truncation degree, 1 to {MAX_DEGREE} "
-                             f"(default {DEFAULT_DEGREE}, or ${ENV_DEGREE})")
+    verify.add_argument("--degree", type=int, default=DEFAULT_DEGREE,
+                        help=f"truncation degree of the polynomial suites, "
+                             f"1 to {MAX_DEGREE} (default {DEFAULT_DEGREE})")
     verify.set_defaults(func=_cmd_verify)
     return parser
 

@@ -123,17 +123,6 @@ class DiffChar:
         return {idx: int(re_part)
                 for idx, (re_part, _) in self.harmonic.invariant_table(self.degree).items()}
 
-    def holonomy(self, subset: Sequence[int]) -> Fraction:
-        subset = tuple(sorted(subset))
-        if len(subset) != self.degree - 1:
-            raise ValueError(
-                f"holonomy of a degree-{self.degree} character needs a "
-                f"{self.degree - 1}-subtorus")
-        table = self.holonomy_table()
-        if subset not in table:
-            raise ValueError(f"bad subtorus {subset} for T^{self.n}")
-        return table[subset]
-
     def holonomy_table(self) -> dict[Subset, Fraction]:
         """Holonomy mod 1 over every (d-1)-subtorus, zero ones included."""
         if self.degree == 0:
@@ -390,17 +379,18 @@ def check_group_hom(w: KCycle, v: KCycle) -> tuple[bool, dict]:
     return verdict, {"verdict": verdict, "components": components}
 
 
-def check_path_independence(cycle: KCycle, i: int, rho_t: TorusForm) -> bool:
-    """Recompute the class along the t-extended path rho_t, which must run
-    from 0 at t = 0 to the cycle's form at t = 1, and compare exactly."""
+def check_path_independence(cycle: KCycle, rho_t: TorusForm) -> list[bool]:
+    """Recompute every class along the t-extended path rho_t, which must
+    run from 0 at t = 0 to the cycle's form at t = 1, and compare each
+    exactly with the memoised one: entry i is the verdict for c_i."""
     if not rho_t.has_t:
         raise PreconditionError("path must be a t-extended form")
     if not rho_t.restrict_t(0).is_zero():
         raise PreconditionError("path must vanish at t=0")
     if rho_t.restrict_t(1) != cycle.rho:
         raise PreconditionError("path must equal the cycle form at t=1")
-    expected = chern_class(cycle, i)
-    return _classes_along(cycle, rho_t)[i].same_class(expected)
+    return list(map(DiffChar.same_class, _classes_along(cycle, rho_t),
+                    _chern_classes(cycle)))
 
 
 def _require_admissible_shift(shift: TorusForm):
@@ -418,11 +408,12 @@ def _require_admissible_shift(shift: TorusForm):
                 raise PreconditionError("shift must have integer periods")
 
 
-def check_shift_invariance(cycle: KCycle, i: int, shift: TorusForm) -> bool:
-    """Classes must not move under closed integer-period (or exact) shifts."""
+def check_shift_invariance(cycle: KCycle, shift: TorusForm) -> list[bool]:
+    """Classes must not move under closed integer-period (or exact) shifts:
+    entry i is the verdict for c_i of the shifted cycle."""
     _require_admissible_shift(shift)
     shifted = KCycle(cycle.bundle, cycle.rho + shift)
-    return chern_class(shifted, i).same_class(chern_class(cycle, i))
+    return list(map(DiffChar.same_class, _chern_classes(shifted), _chern_classes(cycle)))
 
 
 def odd_chern_class(cycle: OddKCycle, i: int) -> DiffChar:

@@ -21,10 +21,10 @@ normalized on construction: no zero numerator is stored,
 gcd(den, every numerator) == 1 and the zero form has den == 1.  Equal
 forms therefore have equal storage, and equality is structural.
 Coefficients enter as an int, a Fraction or an ``(re, im)`` pair of
-them and subtorus integrals leave as Fractions, so this storage is the
-only Gaussian-rational type.  Tuple index sets appear only at the
-boundary: the public constructor, ``from_harmonic``, parsing, invariant
-tables and text.
+them and subtorus integrals leave :meth:`TorusForm.invariant_table` as
+``(re, im)`` pairs of Fractions, so this storage is the only
+Gaussian-rational type.  Tuple index sets appear only at the boundary:
+the public constructor, parsing, invariant tables and text.
 
 Orientation conventions, pinned by the interval Stokes identity
 d(int_t a) + int_t(d a) = a|_{t=1} - a|_{t=0}:
@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add, neg
 import re
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .symfun import collect, newton
 
@@ -196,20 +196,10 @@ class TorusForm:
     def from_harmonic(cls, n: int, table: dict) -> "TorusForm":
         """Translation-invariant form sum c_I dx_I from a table {I: c_I}.
 
-        Each I is a strictly increasing tuple within 1..n and each c_I a
-        coefficient as in the constructor; a bad I raises ``ValueError``.
+        Each I and c_I is an index set and a coefficient as in the
+        constructor, which validates them.
         """
-        zero_freq = (0,) * n
-        parts = {}
-        for idx, coeff in table.items():
-            mask = prev = 0
-            for j in idx:
-                if not prev < j <= n:
-                    raise ValueError(f"index set {idx} is not strictly increasing in 1..{n}")
-                mask |= 1 << j
-                prev = j
-            parts[(0, zero_freq, mask)] = _gauss_parts(coeff)
-        return cls._make(n, False, *_over_common_den(parts))
+        return cls(n, {(0, (0,) * n, idx): coeff for idx, coeff in table.items()})
 
     # -- ring structure -------------------------------------------------
 
@@ -366,10 +356,11 @@ class TorusForm:
                           for (m, freq, mask), num in self.terms.items()})
 
     def restrict_t(self, value) -> "TorusForm":
-        """Restrict a t-extended form to the slice t = value."""
+        """Restrict a t-extended form to the slice t = value, an int or a Fraction."""
         if not self.has_t:
             raise ValueError("restrict_t needs a t-extended form")
-        value = Fraction(value)
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"cannot restrict to t = {value!r}")
         p, q = value.numerator, value.denominator
         kept = [(key, num) for key, num in self.terms.items() if not key[2] & 1]
         top = max((key[0] for key, _ in kept), default=0)
@@ -390,7 +381,7 @@ class TorusForm:
                                    im_num * (common // (m + 1))))
             for (m, freq, mask), (re_num, im_num) in kept)))
 
-    # -- circle fibers and periods ----------------------------------------
+    # -- circle fibers and subtorus integrals -----------------------------
 
     def fiber_integrate_circle(self, axis: int) -> "TorusForm":
         """Integrate over the circle factor named by ``axis``.
@@ -421,34 +412,16 @@ class TorusForm:
 
         return self._make(self.n - 1, False, self.den, _accumulate({}, integrated()))
 
-    def subtorus_integral(self, subset: Iterable[int]) -> Fraction:
-        """Integral over the coordinate subtorus through the basepoint 0.
-
-        Coordinates outside ``subset`` are frozen at 0; the normalized
-        volume of every subtorus is 1.  The form must be homogeneous of
-        degree ``len(subset)`` and the integral real; read both parts of
-        a complex one from :meth:`invariant_table`.
-        """
-        if self.has_t:
-            raise ValueError("subtorus integrals are defined on t-free forms")
-        subset = tuple(sorted(subset))
-        if len(set(subset)) != len(subset) or any(not 1 <= j <= self.n for j in subset):
-            raise ValueError(f"bad subtorus {subset} for T^{self.n}")
-        degs = self.degrees()
-        if degs and degs != {len(subset)}:
-            raise ValueError(f"degree mismatch: form degrees {sorted(degs)}, subtorus {subset}")
-        re_part, im_part = self.invariant_table(len(subset)).get(subset, (Fraction(0), 0))
-        if im_part:
-            raise ValueError(f"integral over subtorus {subset} is not real")
-        return re_part
-
     def invariant_table(self, degree: int) -> dict[tuple[int, ...], tuple[Fraction, Fraction]]:
         """Subtorus integrals of the degree-``degree`` part, in one scan.
 
         Maps each index set to the (real, imaginary) sum of the terms of
         that degree whose frequency vanishes on their own index set: the
         only terms with a non-zero integral over the coordinate subtorus
-        through the basepoint 0.  Missing index sets integrate to zero.
+        through the basepoint 0, whose coordinates outside the index set
+        are frozen at 0 and whose volume is 1.  Index sets whose terms
+        cancel are left out, so a missing index set integrates to zero
+        and ``{}`` means every integral of that degree vanishes.
         """
         if self.has_t:
             raise ValueError("subtorus integrals are defined on t-free forms")
@@ -458,17 +431,7 @@ class TorusForm:
             (mask, num) for (_, freq, mask), num in self.terms.items()
             if mask in positions and not any(freq[p] for p in positions[mask])))
         return {_indices(mask): (Fraction(re_sum, self.den), Fraction(im_sum, self.den))
-                for mask, (re_sum, im_sum) in sums.items()}
-
-    def period(self, subset: Iterable[int]) -> Fraction:
-        """Subtorus integral of a closed form (checked)."""
-        if not self.is_closed():
-            raise ValueError("period requires a closed form")
-        return self.subtorus_integral(subset)
-
-    def integrate_torus(self) -> Fraction:
-        """Top-degree integral over the whole torus."""
-        return self.subtorus_integral(range(1, self.n + 1))
+                for mask, (re_sum, im_sum) in sums.items() if re_sum or im_sum}
 
     # -- pullback ---------------------------------------------------------
 

@@ -189,7 +189,9 @@ class GradedPoly:
         return self + (-other)
 
     def scale(self, value) -> "GradedPoly":
-        value = Fraction(value)
+        """Multiply by a rational ``value``, an int or a Fraction."""
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"cannot scale a polynomial by {value!r}")
         if not value:
             return GradedPoly()
         return GradedPoly._make({m: c * value for m, c in self.terms.items()})

@@ -147,12 +147,14 @@ def suite_paths(rng: Random, cases: int, degree: int) -> Checks:
         while w.rho.is_zero():
             w = rand_cycle(rng, n)
         quadratic = w.rho.with_t().mul_t(2)
-        paths = (("t^2", quadratic),
-                 ("3t^2-2t^3", quadratic * 3 - w.rho.with_t().mul_t(3) * 2))
+        paths = {"t^2": quadratic,
+                 "3t^2-2t^3": quadratic * 3 - w.rho.with_t().mul_t(3) * 2}
+        # one class pass per path answers every index of it
+        verdicts = cache(lambda label: check_path_independence(w, paths[label]))
         for i in range(1, n // 2 + 1):
-            for label, rho_t in paths:
+            for label in paths:
                 yield (f"path {label} case {index} i={i}",
-                       lambda: _verdict(check_path_independence(w, i, rho_t)))
+                       lambda: _verdict(verdicts(label)[i]))
 
 
 def suite_gauge(rng: Random, cases: int, degree: int) -> Checks:
@@ -163,12 +165,13 @@ def suite_gauge(rng: Random, cases: int, degree: int) -> Checks:
         w = rand_cycle(rng, n)
         exact = rand_real_form(rng, n, 0, max_modes=2, allow_harmonic=False).d()
         integral = rand_integral_shift(rng, n)
-        shifts = (("exact", exact), ("integral", integral),
-                  ("combined", exact + integral))
+        shifts = {"exact": exact, "integral": integral, "combined": exact + integral}
+        # one class pass per shifted cycle answers every index of it
+        verdicts = cache(lambda label: check_shift_invariance(w, shifts[label]))
         for i in range(1, n // 2 + 1):
-            for label, shift in shifts:
+            for label in shifts:
                 yield (f"{label} shift case {index} i={i}",
-                       lambda: _verdict(check_shift_invariance(w, i, shift)))
+                       lambda: _verdict(verdicts(label)[i]))
 
 
 def suite_odd(rng: Random, cases: int, degree: int) -> Checks:

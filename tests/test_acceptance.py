@@ -63,7 +63,7 @@ def test_criterion_03_chern_number_pin():
         char = chern_class(cycle, 1)
         expected = {(1, 2): k} if k else {}
         assert char.period_table() == expected
-        assert chern_form(bundle, 1).integrate_torus() == k
+        assert chern_form(bundle, 1).invariant_table(2) == ({(1, 2): (k, 0)} if k else {})
     _stamp(3, "chern number pin", start, "<1s")
 
 
@@ -141,10 +141,9 @@ def test_criterion_07_path_independence():
             cycle = rand_cycle(rng, n)
         quadratic = cycle.rho.with_t().mul_t(2)
         smoothstep = quadratic * 3 - cycle.rho.with_t().mul_t(3) * 2
-        for i in range(1, n // 2 + 1):
-            assert check_path_independence(cycle, i, quadratic)
-            assert check_path_independence(cycle, i, smoothstep)
-            checked += 1
+        assert all(check_path_independence(cycle, quadratic))
+        assert all(check_path_independence(cycle, smoothstep))
+        checked += n // 2
     assert checked >= 50
     _stamp(7, f"path independence ({checked} cycles/indices)", start, "<10s")
 
@@ -158,10 +157,8 @@ def test_criterion_08_gauge_shifts():
         cycle = rand_cycle(rng, n)
         exact = rand_real_form(rng, n, 0, allow_harmonic=False).d()
         integral = rand_integral_shift(rng, n)
-        for i in range(1, n // 2 + 1):
-            assert check_shift_invariance(cycle, i, exact)
-            assert check_shift_invariance(cycle, i, integral)
-            assert check_shift_invariance(cycle, i, exact + integral)
+        for shift in (exact, integral, exact + integral):
+            assert all(check_shift_invariance(cycle, shift))
     _stamp(8, "gauge shifts (50 cycles)", start, "<10s")
 
 

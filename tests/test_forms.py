@@ -41,39 +41,45 @@ def test_exterior_d_examples():
     assert mode.d() == TorusForm.single(2, (0, 2), freq=(2, 0), idx=(1,))
 
 
-def test_integrate_torus_examples():
+def test_top_degree_invariant_table_examples():
     vol = TorusForm.volume(2)
-    assert vol.integrate_torus() == 1
+    assert vol.invariant_table(2) == {(1, 2): (1, 0)}
     oscillating = TorusForm.single(2, 1, freq=(1, 0), idx=(1, 2))
-    assert oscillating.integrate_torus() == 0
-    assert (vol * 3).integrate_torus() == 3
-    with pytest.raises(ValueError):
-        dx(2, 1).integrate_torus()
+    assert oscillating.invariant_table(2) == {}
+    assert (vol * 3).invariant_table(2) == {(1, 2): (3, 0)}
+    assert dx(2, 1).invariant_table(2) == {}  # no top-degree part
 
 
 def test_period_examples():
-    assert dx(2, 1).period((1,)) == 1
-    assert dx(2, 1).period((2,)) == 0
+    assert dx(2, 1).invariant_table(1) == {(1,): (1, 0)}
     beta = TorusForm(2, {(0, (1, 0), (2,)): (0, Fraction(-1, 2)),
                          (0, (-1, 0), (2,)): (0, Fraction(1, 2))})
     form = TorusForm.volume(2) * 5 + beta.d()
-    assert form.period((1, 2)) == 5
-    with pytest.raises(ValueError):
-        beta.period((2,))  # not closed
+    assert form.invariant_table(2) == {(1, 2): (5, 0)}
 
 
-def test_integrals_of_non_real_invariant_part_raise():
+def test_invariant_table_reads_non_real_parts():
     form = TorusForm.single(2, (1, Fraction(-1, 3)), idx=(1, 2))
-    with pytest.raises(ValueError):
-        form.integrate_torus()
-    with pytest.raises(ValueError):
-        form.subtorus_integral((1, 2))
-    with pytest.raises(ValueError):
-        (form + TorusForm.volume(2) * 2).period((1, 2))
     assert form.invariant_table(2) == {(1, 2): (Fraction(1), Fraction(-1, 3))}
+    assert (form + TorusForm.volume(2) * 2).invariant_table(2) == {(1, 2): (3, Fraction(-1, 3))}
     # an imaginary part that oscillates along the subtorus integrates to zero
     wave = TorusForm.single(2, (0, 1), freq=(1, 0), idx=(1, 2))
-    assert (TorusForm.volume(2) + wave).integrate_torus() == 1
+    assert (TorusForm.volume(2) + wave).invariant_table(2) == {(1, 2): (1, 0)}
+
+
+def test_invariant_table_drops_index_sets_whose_terms_cancel():
+    # a real sine phase: its two modes integrate to i/2 and -i/2 at the basepoint
+    sine = TorusForm(2, {(0, (1, 1), ()): (0, Fraction(-1, 4)),
+                         (0, (-1, -1), ()): (0, Fraction(1, 4))})
+    assert sine.invariant_table(0) == {}
+    cos_mode = TorusForm(2, {(0, (1, 0), ()): Fraction(1, 2),
+                             (0, (-1, 0), ()): Fraction(1, 2)})
+    assert cos_mode.invariant_table(0) == {(): (1, 0)}
+    # sin(2 pi x_3) dx_1 ^ dx_2 vanishes on the subtorus x_3 = 0
+    sheet = TorusForm(3, {(0, (0, 0, 1), (1, 2)): (0, Fraction(-1, 2)),
+                          (0, (0, 0, -1), (1, 2)): (0, Fraction(1, 2))})
+    assert sheet.invariant_table(2) == {}
+    assert (sheet + TorusForm.single(3, 2, idx=(2, 3))).invariant_table(2) == {(2, 3): (2, 0)}
 
 
 def test_constructor_coefficients():
@@ -117,8 +123,7 @@ def test_period_of_exact_vanishes():
             component = exact.component(degree)
             if degree > n:
                 continue
-            subset = tuple(range(1, degree + 1))
-            assert component.subtorus_integral(subset) == 0
+            assert component.invariant_table(degree) == {}
 
 
 def test_invariant_table_example():
@@ -250,7 +255,7 @@ def test_reality_predicates():
 
 def test_degenerate_dimension_zero():
     point = TorusForm.const(0, 7)
-    assert point.integrate_torus() == 7
+    assert point.invariant_table(0) == {(): (7, 0)}
     assert point.d().is_zero()
     assert point.wedge(point) == TorusForm.const(0, 49)
 
@@ -280,6 +285,14 @@ def test_restrict_t():
         + TorusForm.single(2, 1, idx=(0,), has_t=True)
     assert a.restrict_t(1) == dx(2, 1)
     assert a.restrict_t(0).is_zero()
+    assert a.restrict_t(Fraction(1, 3)) == dx(2, 1) * Fraction(1, 9)
+
+
+def test_restrict_t_takes_only_rationals():
+    a = TorusForm.single(2, 1, idx=(1,), t_exp=1, has_t=True)
+    for bad in (0.1, "1/3", (1, 0)):
+        with pytest.raises(TypeError):
+            a.restrict_t(bad)
 
 
 # -- the universal transform on even forms ---------------------------------

@@ -26,6 +26,13 @@ def test_add_examples():
     assert (s1 + (-s1)).is_zero()
 
 
+def test_scale_takes_only_rationals():
+    assert s1.scale(Fraction(1, 10)) == s1 * Fraction(1, 10)
+    for bad in (0.1, "1/3", (1, 0)):
+        with pytest.raises(TypeError):
+            s1.scale(bad)
+
+
 def test_mul_examples():
     assert s1 * s1 == GradedPoly({((((0, 1)), 1),): 1}) * s1
     one = GradedPoly.const(1)

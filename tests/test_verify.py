@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chernforge import verify
+from chernforge import diffchar, verify
 from chernforge.bundles import OddKCycle
 from chernforge.cli import main
 from chernforge.forms import TorusForm
@@ -112,3 +112,19 @@ def test_multiplicativity_computes_the_identity_once_and_cuts_it_per_bound(monke
     assert (report["checks"], report["failures"]) == (5, 3)
     assert report["first_counterexample"] == {"check": "sum identity at N=3",
                                               "discrepancy": planted.render()}
+
+
+def test_gauge_and_paths_run_one_class_pass_per_cycle_shift_and_path(monkeypatch):
+    original = diffchar._classes_along
+    calls = []
+
+    def counted(cycle, rho_t):
+        calls.append(None)
+        return original(cycle, rho_t)
+
+    monkeypatch.setattr(diffchar, "_classes_along", counted)
+    # 50 cases: the drawn cycle plus its three shifted cycles, or its two paths
+    for suite, passes in (("gauge", 50 * 4), ("paths", 50 * 3)):
+        calls.clear()
+        assert verify.run_suite(suite, seed=42)["ok"]
+        assert len(calls) == passes
