@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .forms import TorusForm
+from .forms import TorusForm, int_tuple
 from .symfun import divided_powers
 
 
@@ -39,7 +39,7 @@ class LineBundle:
                  theta: Optional[Sequence] = None,
                  beta: Optional[TorusForm] = None):
         self.n = n
-        self.K = tuple(tuple(int(v) for v in row) for row in K) if K is not None \
+        self.K = tuple(map(int_tuple, K)) if K is not None \
             else tuple((0,) * n for _ in range(n))
         _check_antisymmetric(self.K, n)
         theta = tuple(theta) if theta is not None else (0,) * n
@@ -76,22 +76,21 @@ class LineBundle:
 
     def pullback(self, matrix: Sequence[Sequence[int]]) -> "LineBundle":
         """Pullback along x -> A x; rows of A index this bundle's coordinates."""
-        rows = [tuple(int(v) for v in row) for row in matrix]
-        if len(rows) != self.n:
-            raise ValueError("matrix rows must match the bundle dimension")
-        m = len(rows[0]) if rows else 0
+        # the form pullback checks the matrix: integer rows, one per coordinate
+        beta = self.beta.pullback(matrix)
+        m = beta.n
         K = tuple(
             tuple(
-                sum(rows[a][r] * self.K[a][b] * rows[b][s]
+                sum(matrix[a][r] * self.K[a][b] * matrix[b][s]
                     for a in range(self.n) for b in range(self.n))
                 for s in range(m)
             )
             for r in range(m)
         )
         theta = tuple(
-            sum(rows[j][l] * self.theta[j] for j in range(self.n)) for l in range(m)
+            sum(matrix[j][l] * self.theta[j] for j in range(self.n)) for l in range(m)
         )
-        return LineBundle(m, K, theta, self.beta.pullback(rows))
+        return LineBundle(m, K, theta, beta)
 
     def __repr__(self):
         return f"LineBundle(T^{self.n}, K={self.K}, theta={self.theta})"
@@ -211,7 +210,7 @@ class OddKCycle:
         volume = TorusForm.volume(n)
         comps = []
         for winding, phase in components:
-            winding = tuple(int(v) for v in winding)
+            winding = int_tuple(winding)
             if len(winding) != n:
                 raise ValueError(f"winding vector must have length {n}")
             if phase is None:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
-from operator import add
 from typing import Optional, Sequence
 
 from .bundles import KCycle, LineBundle, OddKCycle
@@ -248,18 +247,18 @@ def cs_class(line: LineBundle) -> DiffChar:
 def _classes_along(cycle: KCycle, rho_t: TorusForm) -> list[DiffChar]:
     """[1, c_1, ..., c_(n//2)] of a cycle along the t-extended path rho_t.
 
-    The base classes are the elementary symmetric polynomials of the
-    Cheeger-Simons line classes under cup, and the expected harmonic
-    parts those of the line harmonic curvatures, both from one
-    :func:`elementary_symmetric` pass over the lines.  The
-    transgression correction a(int_t C_k(R)) of the path curvature
+    The base classes e_a are the elementary symmetric polynomials of
+    the Cheeger-Simons line classes under cup.  The transgression
+    correction a(int_t C_k(R)) of the path curvature
     R = ch.with_t() + d rho_t comes from the product formula
     C(R) = prod_l (1 + F_l) ^ exp(L(d rho_t)), L being the linear map of
-    :func:`chern_log`: the line factor e_a(F_1, ..., F_r) has no t, so
+    :func:`chern_log`: the line factor e_a(F_1, ..., F_r) is the
+    curvature of e_a and has no t, so
     int_t C_k(R) = sum_(a<k) e_a ^ [int_t exp(L(d rho_t))]_(2(k-a)-1),
     with one divided-power pass and one fiber integration for all k.
-    Both compatibility postconditions are asserted for every index; the
-    curvature is compared with the Newton pass on the cycle curvature.
+    Both compatibility postconditions are asserted for every index
+    against the Newton pass on the cycle curvature: the periods of the
+    harmonic part (exact forms have none), then the curvature.
     """
     n, top = cycle.n, cycle.n // 2
     # below T^2 a line has no degree-2 class, and the total class is [1]
@@ -268,12 +267,6 @@ def _classes_along(cycle: KCycle, rho_t: TorusForm) -> list[DiffChar]:
         [cs_class(line) for line in lines],
         [DiffChar.unit(n)] + [DiffChar.zero(n, 2 * k) for k in range(1, top + 1)],
         DiffChar.cup, DiffChar.add)
-    harmonic = elementary_symmetric(
-        [line.harmonic_curvature() for line in lines],
-        [TorusForm.const(n, 1)] + [TorusForm.zero(n)] * top, TorusForm.wedge, add)
-    line_factor = elementary_symmetric(
-        [line.curvature() for line in lines],
-        [TorusForm.const(n, 1)] + [TorusForm.zero(n)] * (top - 1), TorusForm.wedge, add)
     # the constant 1 of exp has no dt and integrates to zero
     rho_factor = sum(divided_powers(chern_log(rho_t.d(), top), top,
                                     TorusForm.wedge, TorusForm.__mul__),
@@ -284,12 +277,13 @@ def _classes_along(cycle: KCycle, rho_t: TorusForm) -> list[DiffChar]:
         # e_0 = 1, so the a = 0 term needs no wedge
         trans = rho_factor.component(2 * i - 1)
         for a in range(1, i):
-            trans = trans + line_factor[a].wedge(rho_factor.component(2 * (i - a) - 1))
+            trans = trans + base[a].curvature().wedge(rho_factor.component(2 * (i - a) - 1))
         result = base[i].add(DiffChar.from_form(trans, degree=2 * i))
+        if (result.harmonic.invariant_table(2 * i)
+                != expected_curvature[i].invariant_table(2 * i)):
+            raise ArithmeticError(f"underlying-class compatibility failed at index {i}")
         if result.curvature() != expected_curvature[i]:
             raise ArithmeticError(f"curvature compatibility failed at index {i}")
-        if result.harmonic != harmonic[i]:
-            raise ArithmeticError(f"underlying-class compatibility failed at index {i}")
         classes.append(result)
     return classes
 
@@ -312,10 +306,10 @@ def chern_class(cycle: KCycle, i: int) -> DiffChar:
     C(R) = prod_l (1 + F_l) ^ exp(L(d rho_t)).  Every index of a cycle
     is computed in one pass on the first call and kept on the cycle;
     that pass asserts, for every index, the two compatibility
-    postconditions: the curvature equals the universal polynomial of
-    the cycle curvature (a Newton pass, a different algorithm from the
-    product formula), and the harmonic part equals the symmetric
-    polynomial of the underlying integral data.
+    postconditions against the universal polynomial of the cycle
+    curvature (a Newton pass, a different algorithm from the product
+    formula): the harmonic part has its periods, so the underlying
+    integral class is the topological one, and the curvature equals it.
     """
     if i < 1:
         raise PreconditionError("class index must be >= 1")
@@ -420,7 +414,9 @@ def odd_chern_class(cycle: OddKCycle, i: int) -> DiffChar:
     """Odd-degree class: suspend, take the even class, integrate the circle.
 
     Only odd i with i <= n are admissible.  The harmonic part of the
-    result is checked against the direct winding-data computation.
+    result is checked against the winding data: each suspended harmonic
+    curvature has a dx_1 factor, so it is sum_j sum_l m_jl dx_l for
+    i = 1 and zero above.
     """
     if i < 1 or i % 2 == 0:
         raise PreconditionError("odd classes need an odd positive index")
@@ -428,13 +424,9 @@ def odd_chern_class(cycle: OddKCycle, i: int) -> DiffChar:
         raise PreconditionError(f"no degree-{i} classes on T^{cycle.n}")
     half = (i + 1) // 2
     result = chern_class(cycle.suspended(), half).integrate_circle(axis=1)
-    N = cycle.n + 1
-    windings = [TorusForm.from_harmonic(N, {(1, l + 1): m_l
-                                            for l, m_l in enumerate(winding, start=1)})
-                for winding, _ in cycle.components]
-    expected = elementary_symmetric(
-        windings, [TorusForm.const(N, 1)] + [TorusForm.zero(N)] * half,
-        TorusForm.wedge, add)[half]
-    if result.harmonic != expected.fiber_integrate_circle(1):
+    expected = TorusForm.zero(cycle.n) if i > 1 else TorusForm.from_harmonic(cycle.n, {
+        (l,): sum(column)
+        for l, column in enumerate(zip(*(winding for winding, _ in cycle.components)), 1)})
+    if result.harmonic != expected:
         raise ArithmeticError("odd-class periods disagree with the winding data")
     return result

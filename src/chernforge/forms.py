@@ -88,6 +88,14 @@ def _gauss_parts(value) -> tuple[int, int, int]:
             im_part.numerator * (den // im_part.denominator), den)
 
 
+def int_tuple(values) -> tuple[int, ...]:
+    """Integer data (a matrix row, a winding vector) as a tuple, never rounded."""
+    values = tuple(values)
+    if not all(isinstance(value, int) for value in values):
+        raise TypeError(f"expected integers, got {values!r}")
+    return values
+
+
 def _normalized(den: int, terms: dict) -> tuple[int, dict]:
     """Drop zero numerators and divide out gcd(den, all numerators)."""
     clean = {key: num for key, num in terms.items() if num[0] or num[1]}
@@ -443,7 +451,7 @@ class TorusForm:
         frequencies map by the transpose and dy_j expands to
         sum_l A[j][l] dx_l.  t data is carried through unchanged.
         """
-        rows = [tuple(int(v) for v in row) for row in matrix]
+        rows = [int_tuple(row) for row in matrix]
         if len(rows) != self.n:
             raise ValueError(f"matrix has {len(rows)} rows, expected {self.n}")
         m_src = len(rows[0]) if rows else 0

@@ -51,6 +51,13 @@ def collect(pairs, start=()) -> dict:
     return out
 
 
+def _rational(value) -> Fraction:
+    """An int or a Fraction as a Fraction; a float or a string raises."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 def mono_degree(mono: Mono) -> int:
     return sum(var[1] * exp for var, exp in mono)
 
@@ -143,7 +150,7 @@ class GradedPoly:
         clean: dict[Mono, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = _rational(coeff)
                 if coeff:
                     clean[mono] = coeff
         self.terms = clean
@@ -161,7 +168,7 @@ class GradedPoly:
 
     @classmethod
     def const(cls, value) -> "GradedPoly":
-        return cls({ONE_MONO: Fraction(value)})
+        return cls({ONE_MONO: value})
 
     @classmethod
     def var(cls, index: int, prime: int = 0) -> "GradedPoly":
@@ -190,8 +197,7 @@ class GradedPoly:
 
     def scale(self, value) -> "GradedPoly":
         """Multiply by a rational ``value``, an int or a Fraction."""
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"cannot scale a polynomial by {value!r}")
+        value = _rational(value)
         if not value:
             return GradedPoly()
         return GradedPoly._make({m: c * value for m, c in self.terms.items()})
@@ -288,7 +294,7 @@ class RootPoly:
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for expvec, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = _rational(coeff)
                 if coeff and sum(expvec) <= bound:
                     clean[expvec] = coeff
         self.terms = clean
@@ -302,7 +308,7 @@ class RootPoly:
 
     @classmethod
     def const(cls, k: int, bound: int, value) -> "RootPoly":
-        return cls(k, bound, {(0,) * k: Fraction(value)})
+        return cls(k, bound, {(0,) * k: value})
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -29,7 +29,7 @@ from .errors import ConfigError, PreconditionError
 from .forms import TorusForm, chern_transform
 from .generators import (rand_cycle, rand_form, rand_homogeneous,
                          rand_int_matrix, rand_integral_shift, rand_odd_cycle,
-                         rand_real_form)
+                         rand_odd_real_form, rand_real_form)
 from .symfun import (GradedPoly, RootPoly, chern_polynomial, expand_in_roots,
                      mono_degree, verify_sum_identity)
 
@@ -128,8 +128,6 @@ def suite_diagram(rng: Random, cases: int, degree: int) -> Checks:
         for i in range(1, n // 2 + 1):
             def check():
                 direct = chern_class(w, i)
-                if direct.curvature() != chern_transform(w.curvature(), i):
-                    return {"stage": "curvature square"}
                 via = chern_class_via_ch(w, i)
                 if not direct.same_class(via):
                     return {"stage": "route agreement", "detail": direct.discrepancy(via)}
@@ -139,16 +137,21 @@ def suite_diagram(rng: Random, cases: int, degree: int) -> Checks:
 
 def suite_paths(rng: Random, cases: int, degree: int) -> Checks:
     """Path independence of the transgression correction: the classes
-    along t^2 rho and (3t^2 - 2t^3) rho against those along t rho."""
+    along t^2 rho + t(1 - t) sigma and (3t^2 - 2t^3) rho + t(1 - t) sigma,
+    sigma a seeded odd form, against those along t rho.  A path q(t) rho
+    alone would store the same forms as t rho; the sigma bump leaves
+    the ray, so for i >= 2 the stored transgression may differ."""
     dims = [2, 3, 4]
     for index in range(cases):
         n = dims[index % len(dims)]
         w = rand_cycle(rng, n)
         while w.rho.is_zero():
             w = rand_cycle(rng, n)
+        sigma = rand_odd_real_form(rng, n)
+        bump = sigma.with_t().mul_t(1) - sigma.with_t().mul_t(2)
         quadratic = w.rho.with_t().mul_t(2)
-        paths = {"t^2": quadratic,
-                 "3t^2-2t^3": quadratic * 3 - w.rho.with_t().mul_t(3) * 2}
+        paths = {"t^2": quadratic + bump,
+                 "3t^2-2t^3": quadratic * 3 - w.rho.with_t().mul_t(3) * 2 + bump}
         # one class pass per path answers every index of it
         verdicts = cache(lambda label: check_path_independence(w, paths[label]))
         for i in range(1, n // 2 + 1):

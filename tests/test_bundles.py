@@ -44,6 +44,18 @@ def test_curvature_matrix_validation():
         LineBundle(2, beta=TorusForm.single(2, 1, freq=(1, 0), idx=(1,)))
 
 
+def test_integer_data_takes_only_ints():
+    # int() would store 1.5 as 1 and -1.9 as -1, an antisymmetric matrix
+    with pytest.raises(TypeError):
+        LineBundle(2, K=[[0, 1.5], [-1.9, 0]])
+    with pytest.raises(TypeError):
+        OddKCycle(2, [((1.7, '2'), None)])
+    line = LineBundle(2, K=[[0, 1], [-1, 0]])
+    with pytest.raises(TypeError):
+        line.pullback([[0.5, 0], [0, 1]])  # int() would give zero curvature
+    assert OddKCycle(2, [((1, -2), None)]).components[0][0] == (1, -2)
+
+
 def test_period_integrality_invariant():
     rng = Random(31)
     for _ in range(40):

@@ -7,6 +7,7 @@ import pytest
 from oracle import (chern_form, evaluate_chern_polynomial, path_transgressions,
                     subset_elementary_symmetric)
 
+from chernforge import diffchar
 from chernforge.bundles import DiagBundle, LineBundle, OddKCycle
 from chernforge.diffchar import (DiffChar, KCycle, _classes_along, chern_class,
                                  chern_class_via_ch, check_group_hom,
@@ -14,7 +15,7 @@ from chernforge.diffchar import (DiffChar, KCycle, _classes_along, chern_class,
                                  check_shift_invariance, cs_class,
                                  odd_chern_class, total_chern_class)
 from chernforge.errors import PreconditionError
-from chernforge.forms import TorusForm, chern_transform
+from chernforge.forms import TorusForm, chern_log, chern_transform
 from chernforge.generators import (rand_cycle, rand_int_matrix,
                                    rand_integral_shift, rand_line_bundle,
                                    rand_odd_cycle, rand_odd_real_form,
@@ -657,6 +658,45 @@ def test_odd_degree_three_seeded():
         suspended = KCycle(bundle, correction)
         even_curv = chern_transform(suspended.curvature(), 2)
         assert char.curvature() == even_curv.fiber_integrate_circle(1)
+
+
+# -- postconditions ------------------------------------------------------------------
+
+def test_the_period_postcondition_fires(monkeypatch):
+    # a doubled harmonic part in add moves the periods of every class
+    def doubled(self, other):
+        return DiffChar._make(self.n, self.degree, (self.harmonic + other.harmonic) * 2,
+                              self.trans + other.trans)
+
+    monkeypatch.setattr(DiffChar, "add", doubled)
+    with pytest.raises(ArithmeticError,
+                       match="^underlying-class compatibility failed at index 1$"):
+        chern_class(KCycle(DiagBundle.of(line_T2(1))), 1)
+
+
+def test_the_curvature_postcondition_fires(monkeypatch):
+    # a negated L(d rho_t) negates the transgression correction, which
+    # the curvature sees when d rho is not zero
+    monkeypatch.setattr(diffchar, "chern_log", lambda form, top: -chern_log(form, top))
+    cycle = KCycle(DiagBundle.of(line_T2(1)), sin_form(2, (1, 0), (2,)))
+    with pytest.raises(ArithmeticError, match="^curvature compatibility failed at index 1$"):
+        chern_class(cycle, 1)
+
+
+def test_the_winding_postcondition_fires(monkeypatch):
+    # clutching with the opposite sign is a consistent even cycle whose
+    # circle integral has the negated winding periods
+    suspend = OddKCycle.suspend
+
+    def flipped(self):
+        bundle, correction = suspend(self)
+        return DiagBundle([LineBundle(line.n, [[-v for v in row] for row in line.K])
+                           for line in bundle.lines]), correction
+
+    monkeypatch.setattr(OddKCycle, "suspend", flipped)
+    with pytest.raises(ArithmeticError,
+                       match="^odd-class periods disagree with the winding data$"):
+        odd_chern_class(OddKCycle.winding(2, (1, 0)), 1)
 
 
 # -- functoriality -------------------------------------------------------------------

@@ -188,6 +188,13 @@ def test_pullback_examples():
     assert mode.pullback([[3]]) == TorusForm.single(1, 1, freq=(3,), idx=())
 
 
+def test_pullback_takes_only_integer_matrices():
+    with pytest.raises(TypeError):
+        dx(2, 1).pullback([[1.5, 0], [0, 1]])  # int() would return dx_1
+    with pytest.raises(TypeError):
+        dx(1, 1).pullback([[Fraction(2)]])
+
+
 def test_pullback_commutes_with_d():
     rng = Random(13)
     for _ in range(80):

@@ -33,6 +33,20 @@ def test_scale_takes_only_rationals():
             s1.scale(bad)
 
 
+def test_coefficients_take_only_rationals():
+    assert GradedPoly.const(Fraction(1, 10)) == GradedPoly.const(1) * Fraction(1, 10)
+    assert RootPoly.const(1, 2, 3).terms == {(0,): 3}
+    for bad in (0.1, "1/3", (1, 0)):
+        with pytest.raises(TypeError):
+            GradedPoly.const(bad)
+        with pytest.raises(TypeError):
+            GradedPoly({((((0, 1)), 1),): bad})
+        with pytest.raises(TypeError):
+            RootPoly.const(1, 2, bad)
+        with pytest.raises(TypeError):
+            RootPoly(2, 3, {(1, 0): bad})
+
+
 def test_mul_examples():
     assert s1 * s1 == GradedPoly({((((0, 1)), 1),): 1}) * s1
     one = GradedPoly.const(1)
