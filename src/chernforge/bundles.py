@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .forms import TorusForm, int_tuple
-from .symfun import divided_powers
+from .symfun import divided_powers, rational
 
 
 def _check_antisymmetric(matrix: tuple[tuple[int, ...], ...], n: int):
@@ -43,9 +43,7 @@ class LineBundle:
             else tuple((0,) * n for _ in range(n))
         _check_antisymmetric(self.K, n)
         theta = tuple(theta) if theta is not None else (0,) * n
-        if not all(isinstance(v, (int, Fraction)) for v in theta):
-            raise TypeError(f"holonomy shifts must be ints or Fractions, got {theta!r}")
-        self.theta = tuple(Fraction(v) for v in theta)
+        self.theta = tuple(Fraction(rational(v)) for v in theta)
         if len(self.theta) != n:
             raise ValueError(f"holonomy vector must have length {n}")
         self.beta = beta if beta is not None else TorusForm.zero(n)

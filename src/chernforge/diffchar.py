@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from .bundles import KCycle, LineBundle, OddKCycle
 from .errors import PreconditionError
 from .forms import TorusForm, chern_log, chern_transforms
-from .symfun import divided_powers, elementary_symmetric, newton
+from .symfun import divided_powers, elementary_symmetric, newton, rational
 
 Subset = tuple[int, ...]
 
@@ -145,8 +145,7 @@ class DiffChar:
 
     def scale(self, value) -> "DiffChar":
         """Multiply by a rational ``value``, an int or a Fraction."""
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"cannot scale a character by {value!r}")
+        rational(value)
         return DiffChar._make(self.n, self.degree, self.harmonic * value,
                               self.trans * value)
 
@@ -256,9 +255,11 @@ def _classes_along(cycle: KCycle, rho_t: TorusForm) -> list[DiffChar]:
     curvature of e_a and has no t, so
     int_t C_k(R) = sum_(a<k) e_a ^ [int_t exp(L(d rho_t))]_(2(k-a)-1),
     with one divided-power pass and one fiber integration for all k.
-    Both compatibility postconditions are asserted for every index
-    against the Newton pass on the cycle curvature: the periods of the
-    harmonic part (exact forms have none), then the curvature.
+    Two postconditions are asserted for every index: the harmonic part
+    is integral, and the curvature equals the Newton pass on the cycle
+    curvature.  Equal curvatures have equal periods, since d adds no
+    translation-invariant term, so the curvature check also pins the
+    underlying class once it is integral.
     """
     n, top = cycle.n, cycle.n // 2
     # below T^2 a line has no degree-2 class, and the total class is [1]
@@ -279,9 +280,8 @@ def _classes_along(cycle: KCycle, rho_t: TorusForm) -> list[DiffChar]:
         for a in range(1, i):
             trans = trans + base[a].curvature().wedge(rho_factor.component(2 * (i - a) - 1))
         result = base[i].add(DiffChar.from_form(trans, degree=2 * i))
-        if (result.harmonic.invariant_table(2 * i)
-                != expected_curvature[i].invariant_table(2 * i)):
-            raise ArithmeticError(f"underlying-class compatibility failed at index {i}")
+        if not result.integral:
+            raise ArithmeticError(f"integrality failed at index {i}")
         if result.curvature() != expected_curvature[i]:
             raise ArithmeticError(f"curvature compatibility failed at index {i}")
         classes.append(result)
@@ -305,11 +305,11 @@ def chern_class(cycle: KCycle, i: int) -> DiffChar:
     path curvature; the correction is read off the product formula
     C(R) = prod_l (1 + F_l) ^ exp(L(d rho_t)).  Every index of a cycle
     is computed in one pass on the first call and kept on the cycle;
-    that pass asserts, for every index, the two compatibility
-    postconditions against the universal polynomial of the cycle
-    curvature (a Newton pass, a different algorithm from the product
-    formula): the harmonic part has its periods, so the underlying
-    integral class is the topological one, and the curvature equals it.
+    that pass asserts, for every index, that the harmonic part is
+    integral and that the curvature equals the universal polynomial of
+    the cycle curvature (a Newton pass, a different algorithm from the
+    product formula).  Together they make the underlying integral class
+    the topological one, whose periods the curvature carries.
     """
     if i < 1:
         raise PreconditionError("class index must be >= 1")

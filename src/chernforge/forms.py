@@ -19,7 +19,12 @@ index sets merge with ``|``, collide when ``&`` is non-zero, and the
 Koszul sign is a popcount parity (:func:`_koszul_sign`).  Every form is
 normalized on construction: no zero numerator is stored,
 gcd(den, every numerator) == 1 and the zero form has den == 1.  Equal
-forms therefore have equal storage, and equality is structural.
+forms therefore have equal storage, and equality is structural.  Zero
+numerators are dropped as sums are formed (:func:`_accumulate` deletes
+a key whose sum cancels), so a finished form is never scanned for them,
+and the gcd is divided out only when den > 1.  The terms grouped by
+index mask, which :meth:`TorusForm.wedge` reads, are built once and
+kept on the form.
 Coefficients enter as an int, a Fraction or an ``(re, im)`` pair of
 them and subtorus integrals leave :meth:`TorusForm.invariant_table` as
 ``(re, im)`` pairs of Fractions, so this storage is the only
@@ -46,7 +51,7 @@ from operator import add, neg
 import re
 from typing import Optional, Sequence
 
-from .symfun import collect, newton
+from .symfun import collect, newton, rational
 
 # Term key: (t_exponent, frequency vector, index-set bitmask).
 Key = tuple[int, tuple[int, ...], int]
@@ -77,12 +82,10 @@ def _gauss_parts(value) -> tuple[int, int, int]:
 
     ``value`` is an int, a Fraction or an ``(re, im)`` tuple of them.
     """
-    if isinstance(value, (int, Fraction)):
+    if not (isinstance(value, tuple) and len(value) == 2):
+        value = rational(value)
         return value.numerator, 0, value.denominator
-    if not (isinstance(value, tuple) and len(value) == 2
-            and all(isinstance(part, (int, Fraction)) for part in value)):
-        raise TypeError(f"cannot use {value!r} as a form coefficient")
-    re_part, im_part = value
+    re_part, im_part = map(rational, value)
     den = lcm(re_part.denominator, im_part.denominator)
     return (re_part.numerator * (den // re_part.denominator),
             im_part.numerator * (den // im_part.denominator), den)
@@ -97,17 +100,18 @@ def int_tuple(values) -> tuple[int, ...]:
 
 
 def _normalized(den: int, terms: dict) -> tuple[int, dict]:
-    """Drop zero numerators and divide out gcd(den, all numerators)."""
-    clean = {key: num for key, num in terms.items() if num[0] or num[1]}
-    if not clean:
-        return 1, clean
+    """Divide out gcd(den, all numerators); ``terms`` holds no zero numerator."""
+    if den == 1:
+        return den, terms
+    if not terms:
+        return 1, terms
     common = den
-    for re_num, im_num in clean.values():
+    for re_num, im_num in terms.values():
         common = gcd(common, re_num, im_num)
         if common == 1:
-            return den, clean
+            return den, terms
     return den // common, {key: (re_num // common, im_num // common)
-                           for key, (re_num, im_num) in clean.items()}
+                           for key, (re_num, im_num) in terms.items()}
 
 
 def _over_common_den(parts: dict) -> tuple[int, dict]:
@@ -118,12 +122,21 @@ def _over_common_den(parts: dict) -> tuple[int, dict]:
 
 
 def _accumulate(out: dict, pairs) -> dict:
-    """Add ``(re, im)`` pairs per key into ``out``."""
+    """Add ``(re, im)`` pairs per key into ``out``, which holds no zero pair.
+
+    A key whose sum cancels is deleted and a zero pair is never
+    inserted, so ``out`` still holds no zero pair afterwards.
+    """
     get = out.get
     for key, (re_num, im_num) in pairs:
         prev = get(key)
-        out[key] = (re_num, im_num) if prev is None \
-            else (prev[0] + re_num, prev[1] + im_num)
+        if prev is not None:
+            re_num += prev[0]
+            im_num += prev[1]
+        if re_num or im_num:
+            out[key] = (re_num, im_num)
+        elif prev is not None:
+            del out[key]
     return out
 
 
@@ -133,17 +146,18 @@ class TorusForm:
     Immutable by convention.  Stored in the normalized integer layout
     described in the module docstring, so equality of forms is equality
     of the stored data.  ``_transforms`` holds ``[1, C_1, ...]`` once
-    :func:`chern_transforms` has run on the form.
+    :func:`chern_transforms` has run on the form, and ``_groups`` the
+    terms grouped by index mask once :meth:`wedge` has read them.
     """
 
-    __slots__ = ("n", "has_t", "den", "terms", "_transforms")
+    __slots__ = ("n", "has_t", "den", "terms", "_transforms", "_groups")
 
     def __init__(self, n: int, terms: Optional[dict] = None, has_t: bool = False):
         if n < 0:
             raise ValueError("torus dimension must be >= 0")
         self.n = n
         self.has_t = bool(has_t)
-        self._transforms = None
+        self._transforms = self._groups = None
         parts: dict[Key, tuple[int, int, int]] = {}
         for key, coeff in (terms or {}).items():
             part = _gauss_parts(coeff)
@@ -165,18 +179,21 @@ class TorusForm:
 
     @classmethod
     def _make(cls, n: int, has_t: bool, den: int, terms: dict) -> "TorusForm":
-        # trusted constructor: keys must be valid and den positive
+        # trusted constructor: keys must be valid, den positive and no
+        # numerator zero (sums drop theirs in _accumulate)
         self = object.__new__(cls)
         self.n, self.has_t = n, has_t
         self.den, self.terms = _normalized(den, terms)
-        self._transforms = None
+        self._transforms = self._groups = None
         return self
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, n: int, has_t: bool = False) -> "TorusForm":
-        return cls(n, has_t=has_t)
+        if n < 0:
+            raise ValueError("torus dimension must be >= 0")
+        return cls._make(n, bool(has_t), 1, {})
 
     @classmethod
     def const(cls, n: int, coeff, has_t: bool = False) -> "TorusForm":
@@ -225,6 +242,8 @@ class TorusForm:
         self._compatible(other)
         if not other.terms:
             return self
+        if not self.terms:
+            return other
         den = lcm(self.den, other.den)
         terms = _accumulate(self._scaled(den // self.den),
                             other._scaled(den // other.den).items())
@@ -238,6 +257,8 @@ class TorusForm:
 
     def __mul__(self, scalar) -> "TorusForm":
         s_re, s_im, s_den = _gauss_parts(scalar)
+        if not (s_re or s_im):
+            return self.zero(self.n, self.has_t)
         if not s_im:
             terms = self._scaled(s_re)
         else:
@@ -248,42 +269,56 @@ class TorusForm:
     __rmul__ = __mul__
 
     def _by_mask(self) -> dict[int, list]:
-        groups: dict[int, list] = {}
-        for (m, freq, mask), num in self.terms.items():
-            groups.setdefault(mask, []).append((m, freq, num))
+        """``{mask: [(m, freq, (re, im)), ...]}``, built once and kept."""
+        groups = self._groups
+        if groups is None:
+            groups = self._groups = {}
+            for (m, freq, mask), num in self.terms.items():
+                groups.setdefault(mask, []).append((m, freq, num))
         return groups
 
     def wedge(self, other: "TorusForm") -> "TorusForm":
         """Graded-commutative product with the standard Koszul sign.
 
         Terms are grouped by index set, so the collision test and the
-        sign are computed once per pair of index sets.
+        sign are computed once per pair of index sets.  A product of
+        non-zero Gaussian integers is non-zero, so only a sum can
+        cancel.
         """
         self._compatible(other)
         zero_freq = (0,) * self.n
         right = other._by_mask()
-
-        def products():
-            for mask1, group1 in self._by_mask().items():
-                for mask2, group2 in right.items():
-                    if mask1 & mask2:
-                        continue
-                    sign = _koszul_sign(mask1, mask2)
-                    mask = mask1 | mask2
-                    for m1, k1, (a, b) in group1:
-                        if sign < 0:
-                            a, b = -a, -b
-                        for m2, k2, (c, d) in group2:
-                            if k2 == zero_freq:
-                                freq = k1
-                            elif k1 == zero_freq:
-                                freq = k2
+        out: dict = {}
+        get = out.get
+        for mask1, group1 in self._by_mask().items():
+            for mask2, group2 in right.items():
+                if mask1 & mask2:
+                    continue
+                sign = _koszul_sign(mask1, mask2)
+                mask = mask1 | mask2
+                for m1, k1, (a, b) in group1:
+                    if sign < 0:
+                        a, b = -a, -b
+                    for m2, k2, (c, d) in group2:
+                        if k2 == zero_freq:
+                            freq = k1
+                        elif k1 == zero_freq:
+                            freq = k2
+                        else:
+                            freq = tuple(map(add, k1, k2))
+                        key = (m1 + m2, freq, mask)
+                        re_num, im_num = a * c - b * d, a * d + b * c
+                        prev = get(key)
+                        if prev is None:
+                            out[key] = (re_num, im_num)
+                        else:
+                            re_num += prev[0]
+                            im_num += prev[1]
+                            if re_num or im_num:
+                                out[key] = (re_num, im_num)
                             else:
-                                freq = tuple(map(add, k1, k2))
-                            yield (m1 + m2, freq, mask), (a * c - b * d, a * d + b * c)
-
-        return self._make(self.n, self.has_t, self.den * other.den,
-                          _accumulate({}, products()))
+                                del out[key]
+        return self._make(self.n, self.has_t, self.den * other.den, out)
 
     def d(self) -> "TorusForm":
         """Exterior derivative on the stored (Chern-normalized) data."""
@@ -367,8 +402,7 @@ class TorusForm:
         """Restrict a t-extended form to the slice t = value, an int or a Fraction."""
         if not self.has_t:
             raise ValueError("restrict_t needs a t-extended form")
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"cannot restrict to t = {value!r}")
+        value = rational(value)
         p, q = value.numerator, value.denominator
         kept = [(key, num) for key, num in self.terms.items() if not key[2] & 1]
         top = max((key[0] for key, _ in kept), default=0)
@@ -439,7 +473,7 @@ class TorusForm:
             (mask, num) for (_, freq, mask), num in self.terms.items()
             if mask in positions and not any(freq[p] for p in positions[mask])))
         return {_indices(mask): (Fraction(re_sum, self.den), Fraction(im_sum, self.den))
-                for mask, (re_sum, im_sum) in sums.items() if re_sum or im_sum}
+                for mask, (re_sum, im_sum) in sums.items()}
 
     # -- pullback ---------------------------------------------------------
 
@@ -576,7 +610,7 @@ def parse_form(text: str, n: Optional[int] = None,
         terms.append(((m, freq, idx), coeff))
     if has_t is None:
         has_t = saw_t
-    # duplicate terms add up; the constructor drops those that cancel
+    # duplicate terms add up and those that cancel are dropped
     return TorusForm(n, _accumulate({}, terms), has_t=has_t)
 
 

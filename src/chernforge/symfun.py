@@ -51,11 +51,16 @@ def collect(pairs, start=()) -> dict:
     return out
 
 
-def _rational(value) -> Fraction:
-    """An int or a Fraction as a Fraction; a float or a string raises."""
+def rational(value):
+    """``value`` itself if it is exact, an int or a Fraction.
+
+    Anything else, a float or a string included, raises TypeError, so
+    no input is ever rounded or parsed.  The one check for exact
+    rational inputs, here and in forms, characters and bundles.
+    """
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"expected an int or a Fraction, got {value!r}")
-    return Fraction(value)
+    return value
 
 
 def mono_degree(mono: Mono) -> int:
@@ -150,7 +155,7 @@ class GradedPoly:
         clean: dict[Mono, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = _rational(coeff)
+                coeff = Fraction(rational(coeff))
                 if coeff:
                     clean[mono] = coeff
         self.terms = clean
@@ -197,7 +202,7 @@ class GradedPoly:
 
     def scale(self, value) -> "GradedPoly":
         """Multiply by a rational ``value``, an int or a Fraction."""
-        value = _rational(value)
+        value = Fraction(rational(value))
         if not value:
             return GradedPoly()
         return GradedPoly._make({m: c * value for m, c in self.terms.items()})
@@ -294,7 +299,7 @@ class RootPoly:
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for expvec, coeff in terms.items():
-                coeff = _rational(coeff)
+                coeff = Fraction(rational(coeff))
                 if coeff and sum(expvec) <= bound:
                     clean[expvec] = coeff
         self.terms = clean

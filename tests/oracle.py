@@ -8,10 +8,10 @@ independent.
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd, lcm
 from operator import add
 
-from chernforge.forms import TorusForm, chern_transform, chern_transforms
+from chernforge.forms import TorusForm, _koszul_sign, chern_transform, chern_transforms
 from chernforge.symfun import RootPoly, chern_polynomial, elementary_symmetric
 
 
@@ -118,3 +118,94 @@ def path_transgressions(cycle, rho_t: TorusForm) -> list:
     curv_path = cycle.bundle.chern_character().with_t() + rho_t.d()
     return [None] + [form.fiber_integrate_t()
                      for form in chern_transforms(curv_path, cycle.n // 2)[1:]]
+
+
+# -- reference forms kernel ------------------------------------------------------
+#
+# The wedge, exterior derivative and sum of the forms kernel as first
+# written: every product or derivative term goes through a generator
+# into a plain per-key sum, zero sums included, and the result is
+# rescanned to drop zero numerators and divide out the gcd.  Each
+# returns the normalized ``(den, terms)`` of the result, to be compared
+# with a kernel form's stored ``(den, terms)``.
+
+def reference_normalized(den: int, terms: dict) -> tuple[int, dict]:
+    """Drop zero numerators and divide out gcd(den, all numerators)."""
+    clean = {key: num for key, num in terms.items() if num[0] or num[1]}
+    if not clean:
+        return 1, clean
+    common = den
+    for re_num, im_num in clean.values():
+        common = gcd(common, re_num, im_num)
+        if common == 1:
+            return den, clean
+    return den // common, {key: (re_num // common, im_num // common)
+                           for key, (re_num, im_num) in clean.items()}
+
+
+def _reference_accumulate(out: dict, pairs) -> dict:
+    for key, (re_num, im_num) in pairs:
+        prev = out.get(key)
+        out[key] = (re_num, im_num) if prev is None \
+            else (prev[0] + re_num, prev[1] + im_num)
+    return out
+
+
+def _reference_scaled(form: TorusForm, factor: int) -> dict:
+    return {key: (re_num * factor, im_num * factor)
+            for key, (re_num, im_num) in form.terms.items()}
+
+
+def reference_add(a: TorusForm, b: TorusForm) -> tuple[int, dict]:
+    den = lcm(a.den, b.den)
+    terms = _reference_accumulate(_reference_scaled(a, den // a.den),
+                                  _reference_scaled(b, den // b.den).items())
+    return reference_normalized(den, terms)
+
+
+def reference_wedge(a: TorusForm, b: TorusForm) -> tuple[int, dict]:
+    zero_freq = (0,) * a.n
+
+    def by_mask(form):
+        groups = {}
+        for (m, freq, mask), num in form.terms.items():
+            groups.setdefault(mask, []).append((m, freq, num))
+        return groups
+
+    right = by_mask(b)
+
+    def products():
+        for mask1, group1 in by_mask(a).items():
+            for mask2, group2 in right.items():
+                if mask1 & mask2:
+                    continue
+                sign = _koszul_sign(mask1, mask2)
+                mask = mask1 | mask2
+                for m1, k1, (p, q) in group1:
+                    if sign < 0:
+                        p, q = -p, -q
+                    for m2, k2, (r, s) in group2:
+                        if k2 == zero_freq:
+                            freq = k1
+                        elif k1 == zero_freq:
+                            freq = k2
+                        else:
+                            freq = tuple(map(add, k1, k2))
+                        yield (m1 + m2, freq, mask), (p * r - q * s, p * s + q * r)
+
+    return reference_normalized(a.den * b.den, _reference_accumulate({}, products()))
+
+
+def reference_d(form: TorusForm) -> tuple[int, dict]:
+    def derivatives():
+        for (m, freq, mask), (re_num, im_num) in form.terms.items():
+            if m > 0 and not mask & 1:
+                yield (m - 1, freq, mask | 1), (m * re_num, m * im_num)
+            for j, kj in enumerate(freq, start=1):
+                bit = 1 << j
+                if kj == 0 or mask & bit:
+                    continue
+                scale = kj * _koszul_sign(bit, mask)
+                yield (m, freq, mask | bit), (-im_num * scale, re_num * scale)
+
+    return reference_normalized(form.den, _reference_accumulate({}, derivatives()))

@@ -662,15 +662,28 @@ def test_odd_degree_three_seeded():
 
 # -- postconditions ------------------------------------------------------------------
 
-def test_the_period_postcondition_fires(monkeypatch):
-    # a doubled harmonic part in add moves the periods of every class
+def test_the_integrality_postcondition_fires(monkeypatch):
+    # a halved harmonic part in add leaves c_1 of a degree-1 line with
+    # period 1/4, which the curvature check would also see, but later
+    def halved(self, other):
+        return DiffChar._make(self.n, self.degree,
+                              (self.harmonic + other.harmonic) * Fraction(1, 2),
+                              self.trans + other.trans)
+
+    monkeypatch.setattr(DiffChar, "add", halved)
+    with pytest.raises(ArithmeticError, match="^integrality failed at index 1$"):
+        chern_class(KCycle(DiagBundle.of(line_T2(1))), 1)
+
+
+def test_a_doubled_harmonic_fails_the_curvature_postcondition(monkeypatch):
+    # a doubled harmonic part in add is integral, but moves the periods
+    # of every class, which the curvature carries
     def doubled(self, other):
         return DiffChar._make(self.n, self.degree, (self.harmonic + other.harmonic) * 2,
                               self.trans + other.trans)
 
     monkeypatch.setattr(DiffChar, "add", doubled)
-    with pytest.raises(ArithmeticError,
-                       match="^underlying-class compatibility failed at index 1$"):
+    with pytest.raises(ArithmeticError, match="^curvature compatibility failed at index 1$"):
         chern_class(KCycle(DiagBundle.of(line_T2(1))), 1)
 
 

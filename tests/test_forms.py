@@ -6,7 +6,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import evaluate_chern_polynomial, total_chern_transform
+from oracle import (evaluate_chern_polynomial, reference_add, reference_d, reference_wedge,
+                    total_chern_transform)
 
 from chernforge.forms import (TorusForm, _koszul_sign, chern_log, chern_transform,
                               chern_transforms, parse_form)
@@ -571,3 +572,67 @@ def test_scaling_round_trip_and_text_round_trip_seeded():
         assert (a - a).den == 1
         assert scaled * (1 / q) == a
         assert parse_form(a.to_text(), n=n, has_t=has_t) == a
+
+
+# -- the kernel against its reference, and its storage invariants -----------------
+
+def _stored(form):
+    return form.den, form.terms
+
+
+def test_kernel_matches_the_reference_kernel_seeded():
+    rng = Random(31)
+    for case in range(120):
+        n = case % 6
+        has_t = case % 12 >= 6
+        a = rand_form(rng, n, 6, has_t=has_t) + rand_form(rng, n, 6, has_t=has_t)
+        b = rand_form(rng, n, 6, has_t=has_t) * (Fraction(2, 3), Fraction(-1, 5))
+        zero = TorusForm.zero(n, has_t)
+        # the last two pairs cancel completely: (a + b) - b and a^b - a^b
+        for x, y in ((a, b), (b, a), (a, zero), (a + b, -b), (a.wedge(b), (-a).wedge(b))):
+            assert _stored(x + y) == reference_add(x, y)
+            assert _stored(x.wedge(y)) == reference_wedge(x, y)
+        for x in (a, a.d(), b.wedge(a)):
+            assert _stored(x.d()) == reference_d(x)
+        assert (a + b) - b == a
+        assert (a.wedge(b) + (-a).wedge(b)).is_zero()
+        assert a.d().d().is_zero()
+
+
+def _assert_stored_invariants(form):
+    numerators = [x for num in form.terms.values() for x in num]
+    assert all(re_num or im_num for re_num, im_num in form.terms.values())
+    assert form.den > 0 and gcd(form.den, *numerators) == 1
+    if form.is_zero():
+        assert form.den == 1
+    # a wedge reads the mask groups and keeps them on the form
+    form.wedge(TorusForm.const(form.n, 1, has_t=form.has_t))
+    groups = {}
+    for (m, freq, mask), num in form.terms.items():
+        groups.setdefault(mask, []).append((m, freq, num))
+    assert form._groups == groups
+
+
+def test_every_operation_stores_normalized_terms_seeded():
+    rng = Random(37)
+    for case in range(60):
+        n = 1 + case % 5
+        # t^m terms for m = 0..3, so slices at t = 0 drop some of them
+        a = rand_form(rng, n, 6, has_t=True) + rand_form(rng, n, 4, has_t=True).mul_t(1)
+        b = rand_form(rng, n, 6, has_t=True)
+        flat = a.restrict_t(Fraction(1, 2)) + rand_form(rng, n, 4)
+        vector = [rng.randint(-2, 2) for _ in range(n)]
+        singular = [[rng.randint(-1, 1) * v for v in vector] for _ in range(n)]
+        results = [
+            a + b, a - b, a - a, -a, (a + b) - b, a + TorusForm.zero(n, True),
+            a.wedge(b), a.wedge(b) + (-a).wedge(b), a.d(), a.d().d(),
+            a * 0, a * (0, 0), a * Fraction(0), a * (Fraction(1, 2), Fraction(-2, 3)),
+            a * (0, 3), a * Fraction(6, 5), flat * (Fraction(5, 4), 2),
+            a.restrict_t(0), a.restrict_t(1), a.restrict_t(Fraction(2, 3)),
+            a.fiber_integrate_t(), flat.fiber_integrate_circle(1 + case % n),
+            flat.pullback(singular), a.pullback(singular),
+            a.mul_t(2), flat.with_t(), a.with_t(), TorusForm.zero(n, True),
+        ] + [a.component(k) for k in range(n + 2)]
+        for result in results:
+            _assert_stored_invariants(result)
+        assert a * 0 == a * (0, 0) == TorusForm.zero(n, True)

@@ -20,6 +20,22 @@ def test_quick_plan_passes_every_suite():
     assert verdicts == ["PASS"] * 9
 
 
+def test_layer_times_outputs_are_unchanged():
+    # the checksum over every layer's output, pinned before the forms
+    # kernel dropped zero sums as they accumulate and kept mask groups
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / "layer_times.py"),
+                             "--repeats", "1"], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    layers = re.findall(r"^(\w+) +[0-9.]+ ms", result.stdout, re.M)
+    assert layers == ["wedge", "d", "add", "chern_transforms", "cup", "chern_class"]
+    assert result.stdout.splitlines()[-1] == (
+        "checksum ae9ab0fa4d37c15c748a425be77e537c471a7734fb194569823ffc1f10277c3f")
+
+
 def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs",
                                                   ROOT / "scripts" / "bench_pairs.py")
