@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Time each layer of the stack on fixed seeded operands, with a checksum.
 
-Usage: python scripts/layer_times.py [--repeats N] [--seed S]
+Usage: python scripts/layer_times.py [--repeats N]
 
 The layers, bottom up: ``TorusForm.wedge``, ``TorusForm.d``,
 ``TorusForm.__add__``, ``chern_transforms``, ``DiffChar.cup`` and
-``chern_class``.  Each repeat draws the same operands afresh from the
-seed, untimed, so nothing that a form or a cycle keeps from an earlier
+``chern_class``.  Each repeat draws the same operands afresh from
+``SEED``, untimed, so nothing that a form or a cycle keeps from an earlier
 call is reused; then each layer runs over its whole batch once, timed.
 One line per layer gives the median batch time over the repeats in
 milliseconds, and the last line is one sha256 over the ``to_text()``
@@ -27,6 +27,7 @@ from chernforge.diffchar import DiffChar, chern_class, cs_class
 from chernforge.forms import chern_transforms
 from chernforge.generators import rand_cycle, rand_form, rand_homogeneous, rand_line_bundle
 
+SEED = 1
 DIMENSIONS = (4, 5, 6)
 PER_DIMENSION = 6
 
@@ -80,7 +81,6 @@ LAYERS = (
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error(f"--repeats must be >= 1, got {args.repeats}")
@@ -88,7 +88,7 @@ def main() -> int:
     times = {name: [] for name, _ in LAYERS}
     digest = None
     for _ in range(args.repeats):
-        operands = draw(args.seed)
+        operands = draw(SEED)
         outputs = []
         for name, layer in LAYERS:
             start = time.perf_counter()

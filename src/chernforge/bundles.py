@@ -43,7 +43,7 @@ class LineBundle:
             else tuple((0,) * n for _ in range(n))
         _check_antisymmetric(self.K, n)
         theta = tuple(theta) if theta is not None else (0,) * n
-        self.theta = tuple(Fraction(rational(v)) for v in theta)
+        self.theta = tuple(rational(v) for v in theta)
         if len(self.theta) != n:
             raise ValueError(f"holonomy vector must have length {n}")
         self.beta = beta if beta is not None else TorusForm.zero(n)

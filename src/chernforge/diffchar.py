@@ -145,7 +145,7 @@ class DiffChar:
 
     def scale(self, value) -> "DiffChar":
         """Multiply by a rational ``value``, an int or a Fraction."""
-        rational(value)
+        value = rational(value)
         return DiffChar._make(self.n, self.degree, self.harmonic * value,
                               self.trans * value)
 

@@ -99,6 +99,12 @@ def int_tuple(values) -> tuple[int, ...]:
     return values
 
 
+def _dimension(n: int) -> int:
+    if n < 0:
+        raise ValueError("torus dimension must be >= 0")
+    return n
+
+
 def _normalized(den: int, terms: dict) -> tuple[int, dict]:
     """Divide out gcd(den, all numerators); ``terms`` holds no zero numerator."""
     if den == 1:
@@ -153,9 +159,7 @@ class TorusForm:
     __slots__ = ("n", "has_t", "den", "terms", "_transforms", "_groups")
 
     def __init__(self, n: int, terms: Optional[dict] = None, has_t: bool = False):
-        if n < 0:
-            raise ValueError("torus dimension must be >= 0")
-        self.n = n
+        self.n = _dimension(n)
         self.has_t = bool(has_t)
         self._transforms = self._groups = None
         parts: dict[Key, tuple[int, int, int]] = {}
@@ -191,9 +195,7 @@ class TorusForm:
 
     @classmethod
     def zero(cls, n: int, has_t: bool = False) -> "TorusForm":
-        if n < 0:
-            raise ValueError("torus dimension must be >= 0")
-        return cls._make(n, bool(has_t), 1, {})
+        return cls._make(_dimension(n), bool(has_t), 1, {})
 
     @classmethod
     def const(cls, n: int, coeff, has_t: bool = False) -> "TorusForm":
@@ -281,44 +283,33 @@ class TorusForm:
         """Graded-commutative product with the standard Koszul sign.
 
         Terms are grouped by index set, so the collision test and the
-        sign are computed once per pair of index sets.  A product of
-        non-zero Gaussian integers is non-zero, so only a sum can
-        cancel.
+        sign are computed once per pair of index sets.
         """
         self._compatible(other)
         zero_freq = (0,) * self.n
         right = other._by_mask()
-        out: dict = {}
-        get = out.get
-        for mask1, group1 in self._by_mask().items():
-            for mask2, group2 in right.items():
-                if mask1 & mask2:
-                    continue
-                sign = _koszul_sign(mask1, mask2)
-                mask = mask1 | mask2
-                for m1, k1, (a, b) in group1:
-                    if sign < 0:
-                        a, b = -a, -b
-                    for m2, k2, (c, d) in group2:
-                        if k2 == zero_freq:
-                            freq = k1
-                        elif k1 == zero_freq:
-                            freq = k2
-                        else:
-                            freq = tuple(map(add, k1, k2))
-                        key = (m1 + m2, freq, mask)
-                        re_num, im_num = a * c - b * d, a * d + b * c
-                        prev = get(key)
-                        if prev is None:
-                            out[key] = (re_num, im_num)
-                        else:
-                            re_num += prev[0]
-                            im_num += prev[1]
-                            if re_num or im_num:
-                                out[key] = (re_num, im_num)
+
+        def products():
+            for mask1, group1 in self._by_mask().items():
+                for mask2, group2 in right.items():
+                    if mask1 & mask2:
+                        continue
+                    sign = _koszul_sign(mask1, mask2)
+                    mask = mask1 | mask2
+                    for m1, k1, (a, b) in group1:
+                        if sign < 0:
+                            a, b = -a, -b
+                        for m2, k2, (c, d) in group2:
+                            if k2 == zero_freq:
+                                freq = k1
+                            elif k1 == zero_freq:
+                                freq = k2
                             else:
-                                del out[key]
-        return self._make(self.n, self.has_t, self.den * other.den, out)
+                                freq = tuple(map(add, k1, k2))
+                            yield (m1 + m2, freq, mask), (a * c - b * d, a * d + b * c)
+
+        return self._make(self.n, self.has_t, self.den * other.den,
+                          _accumulate({}, products()))
 
     def d(self) -> "TorusForm":
         """Exterior derivative on the stored (Chern-normalized) data."""

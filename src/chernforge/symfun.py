@@ -51,8 +51,8 @@ def collect(pairs, start=()) -> dict:
     return out
 
 
-def rational(value):
-    """``value`` itself if it is exact, an int or a Fraction.
+def rational(value) -> Fraction:
+    """An int or a Fraction as a Fraction.
 
     Anything else, a float or a string included, raises TypeError, so
     no input is ever rounded or parsed.  The one check for exact
@@ -60,7 +60,7 @@ def rational(value):
     """
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"expected an int or a Fraction, got {value!r}")
-    return value
+    return Fraction(value)
 
 
 def mono_degree(mono: Mono) -> int:
@@ -155,7 +155,7 @@ class GradedPoly:
         clean: dict[Mono, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = Fraction(rational(coeff))
+                coeff = rational(coeff)
                 if coeff:
                     clean[mono] = coeff
         self.terms = clean
@@ -202,7 +202,7 @@ class GradedPoly:
 
     def scale(self, value) -> "GradedPoly":
         """Multiply by a rational ``value``, an int or a Fraction."""
-        value = Fraction(rational(value))
+        value = rational(value)
         if not value:
             return GradedPoly()
         return GradedPoly._make({m: c * value for m, c in self.terms.items()})
@@ -299,7 +299,7 @@ class RootPoly:
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for expvec, coeff in terms.items():
-                coeff = Fraction(rational(coeff))
+                coeff = rational(coeff)
                 if coeff and sum(expvec) <= bound:
                     clean[expvec] = coeff
         self.terms = clean
