@@ -5,7 +5,8 @@ Usage: python scripts/layer_times.py [--repeats N]
 
 The layers, bottom up: ``TorusForm.wedge``, ``TorusForm.d``,
 ``TorusForm.__add__``, ``chern_transforms``, ``DiffChar.cup`` and
-``chern_class``.  Each repeat draws the same operands afresh from
+``chern_class``, then the text boundary of a request:
+``parse_form(f.to_text(), f.n, f.has_t)`` over every wedge operand.  Each repeat draws the same operands afresh from
 ``SEED``, untimed, so nothing that a form or a cycle keeps from an earlier
 call is reused; then each layer runs over its whole batch once, timed.
 One line per layer gives the median batch time over the repeats in
@@ -24,7 +25,7 @@ import time
 from random import Random
 
 from chernforge.diffchar import DiffChar, chern_class, cs_class
-from chernforge.forms import chern_transforms
+from chernforge.forms import chern_transforms, parse_form
 from chernforge.generators import rand_cycle, rand_form, rand_homogeneous, rand_line_bundle
 
 SEED = 1
@@ -57,6 +58,8 @@ def draw(seed: int) -> dict:
             operands["cup"].append((left, right.cup(cs_class(rand_line_bundle(rng, n)))
                                     if n >= 6 and rng.random() < 0.5 else right))
             operands["chern_class"].append((rand_cycle(rng, n, max_rank=2), n // 2))
+    # drawn from no random numbers, so the other layers' operands stay as they were
+    operands["text"] = [(form,) for pair in operands["wedge"] for form in pair]
     return operands
 
 
@@ -75,6 +78,7 @@ LAYERS = (
     ("chern_transforms", chern_transforms),
     ("cup", DiffChar.cup),
     ("chern_class", chern_class),
+    ("text", lambda form: parse_form(form.to_text(), form.n, form.has_t)),
 )
 
 

@@ -29,7 +29,11 @@ Coefficients enter as an int, a Fraction or an ``(re, im)`` pair of
 them and subtorus integrals leave :meth:`TorusForm.invariant_table` as
 ``(re, im)`` pairs of Fractions, so this storage is the only
 Gaussian-rational type.  Tuple index sets appear only at the boundary:
-the public constructor, parsing, invariant tables and text.
+the public constructor, parsing, invariant tables and text.  Text
+leaves :meth:`TorusForm.to_text` without Fraction objects, each
+numerator reduced against ``den`` by one gcd, and :func:`parse_form`
+reads each coefficient as ints, making a Fraction only when its
+denominator is not 1.
 
 Orientation conventions, pinned by the interval Stokes identity
 d(int_t a) + int_t(d a) = a|_{t=1} - a|_{t=0}:
@@ -46,6 +50,7 @@ and are kept on the form they were computed from.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial, gcd, lcm
 from operator import add, neg
 import re
@@ -73,6 +78,7 @@ def _koszul_sign(a: int, b: int) -> int:
     return -1 if overlaps.bit_count() & 1 else 1
 
 
+@cache
 def _indices(mask: int) -> tuple[int, ...]:
     return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
@@ -80,11 +86,17 @@ def _indices(mask: int) -> tuple[int, ...]:
 def _gauss_parts(value) -> tuple[int, int, int]:
     """(re, im, den) with value == (re + im*i) / den and den the least.
 
-    ``value`` is an int, a Fraction or an ``(re, im)`` tuple of them.
+    ``value`` is an int, a Fraction or an ``(re, im)`` tuple of them;
+    an int or a pair of ints is taken as it is.
     """
+    if type(value) is int:
+        return value, 0, 1
     if not (isinstance(value, tuple) and len(value) == 2):
         value = rational(value)
         return value.numerator, 0, value.denominator
+    re_part, im_part = value
+    if type(re_part) is int and type(im_part) is int:
+        return re_part, im_part, 1
     re_part, im_part = map(rational, value)
     den = lcm(re_part.denominator, im_part.denominator)
     return (re_part.numerator * (den // re_part.denominator),
@@ -247,8 +259,10 @@ class TorusForm:
         if not self.terms:
             return other
         den = lcm(self.den, other.den)
+        factor = den // other.den
+        # other's terms are only read, so they are copied only to scale them
         terms = _accumulate(self._scaled(den // self.den),
-                            other._scaled(den // other.den).items())
+                            (other.terms if factor == 1 else other._scaled(factor)).items())
         return self._make(self.n, self.has_t, den, terms)
 
     def __neg__(self) -> "TorusForm":
@@ -520,7 +534,8 @@ class TorusForm:
         lines = []
         for idx, t_exp, freq, (re_num, im_num) in rows:
             sign = "-" if im_num < 0 else "+"
-            parts = [f"({Fraction(re_num, self.den)}{sign}{Fraction(abs(im_num), self.den)}i)"]
+            parts = [f"({_ratio_text(re_num, self.den)}{sign}"
+                     f"{_ratio_text(abs(im_num), self.den)}i)"]
             if t_exp:
                 parts.append(f"t^{t_exp}")
             parts.append("exp[" + ",".join(str(v) for v in freq) + "]")
@@ -531,6 +546,23 @@ class TorusForm:
     def __repr__(self):
         flat = "; ".join(self.to_text().splitlines())
         return f"TorusForm(T^{self.n}{'+t' if self.has_t else ''}: {flat})"
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """``num/den`` in lowest terms, as ``str(Fraction(num, den))`` renders it."""
+    common = gcd(num, den)
+    if common == den:
+        return str(num // den)
+    return f"{num // common}/{den // common}"
+
+
+def _ratio(token: str, piece: str):
+    """A coefficient token ``p`` or ``p/q`` as an int, or as a Fraction when q != 1."""
+    num, _, den = token.partition("/")
+    den = int(den or 1)
+    if not den:
+        raise ValueError(f"zero denominator in form term: {piece!r}")
+    return int(num) if den == 1 else Fraction(int(num), den)
 
 
 _TERM_RE = re.compile(
@@ -584,10 +616,7 @@ def parse_form(text: str, n: Optional[int] = None,
         if not match:
             raise ValueError(f"bad form term: {piece!r}")
         re_part, im_part, t_exp, freq_part, idx_part = match.groups()
-        try:
-            coeff = (Fraction(re_part), Fraction(im_part.replace(" ", "")))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in form term: {piece!r}") from None
+        coeff = (_ratio(re_part, piece), _ratio(im_part.replace(" ", ""), piece))
         freq = tuple(int(v) for v in freq_part.split(",")) if freq_part.strip() else ()
         idx_items = [s.strip() for s in idx_part.split(",") if s.strip()]
         idx = tuple(0 if s == "t" else int(s) for s in idx_items)

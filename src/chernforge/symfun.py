@@ -52,13 +52,15 @@ def collect(pairs, start=()) -> dict:
 
 
 def rational(value) -> Fraction:
-    """An int or a Fraction as a Fraction.
+    """An int or a Fraction as a Fraction; a Fraction is returned as it is.
 
     Anything else, a float or a string included, raises TypeError, so
     no input is ever rounded or parsed.  The one check for exact
     rational inputs, here and in forms, characters and bundles.
     """
-    if not isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
+        return value
+    if not isinstance(value, int):
         raise TypeError(f"expected an int or a Fraction, got {value!r}")
     return Fraction(value)
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -250,12 +254,41 @@ def test_verify_rejects_bad_case_count(capsys, cases):
      "chernforge verify: error: argument --cases: must be >= 1, got 0\n"),
     (["chern"],
      "chernforge chern: error: the following arguments are required: --config\n"),
-])
+], ids=["cases-zero", "chern-without-config"])
 def test_usage_error_is_one_stderr_line(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == message
     assert captured.out == ""
+
+
+def test_the_cached_parser_carries_no_state_between_requests(config_path, capsys):
+    requests = [["chern", "--config", config_path], ["chern"],
+                ["verify", "--suite", "whitney", "--cases", "1"], ["--help"]]
+
+    def serve(fresh_parser):
+        cli.build_parser.cache_clear()
+        served = []
+        for argv in requests:
+            if fresh_parser:
+                cli.build_parser.cache_clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            served.append((code, captured.out, captured.err))
+        return served
+
+    assert serve(fresh_parser=False) == serve(fresh_parser=True)
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_the_parser_is_not_built_at_import():
+    # the benchmark's setup_s times the import
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    code = ("import chernforge.cli as cli; "
+            "assert cli.build_parser.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_degree_only_on_verify(config_path, capsys):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from oracle import (evaluate_chern_polynomial, reference_add, reference_d, reference_wedge,
                     total_chern_transform)
 
-from chernforge.forms import (TorusForm, _koszul_sign, chern_log, chern_transform,
-                              chern_transforms, parse_form)
+from chernforge.forms import (TorusForm, _koszul_sign, _ratio_text, chern_log,
+                              chern_transform, chern_transforms, parse_form)
 from chernforge.generators import (rand_form, rand_frequency, rand_homogeneous,
                                    rand_int_matrix, rand_phase, rand_real_form)
 from chernforge.symfun import divided_powers
@@ -470,6 +470,26 @@ def test_to_text_folds_imaginary_sign():
     assert TorusForm.const(0, 1).to_text() == "(1+0i) exp[] d{}"
     assert TorusForm.const(0, (0, 1)).to_text() == "(0+1i) exp[] d{}"
     assert TorusForm.const(0, (-2, Fraction(-1, 6))).to_text() == "(-2-1/6i) exp[] d{}"
+
+
+def test_to_text_renders_coefficients_as_fraction_does():
+    for den in range(1, 13):
+        for num in range(-3 * den, 3 * den + 1):
+            assert _ratio_text(num, den) == str(Fraction(num, den))
+    # one shared den of 12, numerators 3 and -2, each reduced on its own
+    shared = TorusForm.const(0, (Fraction(1, 4), Fraction(-1, 6)))
+    assert shared.to_text() == "(1/4-1/6i) exp[] d{}"
+    assert TorusForm.const(0, (Fraction(-3, 2), 0)).to_text() == "(-3/2+0i) exp[] d{}"
+
+
+def test_parse_form_reads_coefficient_tokens():
+    assert parse_form("(6/1-4/1i) exp[1] d{1}") == parse_form("(6-4i) exp[1] d{1}")
+    assert parse_form("(-0/4+0/7i) exp[1] d{1}", n=1).is_zero()
+    assert parse_form("(1/2 + 3/4i) exp[1] d{1}") == TorusForm.single(
+        1, (Fraction(1, 2), Fraction(3, 4)), freq=(1,), idx=(1,))
+    for text in ("(3/0+0i) exp[1] d{1}", "(1- 2/0i) exp[1] d{1}"):
+        with pytest.raises(ValueError, match="zero denominator in form term"):
+            parse_form(text)
 
 
 def test_parse_form_sums_duplicates_and_drops_cancelled_terms():

@@ -21,8 +21,8 @@ def test_quick_plan_passes_every_suite():
 
 
 def test_layer_times_outputs_are_unchanged():
-    # the checksum over every layer's output, pinned before the forms
-    # kernel dropped zero sums as they accumulate and kept mask groups
+    # the checksum over every layer's output, the text layer included,
+    # pinned before the text boundary stopped making Fraction objects
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -31,9 +31,10 @@ def test_layer_times_outputs_are_unchanged():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
     layers = re.findall(r"^(\w+) +[0-9.]+ ms", result.stdout, re.M)
-    assert layers == ["wedge", "d", "add", "chern_transforms", "cup", "chern_class"]
+    assert layers == ["wedge", "d", "add", "chern_transforms", "cup", "chern_class",
+                      "text"]
     assert result.stdout.splitlines()[-1] == (
-        "checksum ae9ab0fa4d37c15c748a425be77e537c471a7734fb194569823ffc1f10277c3f")
+        "checksum 21e0c2a2dbfd0a5920e2388a2100926e505411d0a0e83b564c6dfb3ec9a148a7")
 
 
 def load_bench_pairs():

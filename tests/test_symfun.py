@@ -11,7 +11,7 @@ from oracle import brute_character_component, brute_elementary_symmetric
 from chernforge.symfun import (GradedPoly, RootPoly, ch_from_chern,
                                chern_polynomial, collect, divided_powers,
                                elementary_symmetric, expand_in_roots,
-                               mono_degree, newton, total_chern_truncated,
+                               mono_degree, newton, rational, total_chern_truncated,
                                verify_sum_identity)
 
 s1 = GradedPoly.var(1)
@@ -31,6 +31,15 @@ def test_scale_takes_only_rationals():
     for bad in (0.1, "1/3", (1, 0)):
         with pytest.raises(TypeError):
             s1.scale(bad)
+
+
+def test_rational_returns_a_fraction_as_it_is():
+    value = Fraction(2, 3)
+    assert rational(value) is value
+    assert type(rational(3)) is Fraction and rational(3) == 3
+    for bad in (0.5, "1/3"):
+        with pytest.raises(TypeError):
+            rational(bad)
 
 
 def test_coefficients_take_only_rationals():
