@@ -118,8 +118,8 @@ class DiagBundle:
         return cls(lines)
 
     @classmethod
-    def trivial(cls, n: int, rank: int = 1) -> "DiagBundle":
-        return cls([LineBundle.flat(n) for _ in range(rank)])
+    def trivial(cls, n: int) -> "DiagBundle":
+        return cls([LineBundle.flat(n)])
 
     def direct_sum(self, other: "DiagBundle") -> "DiagBundle":
         if self.n != other.n:

@@ -24,8 +24,7 @@ import sys
 from .config import Config, parse_config
 from .diffchar import chern_class, odd_chern_class
 from .errors import ConfigError, PreconditionError
-from .verify import (DEFAULT_DEGREE, DEGREE_SUITES, MAX_DEGREE, SUITES,
-                     check_degree, run_suite)
+from .verify import SUITES, run_suite
 
 
 class _OutputError(Exception):
@@ -156,7 +155,7 @@ def _cmd_chern(args) -> int:
         raise PreconditionError(f"T^{cycle.n} carries no even classes")
     classes = [_class_entry(i, chern_class(cycle, i)) for i in indices]
     report = {"command": "chern", "dim": cycle.n, "classes": classes}
-    _emit(report, args.format or config.fmt or "text", args.out)
+    _emit(report, args.format, args.out)
     return 0
 
 
@@ -166,20 +165,14 @@ def _cmd_odd(args) -> int:
     indices = config.indices or [i for i in range(1, cycle.n + 1, 2)]
     classes = [_class_entry(i, odd_chern_class(cycle, i)) for i in indices]
     report = {"command": "odd", "dim": cycle.n, "classes": classes}
-    _emit(report, args.format or config.fmt or "text", args.out)
+    _emit(report, args.format, args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}",
-              file=sys.stderr)
-        return 2
-    if args.suite in DEGREE_SUITES:
-        check_degree(args.degree)
-    suite = run_suite(args.suite, seed=args.seed, cases=args.cases, degree=args.degree)
+    suite = run_suite(args.suite, seed=args.seed, cases=args.cases)
     report = {"command": "verify", "suite": suite}
-    _emit(report, args.format or "text", args.out)
+    _emit(report, args.format, args.out)
     return 0 if suite["ok"] else 1
 
 
@@ -206,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default=None)
+    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--out", metavar="PATH", default=None,
                         help="write the report to a file instead of stdout")
 
@@ -222,13 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", parents=[common],
                             help="run a named verification suite")
-    verify.add_argument("--suite", required=True, metavar="NAME")
+    verify.add_argument("--suite", required=True, choices=sorted(SUITES), metavar="NAME")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--cases", type=_case_count, default=None,
                         help="number of seeded cases (at least 1)")
-    verify.add_argument("--degree", type=int, default=DEFAULT_DEGREE,
-                        help=f"truncation degree of the polynomial suites, "
-                             f"1 to {MAX_DEGREE} (default {DEFAULT_DEGREE})")
     verify.set_defaults(func=_cmd_verify)
     return parser
 

@@ -47,7 +47,6 @@ def _cycle_data():
 class Config:
     dim: Optional[int] = None
     indices: list[int] = field(default_factory=list)
-    fmt: Optional[str] = None
     lines: list[LineSpec] = field(default_factory=list)
     rho: Optional[TorusForm] = None
     components: list[ComponentSpec] = field(default_factory=list)
@@ -114,9 +113,6 @@ def _parse_form_value(value: str, dim: Optional[int], lineno: int) -> TorusForm:
         raise ConfigError(str(exc), lineno) from None
 
 
-_TOP_KEYS = {"dim", "format", "indices"}
-
-
 def parse_config(text: str) -> Config:
     config = Config()
     section: Optional[str] = None
@@ -146,16 +142,12 @@ def parse_config(text: str) -> Config:
             raise ConfigError("expected 'key = value'", lineno, raw.index(raw.strip()[0]) + 1)
         key, value = (part.strip() for part in line.split("=", 1))
         if section is None:
-            if key not in _TOP_KEYS:
-                raise ConfigError(f"unknown key {key!r}", lineno)
             if key == "dim":
                 config.dim = _parse_int(value, lineno)
-            elif key == "format":
-                if value not in ("text", "json", "csv"):
-                    raise ConfigError(f"unknown format {value!r}", lineno)
-                config.fmt = value
             elif key == "indices":
                 config.indices = _parse_int_list(value, lineno)
+            else:
+                raise ConfigError(f"unknown key {key!r}", lineno)
         elif section == "line":
             if key == "K":
                 current_line.K = _parse_matrix(value, lineno)
@@ -191,8 +183,6 @@ def serialize_config(config: Config) -> str:
     out = [f"dim = {config.dim}"]
     if config.indices:
         out.append("indices = " + " ".join(str(i) for i in config.indices))
-    if config.fmt is not None:
-        out.append(f"format = {config.fmt}")
     for spec in config.lines:
         out.append("")
         out.append("[line]")

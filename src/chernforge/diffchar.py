@@ -126,10 +126,9 @@ class DiffChar:
         """Holonomy mod 1 over every (d-1)-subtorus, zero ones included."""
         if self.degree == 0:
             return {}
-        integrals = self.trans.invariant_table(self.degree - 1)
-        table = {}
-        for subset in combinations(range(1, self.n + 1), self.degree - 1):
-            re_part, im_part = integrals.get(subset, (Fraction(0), Fraction(0)))
+        table = dict.fromkeys(combinations(range(1, self.n + 1), self.degree - 1),
+                              Fraction(0))
+        for subset, (re_part, im_part) in self.trans.invariant_table(self.degree - 1).items():
             if im_part:
                 raise ArithmeticError("holonomy of a real transgression must be real")
             table[subset] = re_part % 1
@@ -182,8 +181,8 @@ class DiffChar:
         return DiffChar._make(harmonic.n, self.degree, harmonic,
                               self.trans.pullback(matrix))
 
-    def integrate_circle(self, axis: int = 1) -> "DiffChar":
-        """Integrate over a circle coordinate, degree dropping by one.
+    def integrate_circle(self) -> "DiffChar":
+        """Integrate over the circle coordinate 1, degree dropping by one.
 
         The underlying-class data integrates with the front Koszul sign.
         The transgression has odd degree, so it carries the degree twist
@@ -194,8 +193,8 @@ class DiffChar:
         if self.degree < 1:
             raise PreconditionError("cannot integrate a degree-0 character")
         return DiffChar._make(self.n - 1, self.degree - 1,
-                              self.harmonic.fiber_integrate_circle(axis),
-                              -(self.trans.fiber_integrate_circle(axis)))
+                              self.harmonic.fiber_integrate_circle(1),
+                              -(self.trans.fiber_integrate_circle(1)))
 
     # -- comparison ----------------------------------------------------------
 
@@ -295,6 +294,13 @@ def _chern_classes(cycle: KCycle) -> list[DiffChar]:
     return cycle._classes
 
 
+def _check_even_index(cycle: KCycle, i: int):
+    if i < 1:
+        raise PreconditionError("class index must be >= 1")
+    if 2 * i > cycle.n:
+        raise PreconditionError(f"no degree-{2 * i} classes on T^{cycle.n}")
+
+
 def chern_class(cycle: KCycle, i: int) -> DiffChar:
     """The degree-2i differential Chern class of a cycle.
 
@@ -311,10 +317,7 @@ def chern_class(cycle: KCycle, i: int) -> DiffChar:
     product formula).  Together they make the underlying integral class
     the topological one, whose periods the curvature carries.
     """
-    if i < 1:
-        raise PreconditionError("class index must be >= 1")
-    if 2 * i > cycle.n:
-        raise PreconditionError(f"no degree-{2 * i} classes on T^{cycle.n}")
+    _check_even_index(cycle, i)
     return _chern_classes(cycle)[i]
 
 
@@ -329,11 +332,8 @@ def chern_class_via_ch(cycle: KCycle, i: int) -> DiffChar:
     come out integral, which is asserted.  Contract: agrees with
     :func:`chern_class` as characters.
     """
+    _check_even_index(cycle, i)
     n = cycle.n
-    if i < 1:
-        raise PreconditionError("class index must be >= 1")
-    if 2 * i > n:
-        raise PreconditionError(f"no degree-{2 * i} classes on T^{n}")
     if cycle._via_ch is None:
         top = n // 2
         comps = [DiffChar.from_form(cycle.rho.component(2 * j - 1), degree=2 * j)
@@ -423,7 +423,7 @@ def odd_chern_class(cycle: OddKCycle, i: int) -> DiffChar:
     if i > cycle.n:
         raise PreconditionError(f"no degree-{i} classes on T^{cycle.n}")
     half = (i + 1) // 2
-    result = chern_class(cycle.suspended(), half).integrate_circle(axis=1)
+    result = chern_class(cycle.suspended(), half).integrate_circle()
     expected = TorusForm.zero(cycle.n) if i > 1 else TorusForm.from_harmonic(cycle.n, {
         (l,): sum(column)
         for l, column in enumerate(zip(*(winding for winding, _ in cycle.components)), 1)})

@@ -17,19 +17,19 @@ from .forms import TorusForm
 MAX_CURVATURE = 3
 MAX_DENOMINATOR = 12
 MAX_MODES = 4
+MAX_T_EXPONENT = 2
 
 
-def rand_fraction(rng: Random, max_num: int = 3,
-                  max_den: int = MAX_DENOMINATOR) -> Fraction:
-    return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+def rand_fraction(rng: Random, max_num: int = 3) -> Fraction:
+    return Fraction(rng.randint(-max_num, max_num), rng.randint(1, MAX_DENOMINATOR))
 
 
-def rand_frequency(rng: Random, n: int, spread: int = 1) -> tuple[int, ...]:
-    """A non-zero vector in [-spread, spread]^n; none exists for n or spread < 1."""
-    if n < 1 or spread < 1:
-        raise ValueError(f"no non-zero frequency vector on T^{n} with spread {spread}")
+def rand_frequency(rng: Random, n: int) -> tuple[int, ...]:
+    """A non-zero vector in [-1, 1]^n; none exists for n < 1."""
+    if n < 1:
+        raise ValueError(f"no non-zero frequency vector on T^{n}")
     while True:
-        freq = tuple(rng.randint(-spread, spread) for _ in range(n))
+        freq = tuple(rng.randint(-1, 1) for _ in range(n))
         if any(freq):
             return freq
 
@@ -44,7 +44,7 @@ def _add_term(terms: dict, key, re_part: Fraction, im_part: Fraction):
 
 
 def rand_form(rng: Random, n: int, max_terms: int = MAX_MODES,
-              has_t: bool = False, max_t_exp: int = 2) -> TorusForm:
+              has_t: bool = False) -> TorusForm:
     """General (complex) form with a handful of small Fourier modes."""
     terms = {}
     indices = list(range(0 if has_t else 1, n + 1))
@@ -55,13 +55,13 @@ def rand_form(rng: Random, n: int, max_terms: int = MAX_MODES,
         freq = tuple(rng.randint(-1, 1) for _ in range(n))
         size = rng.randint(0, min(len(indices), 3))
         idx = tuple(sorted(rng.sample(indices, size)))
-        t_exp = rng.randint(0, max_t_exp) if has_t else 0
+        t_exp = rng.randint(0, MAX_T_EXPONENT) if has_t else 0
         _add_term(terms, (t_exp, freq, idx), re_part, im_part)
     return TorusForm(n, terms, has_t=has_t)
 
 
 def rand_homogeneous(rng: Random, n: int, degree: int, max_terms: int = 3,
-                     has_t: bool = False, max_t_exp: int = 2) -> TorusForm:
+                     has_t: bool = False) -> TorusForm:
     """Complex form of one pure degree (dt counts toward the degree)."""
     indices = list(range(0 if has_t else 1, n + 1))
     if degree > len(indices):
@@ -73,7 +73,7 @@ def rand_homogeneous(rng: Random, n: int, degree: int, max_terms: int = 3,
             continue
         idx = tuple(sorted(rng.sample(indices, degree)))
         freq = tuple(rng.randint(-1, 1) for _ in range(n))
-        t_exp = rng.randint(0, max_t_exp) if has_t else 0
+        t_exp = rng.randint(0, MAX_T_EXPONENT) if has_t else 0
         _add_term(terms, (t_exp, freq, idx), re_part, im_part)
     return TorusForm(n, terms, has_t=has_t)
 
@@ -126,16 +126,15 @@ def rand_odd_real_form(rng: Random, n: int, max_modes: int = 2) -> TorusForm:
     return total
 
 
-def rand_cycle(rng: Random, n: int, max_rank: int = 3,
-               with_rho: bool = True) -> KCycle:
-    rho = rand_odd_real_form(rng, n) if with_rho else TorusForm.zero(n)
+def rand_cycle(rng: Random, n: int, max_rank: int = 3) -> KCycle:
+    rho = rand_odd_real_form(rng, n)  # drawn first: each seed's case stream depends on it
     return KCycle(rand_bundle(rng, n, max_rank), rho)
 
 
-def rand_phase(rng: Random, n: int, max_modes: int = 2) -> TorusForm:
+def rand_phase(rng: Random, n: int) -> TorusForm:
     """Real sine polynomial: no constant mode and vanishing at the basepoint."""
     total = TorusForm.zero(n)
-    for _ in range(rng.randint(0, max_modes)):
+    for _ in range(rng.randint(0, 2)):
         freq = rand_frequency(rng, n)
         amp = rand_fraction(rng)
         if not amp:
@@ -147,17 +146,16 @@ def rand_phase(rng: Random, n: int, max_modes: int = 2) -> TorusForm:
     return total
 
 
-def rand_odd_cycle(rng: Random, n: int, max_components: int = 2) -> OddKCycle:
+def rand_odd_cycle(rng: Random, n: int) -> OddKCycle:
     components = []
-    for _ in range(rng.randint(1, max_components)):
+    for _ in range(rng.randint(1, 2)):
         winding = tuple(rng.randint(-MAX_CURVATURE, MAX_CURVATURE) for _ in range(n))
         components.append((winding, rand_phase(rng, n)))
     return OddKCycle(n, components)
 
 
-def rand_int_matrix(rng: Random, target_dim: int, source_dim: int,
-                    spread: int = 2) -> list[list[int]]:
-    return [[rng.randint(-spread, spread) for _ in range(source_dim)]
+def rand_int_matrix(rng: Random, target_dim: int, source_dim: int) -> list[list[int]]:
+    return [[rng.randint(-2, 2) for _ in range(source_dim)]
             for _ in range(target_dim)]
 
 

@@ -1,9 +1,11 @@
 """Named verification suites over seeded pseudo-random instances.
 
-A suite is a generator: given a seeded ``Random``, a case count and a
-truncation degree, it draws its cases in a fixed order and yields
+A suite is a generator ``suite(rng, cases)``: given a seeded ``Random``
+and a case count, it draws its cases in a fixed order and yields
 ``(label, check)`` pairs, where ``check()`` returns ``None`` when the
 property holds and a dict of failure detail when it does not.
+``newton`` and ``multiplicativity`` draw nothing and run up to the
+fixed truncation degree ``DEGREE``.
 :func:`run_suite` is the one loop over checks.  It runs each check as
 soon as it is yielded, counts it, records an exception raised by a
 check (or while drawing a case, which ends the stream) as a failing
@@ -25,7 +27,6 @@ from .bundles import OddKCycle
 from .diffchar import (chern_class, chern_class_via_ch, check_group_hom,
                        check_path_independence, check_shift_invariance,
                        odd_chern_class)
-from .errors import ConfigError, PreconditionError
 from .forms import TorusForm, chern_transform
 from .generators import (rand_cycle, rand_form, rand_homogeneous,
                          rand_int_matrix, rand_integral_shift, rand_odd_cycle,
@@ -33,28 +34,10 @@ from .generators import (rand_cycle, rand_form, rand_homogeneous,
 from .symfun import (GradedPoly, RootPoly, chern_polynomial, expand_in_roots,
                      mono_degree, verify_sum_identity)
 
-DEFAULT_DEGREE = 8
-# At 16, newton takes about 0.2 s and multiplicativity about 0.7 s
-# (Python 3.11, one 2-core Xeon); the sum identity grows with the
-# number of partitions up to the degree.
-MAX_DEGREE = 16
-# the suites that read the truncation degree; the others ignore it
-DEGREE_SUITES = ("newton", "multiplicativity")
+# the truncation degree of newton and multiplicativity
+DEGREE = 8
 
 Checks = Iterator[tuple[str, Callable[[], Optional[dict]]]]
-
-
-def check_degree(degree: int) -> int:
-    """The truncation degree of the polynomial suites, if in range.
-
-    Below 1 is an input error (:class:`ConfigError`); above
-    ``MAX_DEGREE`` is a precondition error, the documented cap.
-    """
-    if degree < 1:
-        raise ConfigError(f"degree must be >= 1, got {degree}")
-    if degree > MAX_DEGREE:
-        raise PreconditionError(f"degree {degree} exceeds the cap {MAX_DEGREE}")
-    return degree
 
 
 def _verdict(holds: bool, **detail) -> Optional[dict]:
@@ -68,7 +51,7 @@ def _brute_elementary_symmetric(i: int, k: int) -> RootPoly:
                            for subset in combinations(range(k), i)})
 
 
-def suite_newton(rng: Random, cases: int, degree: int) -> Checks:
+def suite_newton(rng: Random, cases: int) -> Checks:
     """Root-expansion oracle for the universal polynomials."""
     s1, s2, s3 = (GradedPoly.var(j) for j in (1, 2, 3))
     expected_low = {
@@ -79,25 +62,25 @@ def suite_newton(rng: Random, cases: int, degree: int) -> Checks:
     for i, poly in expected_low.items():
         yield f"closed form at i={i}", lambda: _verdict(
             chern_polynomial(i) == poly, got=chern_polynomial(i).render())
-    for i in range(1, degree + 1):
+    for i in range(1, DEGREE + 1):
         k = i + 2
         yield f"root expansion at i={i}", lambda: _verdict(
             expand_in_roots(chern_polynomial(i), k, i) == _brute_elementary_symmetric(i, k),
             k=k)
 
 
-def suite_multiplicativity(rng: Random, cases: int, degree: int) -> Checks:
-    """Total-class sum identity at every truncation up to ``degree``.
+def suite_multiplicativity(rng: Random, cases: int) -> Checks:
+    """Total-class sum identity at every truncation up to ``DEGREE``.
 
     s_i -> s_i + s'_i preserves degree and products only raise it, so
-    the discrepancy at a bound is the one at ``degree`` cut to degree
+    the discrepancy at a bound is the one at ``DEGREE`` cut to degree
     <= bound: the identity is computed once, on the first check.
     """
     @cache
     def top_discrepancy() -> GradedPoly:
-        return verify_sum_identity(degree)[1]
+        return verify_sum_identity(DEGREE)[1]
 
-    for bound in range(1, degree + 1):
+    for bound in range(1, DEGREE + 1):
         def check():
             diff = GradedPoly({mono: coeff for mono, coeff in top_discrepancy().terms.items()
                                if mono_degree(mono) <= bound})
@@ -105,7 +88,7 @@ def suite_multiplicativity(rng: Random, cases: int, degree: int) -> Checks:
         yield f"sum identity at N={bound}", check
 
 
-def suite_whitney(rng: Random, cases: int, degree: int) -> Checks:
+def suite_whitney(rng: Random, cases: int) -> Checks:
     """Group-homomorphism property of the total class on cycle pairs."""
     for n, count in ((4, cases), (6, max(1, cases // 5))):
         for index in range(count):
@@ -117,7 +100,7 @@ def suite_whitney(rng: Random, cases: int, degree: int) -> Checks:
             yield f"whitney T^{n} case {index}", check
 
 
-def suite_diagram(rng: Random, cases: int, degree: int) -> Checks:
+def suite_diagram(rng: Random, cases: int) -> Checks:
     """Curvature / underlying-class compatibility plus the two-route
     agreement, over seeded cycles of dimension up to 6.  The
     compatibility and integrality postconditions raise."""
@@ -135,7 +118,7 @@ def suite_diagram(rng: Random, cases: int, degree: int) -> Checks:
             yield f"diagram case {index} i={i}", check
 
 
-def suite_paths(rng: Random, cases: int, degree: int) -> Checks:
+def suite_paths(rng: Random, cases: int) -> Checks:
     """Path independence of the transgression correction: the classes
     along t^2 rho + t(1 - t) sigma and (3t^2 - 2t^3) rho + t(1 - t) sigma,
     sigma a seeded odd form, against those along t rho.  A path q(t) rho
@@ -160,7 +143,7 @@ def suite_paths(rng: Random, cases: int, degree: int) -> Checks:
                        lambda: _verdict(verdicts(label)[i]))
 
 
-def suite_gauge(rng: Random, cases: int, degree: int) -> Checks:
+def suite_gauge(rng: Random, cases: int) -> Checks:
     """Invariance of the classes under exact and integral form shifts."""
     dims = [2, 3, 4]
     for index in range(cases):
@@ -177,7 +160,7 @@ def suite_gauge(rng: Random, cases: int, degree: int) -> Checks:
                        lambda: _verdict(verdicts(label)[i]))
 
 
-def suite_odd(rng: Random, cases: int, degree: int) -> Checks:
+def suite_odd(rng: Random, cases: int) -> Checks:
     """Odd classes: winding periods and the suspension bookkeeping."""
     for m in range(-3, 4):
         def winding():
@@ -197,7 +180,7 @@ def suite_odd(rng: Random, cases: int, degree: int) -> Checks:
             yield f"odd class case {index} i={i}", odd_class
 
 
-def suite_naturality(rng: Random, cases: int, degree: int) -> Checks:
+def suite_naturality(rng: Random, cases: int) -> Checks:
     """Pullback naturality of the form transform and of the classes."""
     for index in range(cases):
         n = rng.choice([2, 3, 4])
@@ -220,7 +203,7 @@ def suite_naturality(rng: Random, cases: int, degree: int) -> Checks:
                     chern_class(w.pullback(matrix), i)))
 
 
-def suite_calculus(rng: Random, cases: int, degree: int) -> Checks:
+def suite_calculus(rng: Random, cases: int) -> Checks:
     """Structural identities of the form calculus."""
     for index in range(cases):
         n = rng.choice([1, 2, 3, 4])
@@ -263,8 +246,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0, cases: int | None = None,
-              degree: int = DEFAULT_DEGREE) -> dict:
+def run_suite(name: str, seed: int = 0, cases: int | None = None) -> dict:
     """Run every check of suite ``name`` on the case stream of ``seed``.
 
     A check that raises fails with ``error`` set to the exception type
@@ -274,7 +256,7 @@ def run_suite(name: str, seed: int = 0, cases: int | None = None,
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
     suite, default_cases = SUITES[name]
-    stream = suite(Random(seed), default_cases if cases is None else cases, degree)
+    stream = suite(Random(seed), default_cases if cases is None else cases)
     checks, failures = 0, []
     while True:
         label = f"drawing the case of check {checks + 1}"

@@ -8,8 +8,7 @@ import pytest
 
 from chernforge import cli
 from chernforge.cli import main
-from chernforge.errors import ConfigError, PreconditionError
-from chernforge.verify import MAX_DEGREE, check_degree
+from chernforge.verify import SUITES
 
 BASIC = """\
 dim = 2
@@ -136,45 +135,14 @@ def test_verify_seed_changes_stream(capsys):
     assert json.loads(one)["suite"]["ok"] and json.loads(two)["suite"]["ok"]
 
 
-@pytest.mark.parametrize("flag, code", [
-    ("0", 2),
-    ("-2", 2),
-    (str(MAX_DEGREE + 1), 3),
-])
-def test_degree_out_of_range(capsys, flag, code):
-    # the range is checked before a suite starts, so the cap case runs nothing
-    for suite in ("newton", "multiplicativity"):
-        assert main(["verify", "--suite", suite, "--degree", flag]) == code
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert "degree" in captured.err
-
-
-@pytest.mark.parametrize("suite", ["calculus", "paths"])
-def test_degree_ignored_outside_polynomial_suites(capsys, suite):
-    # suites that never read the degree run whatever its value
-    assert main(["verify", "--suite", suite, "--cases", "1", "--degree", "0"]) == 0
-    assert "verdict: PASS" in capsys.readouterr().out
-
-
 def test_the_environment_sets_no_degree(capsys, monkeypatch):
     monkeypatch.setenv("CHERNFORGE_DEGREE", "junk")
     assert main(["verify", "--suite", "multiplicativity", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["suite"]["checks"] == 8
 
 
-def test_degree_range_ends():
-    assert check_degree(1) == 1
-    assert check_degree(MAX_DEGREE) == MAX_DEGREE
-    with pytest.raises(ConfigError):
-        check_degree(0)
-    with pytest.raises(PreconditionError):
-        check_degree(MAX_DEGREE + 1)
-
-
 def test_verify_text_report(capsys):
-    assert main(["verify", "--suite", "newton", "--degree", "4"]) == 0
+    assert main(["verify", "--suite", "newton"]) == 0
     out = capsys.readouterr().out
     assert "verdict: PASS" in out
 
@@ -254,7 +222,12 @@ def test_verify_rejects_bad_case_count(capsys, cases):
      "chernforge verify: error: argument --cases: must be >= 1, got 0\n"),
     (["chern"],
      "chernforge chern: error: the following arguments are required: --config\n"),
-], ids=["cases-zero", "chern-without-config"])
+    (["verify", "--suite", "nope"],
+     "chernforge verify: error: argument --suite: invalid choice: 'nope' "
+     f"(choose from {', '.join(map(repr, sorted(SUITES)))})\n"),
+    (["verify", "--suite", "newton", "--degree", "8"],
+     "chernforge: error: unrecognized arguments: --degree 8\n"),
+], ids=["cases-zero", "chern-without-config", "unknown-suite", "degree-flag"])
 def test_usage_error_is_one_stderr_line(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -289,10 +262,6 @@ def test_the_parser_is_not_built_at_import():
     code = ("import chernforge.cli as cli; "
             "assert cli.build_parser.cache_info().currsize == 0")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
-
-
-def test_degree_only_on_verify(config_path, capsys):
-    assert main(["chern", "--config", config_path, "--degree", "4"]) == 2
 
 
 @pytest.mark.parametrize("command, name", [("chern", "chern_class"),

@@ -11,7 +11,6 @@ EXAMPLE = """\
 # line bundle with curvature 3 and a holonomy shift
 dim = 2
 indices = 1
-format = json
 
 [line]
 K = 0 3 / -3 0
@@ -31,7 +30,6 @@ def test_parse_example():
     config = parse_config(EXAMPLE)
     assert config.dim == 2
     assert config.indices == [1]
-    assert config.fmt == "json"
     assert len(config.lines) == 1
     assert config.lines[0].K == [[0, 3], [-3, 0]]
     assert config.lines[0].theta == [Fraction(1, 3), Fraction(0)]
@@ -96,9 +94,9 @@ def test_missing_dim():
         parse_config("indices = 1\n")
 
 
-@pytest.mark.parametrize("key", ["degree", "seed", "cases"])
+@pytest.mark.parametrize("key", ["degree", "seed", "cases", "format"])
 def test_unread_keys_are_unknown(key):
-    # no command reads these, so the grammar does not accept them
+    # no command reads these from a config, so the grammar does not accept them
     with pytest.raises(ConfigError) as err:
         parse_config(f"dim = 2\n{key} = 9\n")
     assert err.value.line == 2

@@ -259,7 +259,7 @@ def test_cup_commutative_as_classes():
 
 def test_integrate_circle_harmonic():
     char = DiffChar(2, 2, TorusForm.volume(2) * 3)
-    reduced = char.integrate_circle(axis=1)
+    reduced = char.integrate_circle()
     assert reduced.degree == 1 and reduced.n == 1
     assert reduced.harmonic == dx(1, 1) * 3
 
@@ -275,7 +275,7 @@ def test_integrate_circle_commutes_with_curvature():
             harmonic[(2, 3)] = Fraction(rng.randint(-2, 2))
         trans = rand_real_form(rng, n, 1)
         char = DiffChar(n, 2, TorusForm.from_harmonic(n, harmonic), trans)
-        reduced = char.integrate_circle(axis=1)
+        reduced = char.integrate_circle()
         assert reduced.curvature() == char.curvature().fiber_integrate_circle(1)
 
 
@@ -284,7 +284,7 @@ def test_integrate_circle_on_form_characters_carries_degree_twist():
     for _ in range(20):
         rho = rand_real_form(rng, 3, 1)
         char = DiffChar.from_form(rho, degree=2)
-        reduced = char.integrate_circle(axis=1)
+        reduced = char.integrate_circle()
         twisted = DiffChar.from_form(-(rho.fiber_integrate_circle(1)), degree=1)
         assert reduced.trans == twisted.trans
         assert reduced.same_class(twisted)
@@ -294,7 +294,7 @@ def test_integrate_circle_kills_pulled_back_characters():
     base = cs_class(line_T2(2, theta=(Fraction(1, 3), 0)))
     lift = base.pullback([[0, 1, 0], [0, 0, 1]])  # projection forgetting x1
     assert lift.n == 3
-    reduced = lift.integrate_circle(axis=1)
+    reduced = lift.integrate_circle()
     assert reduced.same_class(DiffChar.zero(2, 1))
 
 

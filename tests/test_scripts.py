@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from chernforge.verify import SUITES
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "run_verify_suites.py"
 
@@ -17,7 +19,12 @@ def test_quick_plan_passes_every_suite():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
     verdicts = re.findall(r"^\w+ +(PASS|FAIL) +checks=", result.stdout, re.M)
-    assert verdicts == ["PASS"] * 9
+    assert verdicts == ["PASS"] * len(SUITES)
+
+
+def test_full_plan_names_every_suite_in_order():
+    plan = load_script("run_verify_suites").FULL_PLAN
+    assert [name for name, _ in plan] == list(SUITES)
 
 
 def test_layer_times_outputs_are_unchanged():
@@ -37,16 +44,15 @@ def test_layer_times_outputs_are_unchanged():
         "checksum 21e0c2a2dbfd0a5920e2388a2100926e505411d0a0e83b564c6dfb3ec9a148a7")
 
 
-def load_bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs",
-                                                  ROOT / "scripts" / "bench_pairs.py")
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_bench_pairs_verdicts():
-    judge = load_bench_pairs().judge
+    judge = load_script("bench_pairs").judge
     base = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
     faster = [0.75 * v for v in base]
     gain = judge(base, faster, "lower", 0.25)

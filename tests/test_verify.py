@@ -107,9 +107,9 @@ def test_multiplicativity_computes_the_identity_once_and_cuts_it_per_bound(monke
         return False, planted
 
     monkeypatch.setattr(verify, "verify_sum_identity", fake)
-    report = verify.run_suite("multiplicativity", degree=5)
-    assert bounds == [5]
-    assert (report["checks"], report["failures"]) == (5, 3)
+    report = verify.run_suite("multiplicativity")
+    assert bounds == [8]
+    assert (report["checks"], report["failures"]) == (8, 6)
     assert report["first_counterexample"] == {"check": "sum identity at N=3",
                                               "discrepancy": planted.render()}
 
