@@ -6,14 +6,17 @@ Usage: python scripts/layer_times.py [--repeats N]
 The layers, bottom up: ``TorusForm.wedge``, ``TorusForm.d``,
 ``TorusForm.__add__``, ``chern_transforms``, ``DiffChar.cup`` and
 ``chern_class``, then the text boundary of a request:
-``parse_form(f.to_text(), f.n, f.has_t)`` over every wedge operand.  Each repeat draws the same operands afresh from
-``SEED``, untimed, so nothing that a form or a cycle keeps from an earlier
-call is reused; then each layer runs over its whole batch once, timed.
-One line per layer gives the median batch time over the repeats in
-milliseconds, and the last line is one sha256 over the ``to_text()``
-of every output of the first repeat, layer by layer.  A changed
-checksum means that some layer's output changed; times depend on the
-host and its current speed.
+``parse_form(f.to_text(), f.n, f.has_t)`` over every wedge operand,
+and last the public ``TorusForm`` constructor over seeded term dicts.
+Each repeat draws the same operands afresh from ``SEED``, untimed, so
+nothing that a form or a cycle keeps from an earlier call is reused;
+then each layer runs over its whole batch once, timed.  One line per
+layer gives the median batch time over the repeats in milliseconds and,
+beside it, the time of the first repeat, which also fills the
+process-wide tables of the forms kernel (Koszul signs, index sets).
+The last line is one sha256 over the ``to_text()`` of every output of
+the first repeat, layer by layer.  A changed checksum means that some
+layer's output changed; times depend on the host and its current speed.
 """
 
 from __future__ import annotations
@@ -25,12 +28,14 @@ import time
 from random import Random
 
 from chernforge.diffchar import DiffChar, chern_class, cs_class
-from chernforge.forms import chern_transforms, parse_form
-from chernforge.generators import rand_cycle, rand_form, rand_homogeneous, rand_line_bundle
+from chernforge.forms import TorusForm, chern_transforms, parse_form
+from chernforge.generators import (rand_cycle, rand_form, rand_fraction, rand_homogeneous,
+                                   rand_line_bundle)
 
 SEED = 1
 DIMENSIONS = (4, 5, 6)
 PER_DIMENSION = 6
+TERMS_PER_DICT = 24
 
 
 def draw(seed: int) -> dict:
@@ -60,7 +65,24 @@ def draw(seed: int) -> dict:
             operands["chern_class"].append((rand_cycle(rng, n, max_rank=2), n // 2))
     # drawn from no random numbers, so the other layers' operands stay as they were
     operands["text"] = [(form,) for pair in operands["wedge"] for form in pair]
+    # drawn after every other layer's operands, which therefore do not move
+    operands["construct"] = [term_dict(rng, n) for n in DIMENSIONS
+                             for _ in range(PER_DIMENSION)]
     return operands
+
+
+def term_dict(rng: Random, n: int) -> tuple:
+    """``(n, terms, has_t)`` for the constructor: int and Gaussian coefficients."""
+    has_t = rng.random() < 0.5
+    indices = range(0 if has_t else 1, n + 1)
+    terms = {}
+    for _ in range(TERMS_PER_DICT):
+        idx = tuple(sorted(rng.sample(indices, rng.randint(0, 3))))
+        freq = tuple(rng.randint(-1, 1) for _ in range(n))
+        t_exp = rng.randint(0, 2) if has_t else 0
+        terms[(t_exp, freq, idx)] = (rng.randint(-3, 3) if rng.random() < 0.5
+                                     else (rand_fraction(rng), rand_fraction(rng)))
+    return n, terms, has_t
 
 
 def _text(value) -> str:
@@ -79,6 +101,7 @@ LAYERS = (
     ("cup", DiffChar.cup),
     ("chern_class", chern_class),
     ("text", lambda form: parse_form(form.to_text(), form.n, form.has_t)),
+    ("construct", TorusForm),
 )
 
 
@@ -104,7 +127,8 @@ def main() -> int:
 
     for name, _ in LAYERS:
         print(f"{name:<18} {1000 * statistics.median(times[name]):9.3f} ms"
-              f"  ({len(operands[name])} ops, median of {args.repeats})")
+              f"  (first {1000 * times[name][0]:.3f} ms; {len(operands[name])} ops,"
+              f" median of {args.repeats})")
     print(f"checksum {digest}")
     return 0
 

@@ -16,15 +16,21 @@ and a map ``terms`` from ``(m, k, mask)`` to a Gaussian-integer
 numerator ``(re, im)`` of ints, so a term's coefficient is
 ``(re + im*i) / den``.  Bit j of ``mask`` is set when dx_j is in I;
 index sets merge with ``|``, collide when ``&`` is non-zero, and the
-Koszul sign is a popcount parity (:func:`_koszul_sign`).  Every form is
-normalized on construction: no zero numerator is stored,
+Koszul sign is a popcount parity (:func:`_koszul_sign`).  Every sign
+comes from that one table, filled on first use with at most one entry
+per pair of disjoint masks: 3^(n+1) of them on T^n with t.  Every form
+is normalized on construction: no zero numerator is stored,
 gcd(den, every numerator) == 1 and the zero form has den == 1.  Equal
 forms therefore have equal storage, and equality is structural.  Zero
 numerators are dropped as sums are formed (:func:`_accumulate` deletes
 a key whose sum cancels), so a finished form is never scanned for them,
-and the gcd is divided out only when den > 1.  The terms grouped by
-index mask, which :meth:`TorusForm.wedge` reads, are built once and
-kept on the form.
+and the gcd is divided out only when den > 1.  A sum copies the operand
+that needs no scaling to the common den (or the larger one) and walks
+the other into the copy.  The terms grouped by index mask, which
+:meth:`TorusForm.wedge` reads, are built once and kept on the form.
+The public constructor checks each index set through its mask: one
+that the cached ``_indices(mask)`` gives back unchanged is strictly
+increasing and in range, and only any other runs the full checks.
 Coefficients enter as an int, a Fraction or an ``(re, im)`` pair of
 them and subtorus integrals leave :meth:`TorusForm.invariant_table` as
 ``(re, im)`` pairs of Fractions, so this storage is the only
@@ -62,13 +68,16 @@ from .symfun import collect, newton, rational
 Key = tuple[int, tuple[int, ...], int]
 
 
+@cache
 def _koszul_sign(a: int, b: int) -> int:
     """Sign of dx_a ^ dx_b against dx_(a|b), for disjoint index masks.
 
     The sign is the parity of the pairs (i in a, j in b) with i > j.
     Shifting a down by s and masking with b finds the pairs with
     i - j == s; only the parity of their total count matters, and it
-    equals the popcount parity of the XOR of those overlaps.
+    equals the popcount parity of the XOR of those overlaps.  Cached:
+    every caller passes disjoint masks, so the table holds at most one
+    entry per such pair, 3^(n+1) of them on T^n with t.
     """
     overlaps = 0
     a >>= 1
@@ -81,6 +90,25 @@ def _koszul_sign(a: int, b: int) -> int:
 @cache
 def _indices(mask: int) -> tuple[int, ...]:
     return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def _index_mask(idx, n: int) -> Optional[int]:
+    """The mask of ``idx`` if it is a strictly increasing tuple of ints in 0..n, else None.
+
+    An entry above n is refused before it is shifted, so no huge int is
+    built; a shift raises TypeError for an entry that is not an int and
+    ValueError for a negative one.  Any other index set, out of order,
+    repeated or not a tuple, differs from the cached ``_indices(mask)``.
+    """
+    mask = 0
+    try:
+        for j in idx:
+            if j > n:
+                return None
+            mask |= 1 << j
+    except (TypeError, ValueError):
+        return None
+    return mask if _indices(mask) == idx else None
 
 
 def _gauss_parts(value) -> tuple[int, int, int]:
@@ -182,15 +210,20 @@ class TorusForm:
             t_exp, freq, idx = key
             if len(freq) != n:
                 raise ValueError(f"frequency vector {freq} has wrong arity for T^{n}")
-            if tuple(sorted(set(idx))) != idx:
-                raise ValueError(f"index set {idx} is not strictly increasing")
-            if any(j < 0 or j > n for j in idx):
-                raise ValueError(f"index set {idx} out of range for T^{n}")
+            mask = _index_mask(idx, n)
+            if mask is None:
+                if tuple(sorted(set(idx))) != idx:
+                    raise ValueError(f"index set {idx} is not strictly increasing")
+                if any(j < 0 or j > n for j in idx):
+                    raise ValueError(f"index set {idx} out of range for T^{n}")
             if not self.has_t and (t_exp != 0 or 0 in idx):
                 raise ValueError("t data on a form without the t extension")
             if t_exp < 0:
                 raise ValueError("negative t exponent")
-            parts[(t_exp, freq, sum(1 << j for j in idx))] = part
+            if mask is None:
+                # only an index that is not an int gets here: the shift raises TypeError
+                mask = sum(1 << j for j in idx)
+            parts[(t_exp, freq, mask)] = part
         self.den, self.terms = _normalized(*_over_common_den(parts))
 
     @classmethod
@@ -259,10 +292,14 @@ class TorusForm:
         if not self.terms:
             return other
         den = lcm(self.den, other.den)
-        factor = den // other.den
-        # other's terms are only read, so they are copied only to scale them
-        terms = _accumulate(self._scaled(den // self.den),
-                            (other.terms if factor == 1 else other._scaled(factor)).items())
+        # copy the operand that needs no scaling, or the larger, and walk
+        # the other one into the copy; the stored sum is the same either way
+        first, second = self, other
+        if (den == other.den, len(other.terms)) > (den == self.den, len(self.terms)):
+            first, second = other, self
+        factor = den // second.den
+        terms = _accumulate(first._scaled(den // first.den),
+                            (second.terms if factor == 1 else second._scaled(factor)).items())
         return self._make(self.n, self.has_t, den, terms)
 
     def __neg__(self) -> "TorusForm":

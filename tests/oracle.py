@@ -11,7 +11,7 @@ from itertools import combinations
 from math import factorial, gcd, lcm
 from operator import add
 
-from chernforge.forms import TorusForm, _koszul_sign, chern_transform, chern_transforms
+from chernforge.forms import TorusForm, _gauss_parts, chern_transform, chern_transforms
 from chernforge.symfun import RootPoly, chern_polynomial, elementary_symmetric
 
 
@@ -127,7 +127,57 @@ def path_transgressions(cycle, rho_t: TorusForm) -> list:
 # into a plain per-key sum, zero sums included, and the result is
 # rescanned to drop zero numerators and divide out the gcd.  Each
 # returns the normalized ``(den, terms)`` of the result, to be compared
-# with a kernel form's stored ``(den, terms)``.
+# with a kernel form's stored ``(den, terms)``.  Signs come from
+# counting inversions, not from the kernel's sign table.
+
+def permutation_sign(seq) -> int:
+    """(-1)^(number of inversions of ``seq``)."""
+    inversions = sum(1 for a, b in combinations(seq, 2) if a > b)
+    return -1 if inversions % 2 else 1
+
+
+def _mask_indices(mask: int) -> list[int]:
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def reference_koszul_sign(a: int, b: int) -> int:
+    """Sign of dx_a ^ dx_b against dx_(a|b): the parity of the concatenated indices."""
+    return permutation_sign(_mask_indices(a) + _mask_indices(b))
+
+
+def reference_construct(n: int, terms: dict, has_t: bool = False) -> tuple[int, dict]:
+    """The public constructor's checks in their first order, then its stored data.
+
+    Returns the normalized ``(den, terms)`` that ``TorusForm(n, terms,
+    has_t)`` must store, or raises what it must raise.  A zero
+    coefficient skips every check.  Then come the frequency arity and
+    the four index checks (strictly increasing, in range, t data, t
+    exponent), and last the mask shift, which raises TypeError for an
+    index that is not an int.
+    """
+    if n < 0:
+        raise ValueError("torus dimension must be >= 0")
+    parts = {}
+    for key, coeff in terms.items():
+        part = _gauss_parts(coeff)
+        if not (part[0] or part[1]):
+            continue
+        t_exp, freq, idx = key
+        if len(freq) != n:
+            raise ValueError(f"frequency vector {freq} has wrong arity for T^{n}")
+        if tuple(sorted(set(idx))) != idx:
+            raise ValueError(f"index set {idx} is not strictly increasing")
+        if any(j < 0 or j > n for j in idx):
+            raise ValueError(f"index set {idx} out of range for T^{n}")
+        if not has_t and (t_exp != 0 or 0 in idx):
+            raise ValueError("t data on a form without the t extension")
+        if t_exp < 0:
+            raise ValueError("negative t exponent")
+        parts[(t_exp, freq, sum(1 << j for j in idx))] = part
+    den = lcm(*(part_den for _, _, part_den in parts.values()))
+    return reference_normalized(den, {
+        key: (re_num * (den // part_den), im_num * (den // part_den))
+        for key, (re_num, im_num, part_den) in parts.items()})
 
 def reference_normalized(den: int, terms: dict) -> tuple[int, dict]:
     """Drop zero numerators and divide out gcd(den, all numerators)."""
@@ -179,7 +229,7 @@ def reference_wedge(a: TorusForm, b: TorusForm) -> tuple[int, dict]:
             for mask2, group2 in right.items():
                 if mask1 & mask2:
                     continue
-                sign = _koszul_sign(mask1, mask2)
+                sign = reference_koszul_sign(mask1, mask2)
                 mask = mask1 | mask2
                 for m1, k1, (p, q) in group1:
                     if sign < 0:
@@ -205,7 +255,7 @@ def reference_d(form: TorusForm) -> tuple[int, dict]:
                 bit = 1 << j
                 if kj == 0 or mask & bit:
                     continue
-                scale = kj * _koszul_sign(bit, mask)
+                scale = kj * reference_koszul_sign(bit, mask)
                 yield (m, freq, mask | bit), (-im_num * scale, re_num * scale)
 
     return reference_normalized(form.den, _reference_accumulate({}, derivatives()))

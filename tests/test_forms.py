@@ -6,10 +6,10 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import (evaluate_chern_polynomial, reference_add, reference_d, reference_wedge,
-                    total_chern_transform)
+from oracle import (evaluate_chern_polynomial, permutation_sign, reference_add,
+                    reference_construct, reference_d, reference_wedge, total_chern_transform)
 
-from chernforge.forms import (TorusForm, _koszul_sign, _ratio_text, chern_log,
+from chernforge.forms import (TorusForm, _indices, _koszul_sign, _ratio_text, chern_log,
                               chern_transform, chern_transforms, parse_form)
 from chernforge.generators import (rand_form, rand_frequency, rand_homogeneous,
                                    rand_int_matrix, rand_phase, rand_real_form)
@@ -97,6 +97,59 @@ def test_constructor_coefficients():
             TorusForm.const(1, bad)
         with pytest.raises(TypeError):
             dx(1, 1) * bad
+
+
+# str entries are left out: sorting a set that mixes str and int raises a
+# TypeError naming the two types in the set's iteration order, which
+# string-hash randomization changes from one run to the next
+INDEX_ENTRIES = [0, 1, 2, 3, 5, -1, 1.0, 2.0, Fraction(1), True]
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (TypeError, ValueError) as error:
+        return type(error), str(error)
+
+
+def _construct(n, idx, t_exp, has_t):
+    form = TorusForm(n, {(t_exp, (0,) * n, idx): 1}, has_t=has_t)
+    return form.den, form.terms
+
+
+def test_constructor_index_checks_match_the_reference():
+    index_sets = ([()] + [(a,) for a in INDEX_ENTRIES]
+                  + [(a, b) for a in INDEX_ENTRIES for b in INDEX_ENTRIES])
+    # inputs with a non-int entry first, so they run before any equal
+    # all-int index set is built here
+    index_sets.sort(key=lambda idx: all(type(j) is int for j in idx))
+    inputs = [(n, idx, t_exp, has_t) for idx in index_sets for n in range(4)
+              for has_t in (False, True) for t_exp in (0, 1)]
+    expected = [_outcome(lambda: reference_construct(n, {(t_exp, (0,) * n, idx): 1}, has_t))
+                for n, idx, t_exp, has_t in inputs]
+    _indices.cache_clear()
+    cold = [_outcome(lambda: _construct(*case)) for case in inputs]
+    for n, idx, t_exp, has_t in inputs:
+        _outcome(lambda: _construct(n, tuple(map(int, idx)), t_exp, has_t))
+    warm = [_outcome(lambda: _construct(*case)) for case in inputs]
+    assert len(inputs) == 1776
+    for case, want, got_cold, got_warm in zip(inputs, expected, cold, warm):
+        assert got_cold == want, case
+        assert got_warm == want, case
+    # the order of the checks shows in which error wins
+    assert _outcome(lambda: _construct(3, (2.0, 1), 0, False)) == (
+        ValueError, "index set (2.0, 1) is not strictly increasing")
+    assert _outcome(lambda: _construct(3, (1.0,), 1, False)) == (
+        ValueError, "t data on a form without the t extension")
+    assert _outcome(lambda: _construct(3, (1.0,), 1, True))[0] is TypeError
+
+
+def test_constructor_refuses_a_far_index_before_shifting_it():
+    # a shift by the index would build an int of 10**20 bits
+    with pytest.raises(ValueError, match="out of range"):
+        TorusForm(2, {(0, (0, 0), (1, 10 ** 20)): 1})
+    with pytest.raises(ValueError, match="out of range"):
+        parse_form("(1+0i) exp[0,0] d{1,1000000000000}")
 
 
 def test_from_harmonic_matches_constructor_and_rejects_bad_index_sets():
@@ -547,11 +600,6 @@ def test_round_trip_hypothesis(entries):
     assert parse_form(form.to_text(), n=2) == form
 
 
-def _permutation_sign(seq):
-    inversions = sum(1 for a, b in combinations(seq, 2) if a > b)
-    return -1 if inversions % 2 else 1
-
-
 def _bits(subset):
     return sum(1 << j for j in subset)
 
@@ -561,7 +609,7 @@ def test_koszul_sign_is_permutation_parity():
     for a in subsets:
         for b in subsets:
             if not set(a) & set(b):
-                assert _koszul_sign(_bits(a), _bits(b)) == _permutation_sign(a + b), (a, b)
+                assert _koszul_sign(_bits(a), _bits(b)) == permutation_sign(a + b), (a, b)
 
 
 def test_sums_drop_zero_coefficients_structurally():
@@ -600,8 +648,23 @@ def _stored(form):
     return form.den, form.terms
 
 
+def _form_over(rng, n, has_t, den, size):
+    """A form of ``size`` terms whose stored den is ``den`` (n >= 1)."""
+    indices = range(0 if has_t else 1, n + 1)
+    terms = {}
+    while len(terms) < size:
+        idx = tuple(sorted(rng.sample(indices, rng.randint(0, min(len(indices), 3)))))
+        freq = tuple(rng.randint(-1, 1) for _ in range(n))
+        t_exp = rng.randint(0, 2) if has_t else 0
+        terms[(t_exp, freq, idx)] = (Fraction(rng.randint(-4, 4), den), Fraction(1, den))
+    form = TorusForm(n, terms, has_t=has_t)
+    assert (form.den, len(form.terms)) == (den, size)
+    return form
+
+
 def test_kernel_matches_the_reference_kernel_seeded():
     rng = Random(31)
+    sums_rng = Random(41)  # apart, so the other operands stay as they were
     for case in range(120):
         n = case % 6
         has_t = case % 12 >= 6
@@ -614,6 +677,16 @@ def test_kernel_matches_the_reference_kernel_seeded():
             assert _stored(x.wedge(y)) == reference_wedge(x, y)
         for x in (a, a.d(), b.wedge(a)):
             assert _stored(x.d()) == reference_d(x)
+        # a sum copies one operand and walks the other: every relation of
+        # the two dens, in both size orders, and a zero operand
+        m = max(n, 1)
+        for dens in ((6, 6), (3, 6), (6, 3), (4, 9)):
+            for sizes in ((2, 5), (5, 2)):
+                x, y = (_form_over(sums_rng, m, has_t, den, size)
+                        for den, size in zip(dens, sizes))
+                for p, q in ((x, y), (y, x), (x, TorusForm.zero(m, has_t)),
+                             (TorusForm.zero(m, has_t), x), (x, -x)):
+                    assert _stored(p + q) == reference_add(p, q)
         assert (a + b) - b == a
         assert (a.wedge(b) + (-a).wedge(b)).is_zero()
         assert a.d().d().is_zero()

@@ -28,8 +28,9 @@ def test_full_plan_names_every_suite_in_order():
 
 
 def test_layer_times_outputs_are_unchanged():
-    # the checksum over every layer's output, the text layer included,
-    # pinned before the text boundary stopped making Fraction objects
+    # the checksum over every layer's output, the construct layer
+    # included, pinned before the constructor checked index sets through
+    # their mask
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -39,9 +40,9 @@ def test_layer_times_outputs_are_unchanged():
     assert result.returncode == 0, result.stdout + result.stderr
     layers = re.findall(r"^(\w+) +[0-9.]+ ms", result.stdout, re.M)
     assert layers == ["wedge", "d", "add", "chern_transforms", "cup", "chern_class",
-                      "text"]
+                      "text", "construct"]
     assert result.stdout.splitlines()[-1] == (
-        "checksum 21e0c2a2dbfd0a5920e2388a2100926e505411d0a0e83b564c6dfb3ec9a148a7")
+        "checksum c3cb6625eca663425a4ba7335a012576c9eb7558af1b906492f30f35e50f8327")
 
 
 def load_script(name):
