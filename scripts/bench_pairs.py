@@ -12,8 +12,10 @@ directory that is removed afterwards.  Pair p runs ``bench/run.py --seed FIRST+p
 in each tree for each workload, the base first in even pairs and the
 change first in odd ones.  For every workload and end-to-end metric the
 output holds both sides' medians and quartiles, the per-pair
-change/base ratios, the change's wins and a verdict against the bound
-in BENCHMARK.json; for every workload, whether the round-0 report
+change/base ratios, their median over the pairs where the base ran
+first and over those where the change ran first, the change's wins and
+a verdict against the bound in BENCHMARK.json; for every workload,
+whether the round-0 report
 digests agree and the failed counts of both sides.  The file is
 rewritten after each pair, so an interrupted run keeps what it
 measured.  Only bench/run.py is driven: no workload, bound or pace
@@ -27,6 +29,9 @@ Verdicts, per metric, on the pairs run:
   gain        the change wins at least nine tenths of the pairs and the
               medians differ by more than the base's q3 - q1;
   within      none of these.
+The two per-order medians are printed beside each verdict and do not
+enter it.  They differ when the side that runs first in a pair reads
+slower or faster than it would run second.
 """
 
 from __future__ import annotations
@@ -97,8 +102,22 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def base_first(p: int) -> bool:
+    """Whether the base runs first in pair ``p`` (counting from 0)."""
+    return p % 2 == 0
+
+
+def _median_or_none(values: list) -> float | None:
+    values = [v for v in values if v is not None]
+    return statistics.median(values) if values else None
+
+
 def judge(base: list[float], change: list[float], better: str, bound: float) -> dict:
-    """Summary and verdict of one metric over paired runs (base[p], change[p])."""
+    """Summary and verdict of one metric over paired runs (base[p], change[p]).
+
+    The per-pair ratios are also summarised by run order, pair p having
+    run the base first when ``base_first(p)``; the verdict reads neither.
+    """
     sign = 1 if better == "lower" else -1
     b_q1, b_med, b_q3 = _quartiles(base)
     c_q1, c_med, c_q3 = _quartiles(change)
@@ -107,6 +126,7 @@ def judge(base: list[float], change: list[float], better: str, bound: float) -> 
     cost_change = [sign * v for v in change]
     wins = sum(c < b for b, c in zip(cost_base, cost_change))
     spread = b_q3 - b_q1
+    ratios = [c / b if b else None for b, c in zip(base, change)]
     if sign * (c_med - b_med) > bound * abs(b_med):
         verdict = "worse"
     elif spread > bound * abs(b_med) and not max(cost_change) < min(cost_base):
@@ -119,7 +139,11 @@ def judge(base: list[float], change: list[float], better: str, bound: float) -> 
         "base_median": b_med, "base_q1": b_q1, "base_q3": b_q3,
         "change_median": c_med, "change_q1": c_q1, "change_q3": c_q3,
         "ratio_of_medians": c_med / b_med if b_med else None,
-        "ratios": [c / b if b else None for b, c in zip(base, change)],
+        "ratios": ratios,
+        "ratio_base_first": _median_or_none(
+            [r for p, r in enumerate(ratios) if base_first(p)]),
+        "ratio_change_first": _median_or_none(
+            [r for p, r in enumerate(ratios) if not base_first(p)]),
         "wins": wins, "pairs": len(base), "better": better, "bound": bound,
         "verdict": verdict,
     }
@@ -147,6 +171,10 @@ def summarize(runs: dict, spec: dict) -> dict:
             "correct": all(b["correct"] and c["correct"] for b, c in pairs),
         }
     return out
+
+
+def _times(ratio: float | None) -> str:
+    return "n/a" if ratio is None else f"{ratio:.3f}x"
 
 
 def main() -> int:
@@ -177,7 +205,7 @@ def main() -> int:
         for p, seed in enumerate(record["seeds"]):
             for workload in workloads:
                 sides = [("base", base_dir), ("change", ROOT)]
-                if p % 2:
+                if not base_first(p):
                     sides.reverse()
                 result = {}
                 for label, tree in sides:
@@ -194,10 +222,11 @@ def main() -> int:
         print(f"{workload}: digests {'equal' if entry['digests_equal'] else 'DIFFER'}, "
               f"failed base {sum(entry['failed']['base'])} change {sum(entry['failed']['change'])}")
         for name, m in entry["metrics"].items():
-            ratio = m["ratio_of_medians"]
             print(f"  {name:13} {m['base_median']:.4g} -> {m['change_median']:.4g} "
-                  f"({'n/a' if ratio is None else f'{ratio:.3f}x'}, "
+                  f"({_times(m['ratio_of_medians'])}, "
                   f"wins {m['wins']}/{m['pairs']}, "
+                  f"base first {_times(m['ratio_base_first'])}, "
+                  f"change first {_times(m['ratio_change_first'])}, "
                   f"base q1-q3 {m['base_q1']:.4g}-{m['base_q3']:.4g}) {m['verdict']}")
     return 0
 

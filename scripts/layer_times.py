@@ -7,7 +7,10 @@ The layers, bottom up: ``TorusForm.wedge``, ``TorusForm.d``,
 ``TorusForm.__add__``, ``chern_transforms``, ``DiffChar.cup`` and
 ``chern_class``, then the text boundary of a request:
 ``parse_form(f.to_text(), f.n, f.has_t)`` over every wedge operand,
-and last the public ``TorusForm`` constructor over seeded term dicts.
+the public ``TorusForm`` constructor over seeded term dicts, and last
+``DiffChar.same_class`` of ``chern_class`` against ``chern_class_via_ch``
+for every index of the ``chern_class`` layer's cycles, both routes built
+untimed on copies of those cycles.
 Each repeat draws the same operands afresh from ``SEED``, untimed, so
 nothing that a form or a cycle keeps from an earlier call is reused;
 then each layer runs over its whole batch once, timed.  One line per
@@ -22,12 +25,13 @@ layer's output changed; times depend on the host and its current speed.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import statistics
 import time
 from random import Random
 
-from chernforge.diffchar import DiffChar, chern_class, cs_class
+from chernforge.diffchar import DiffChar, chern_class, chern_class_via_ch, cs_class
 from chernforge.forms import TorusForm, chern_transforms, parse_form
 from chernforge.generators import (rand_cycle, rand_form, rand_fraction, rand_homogeneous,
                                    rand_line_bundle)
@@ -68,6 +72,11 @@ def draw(seed: int) -> dict:
     # drawn after every other layer's operands, which therefore do not move
     operands["construct"] = [term_dict(rng, n) for n in DIMENSIONS
                              for _ in range(PER_DIMENSION)]
+    # copies, so the chern_class layer reuses nothing that a cycle or a
+    # form keeps; built from no random numbers, so no other operand moves
+    operands["compare"] = [(chern_class(cycle, i), chern_class_via_ch(cycle, i))
+                           for cycle, top in copy.deepcopy(operands["chern_class"])
+                           for i in range(1, top + 1)]
     return operands
 
 
@@ -88,6 +97,8 @@ def term_dict(rng: Random, n: int) -> tuple:
 def _text(value) -> str:
     if isinstance(value, list):
         return "\n;\n".join(map(_text, value))
+    if isinstance(value, bool):
+        return str(value)
     if isinstance(value, DiffChar):
         return f"{value.harmonic.to_text()}\n|\n{value.trans.to_text()}"
     return value.to_text()
@@ -102,6 +113,7 @@ LAYERS = (
     ("chern_class", chern_class),
     ("text", lambda form: parse_form(form.to_text(), form.n, form.has_t)),
     ("construct", TorusForm),
+    ("compare", DiffChar.same_class),
 )
 
 

@@ -220,9 +220,9 @@ class OddKCycle:
             if not phase.is_real():
                 raise ValueError("phase must be real")
             # the constant Fourier mode of a function is its mean
-            if phase.wedge(volume).invariant_table(n):
+            if phase.wedge(volume)._invariant_sums(n):
                 raise ValueError("phase must have no constant Fourier mode")
-            if phase.invariant_table(0):
+            if phase._invariant_sums(0):
                 raise ValueError("phase must vanish at the basepoint")
             comps.append((winding, phase))
         self.components = tuple(comps)

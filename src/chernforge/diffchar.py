@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .bundles import KCycle, LineBundle, OddKCycle
 from .errors import PreconditionError
-from .forms import TorusForm, chern_log, chern_transforms
+from .forms import TorusForm, _indices, chern_log, chern_transforms
 from .symfun import divided_powers, elementary_symmetric, newton, rational
 
 Subset = tuple[int, ...]
@@ -119,19 +119,33 @@ class DiffChar:
         """
         if not self.integral:
             raise PreconditionError("period table of a non-integral character")
-        return {idx: int(re_part)
-                for idx, (re_part, _) in self.harmonic.invariant_table(self.degree).items()}
+        # an integral harmonic part has den 1, so the numerators are the periods
+        return {_indices(mask): re_sum
+                for mask, (re_sum, _) in self.harmonic._invariant_sums(self.degree).items()}
+
+    def _holonomies(self) -> tuple[int, dict[int, int]]:
+        """``(den, {mask: re})``: the holonomy over a (d-1)-subtorus is re/den mod 1.
+
+        One scan of the transgression, no Fraction; a subtorus that is
+        missing has holonomy zero.  An imaginary holonomy raises.
+        """
+        if self.degree == 0:
+            return 1, {}
+        sums = self.trans._invariant_sums(self.degree - 1)
+        if any(im_sum for _, im_sum in sums.values()):
+            raise ArithmeticError("holonomy of a real transgression must be real")
+        return self.trans.den, {mask: re_sum for mask, (re_sum, _) in sums.items()}
 
     def holonomy_table(self) -> dict[Subset, Fraction]:
         """Holonomy mod 1 over every (d-1)-subtorus, zero ones included."""
         if self.degree == 0:
             return {}
+        den, holonomies = self._holonomies()
         table = dict.fromkeys(combinations(range(1, self.n + 1), self.degree - 1),
                               Fraction(0))
-        for subset, (re_part, im_part) in self.trans.invariant_table(self.degree - 1).items():
-            if im_part:
-                raise ArithmeticError("holonomy of a real transgression must be real")
-            table[subset] = re_part % 1
+        for mask, re_sum in holonomies.items():
+            if re_sum % den:
+                table[_indices(mask)] = Fraction(re_sum % den, den)
         return table
 
     # -- additive structure -----------------------------------------------
@@ -143,8 +157,10 @@ class DiffChar:
                               self.trans + other.trans)
 
     def scale(self, value) -> "DiffChar":
-        """Multiply by a rational ``value``, an int or a Fraction."""
+        """Multiply by a rational ``value``, an int or a Fraction; by 1 it is ``self``."""
         value = rational(value)
+        if value == 1:
+            return self
         return DiffChar._make(self.n, self.degree, self.harmonic * value,
                               self.trans * value)
 
@@ -154,8 +170,12 @@ class DiffChar:
         """Cup product on the even-degree fragment.
 
         The transgression of the product is
-        x.trans ^ y.harmonic + x.harmonic ^ y.trans + x.trans ^ d(y.trans);
-        curvature multiplicativity is asserted on every call.
+        x.trans ^ curvature(y) + x.harmonic ^ y.trans, which equals
+        x.trans ^ y.harmonic + x.harmonic ^ y.trans + x.trans ^ d(y.trans)
+        since curvature(y) = y.harmonic + d(y.trans) and the wedge is
+        exactly bilinear: it stores the same forms with one wedge fewer,
+        and reads the curvature ``y`` keeps.  Curvature multiplicativity
+        is asserted on every call.
         """
         if self.degree % 2 or other.degree % 2:
             raise PreconditionError("cup is supported on even degrees only")
@@ -165,8 +185,7 @@ class DiffChar:
             raise PreconditionError(
                 f"cup degree {self.degree + other.degree} exceeds T^{self.n}")
         hx, hy = self.harmonic, other.harmonic
-        trans = (self.trans.wedge(hy) + hx.wedge(other.trans)
-                 + self.trans.wedge(other.trans.d()))
+        trans = self.trans.wedge(other.curvature()) + hx.wedge(other.trans)
         result = DiffChar._make(self.n, self.degree + other.degree, hx.wedge(hy), trans)
         if result.curvature() != self.curvature().wedge(other.curvature()):
             raise ArithmeticError("cup product broke curvature multiplicativity")
@@ -198,23 +217,33 @@ class DiffChar:
 
     # -- comparison ----------------------------------------------------------
 
+    def _holonomy_gaps(self, other: "DiffChar"):
+        """``(mask, num, den)`` for each subtorus whose holonomies differ mod 1 by num/den.
+
+        ``self`` is scanned first, so its imaginary holonomy raises first.
+        """
+        den_a, mine = self._holonomies()
+        den_b, theirs = other._holonomies()
+        den = den_a * den_b
+        for mask in mine.keys() | theirs.keys():
+            gap = (mine.get(mask, 0) * den_b - theirs.get(mask, 0) * den_a) % den
+            if gap:
+                yield mask, gap, den
+
     def same_class(self, other: "DiffChar") -> bool:
         """Equality as characters: same curvature, same holonomies mod 1."""
         if self.n != other.n or self.degree != other.degree:
             return False
         if self.curvature() != other.curvature():
             return False
-        return self.holonomy_table() == other.holonomy_table()
+        return next(self._holonomy_gaps(other), None) is None
 
     def discrepancy(self, other: "DiffChar") -> dict:
         """Exact difference data; all-zero entries mean equal classes."""
         curv = self.curvature() - other.curvature()
-        holo = {}
-        mine, theirs = self.holonomy_table(), other.holonomy_table()
-        for subset in sorted(set(mine) | set(theirs)):
-            diff = (mine.get(subset, Fraction(0)) - theirs.get(subset, Fraction(0))) % 1
-            if diff:
-                holo[",".join(map(str, subset))] = str(diff)
+        gaps = sorted((_indices(mask), Fraction(gap, den))
+                      for mask, gap, den in self._holonomy_gaps(other))
+        holo = {",".join(map(str, subset)): str(diff) for subset, diff in gaps}
         return {
             "verdict": curv.is_zero() and not holo,
             "curvature_discrepancy": curv.to_text(),
@@ -397,8 +426,8 @@ def _require_admissible_shift(shift: TorusForm):
     if not shift.is_closed():
         raise PreconditionError("shift must be closed")
     for degree in shift.degrees():
-        for re_part, im_part in shift.invariant_table(degree).values():
-            if im_part or re_part.denominator != 1:
+        for re_sum, im_sum in shift._invariant_sums(degree).values():
+            if im_sum or re_sum % shift.den:
                 raise PreconditionError("shift must have integer periods")
 
 

@@ -50,7 +50,11 @@ d(int_t a) + int_t(d a) = a|_{t=1} - a|_{t=0}:
   the front, so int_circle(d a) = -d(int_circle a) on a closed fiber.
 
 The Chern transforms run :func:`symfun.newton` with the wedge product
-and are kept on the form they were computed from.
+and are kept on the form they were computed from, as :meth:`TorusForm.d`
+keeps the derivative; a product with exactly 1 returns the operand.
+Subtorus integrals are one scan, ``_invariant_sums``, whose integer
+numerators over ``den`` the character layer reads directly;
+:meth:`TorusForm.invariant_table` turns them into Fractions.
 """
 
 from __future__ import annotations
@@ -140,6 +144,8 @@ def int_tuple(values) -> tuple[int, ...]:
 
 
 def _dimension(n: int) -> int:
+    if not isinstance(n, int):
+        raise TypeError(f"torus dimension must be an int, got {n!r}")
     if n < 0:
         raise ValueError("torus dimension must be >= 0")
     return n
@@ -192,16 +198,17 @@ class TorusForm:
     Immutable by convention.  Stored in the normalized integer layout
     described in the module docstring, so equality of forms is equality
     of the stored data.  ``_transforms`` holds ``[1, C_1, ...]`` once
-    :func:`chern_transforms` has run on the form, and ``_groups`` the
-    terms grouped by index mask once :meth:`wedge` has read them.
+    :func:`chern_transforms` has run on the form, ``_groups`` the terms
+    grouped by index mask once :meth:`wedge` has read them, and
+    ``_derivative`` the form :meth:`d` returned.
     """
 
-    __slots__ = ("n", "has_t", "den", "terms", "_transforms", "_groups")
+    __slots__ = ("n", "has_t", "den", "terms", "_transforms", "_groups", "_derivative")
 
     def __init__(self, n: int, terms: Optional[dict] = None, has_t: bool = False):
         self.n = _dimension(n)
         self.has_t = bool(has_t)
-        self._transforms = self._groups = None
+        self._transforms = self._groups = self._derivative = None
         parts: dict[Key, tuple[int, int, int]] = {}
         for key, coeff in (terms or {}).items():
             part = _gauss_parts(coeff)
@@ -233,7 +240,7 @@ class TorusForm:
         self = object.__new__(cls)
         self.n, self.has_t = n, has_t
         self.den, self.terms = _normalized(den, terms)
-        self._transforms = self._groups = None
+        self._transforms = self._groups = self._derivative = None
         return self
 
     # -- constructors ---------------------------------------------------
@@ -244,12 +251,14 @@ class TorusForm:
 
     @classmethod
     def const(cls, n: int, coeff, has_t: bool = False) -> "TorusForm":
+        n = _dimension(n)
         return cls(n, {(0, (0,) * n, ()): coeff}, has_t=has_t)
 
     @classmethod
     def single(cls, n: int, coeff, freq: Optional[Sequence[int]] = None,
                idx: Sequence[int] = (), t_exp: int = 0,
                has_t: bool = False) -> "TorusForm":
+        n = _dimension(n)
         freq = tuple(freq) if freq is not None else (0,) * n
         return cls(n, {(t_exp, freq, tuple(idx)): coeff}, has_t=has_t)
 
@@ -312,6 +321,8 @@ class TorusForm:
         s_re, s_im, s_den = _gauss_parts(scalar)
         if not (s_re or s_im):
             return self.zero(self.n, self.has_t)
+        if (s_re, s_im, s_den) == (1, 0, 1):
+            return self
         if not s_im:
             terms = self._scaled(s_re)
         else:
@@ -363,7 +374,9 @@ class TorusForm:
                           _accumulate({}, products()))
 
     def d(self) -> "TorusForm":
-        """Exterior derivative on the stored (Chern-normalized) data."""
+        """Exterior derivative on the stored (Chern-normalized) data, kept on the form."""
+        if self._derivative is not None:
+            return self._derivative
 
         def derivatives():
             for (m, freq, mask), (re_num, im_num) in self.terms.items():
@@ -378,8 +391,9 @@ class TorusForm:
                     scale = kj * _koszul_sign(bit, mask)
                     yield (m, freq, mask | bit), (-im_num * scale, re_num * scale)
 
-        return self._make(self.n, self.has_t, self.den,
-                          _accumulate({}, derivatives()))
+        self._derivative = self._make(self.n, self.has_t, self.den,
+                                      _accumulate({}, derivatives()))
+        return self._derivative
 
     # -- structure queries ----------------------------------------------
 
@@ -507,15 +521,18 @@ class TorusForm:
         cancel are left out, so a missing index set integrates to zero
         and ``{}`` means every integral of that degree vanishes.
         """
+        return {_indices(mask): (Fraction(re_sum, self.den), Fraction(im_sum, self.den))
+                for mask, (re_sum, im_sum) in self._invariant_sums(degree).items()}
+
+    def _invariant_sums(self, degree: int) -> dict[int, tuple[int, int]]:
+        """The scan behind :meth:`invariant_table`: ``{mask: (re, im)}``, numerators over ``den``."""
         if self.has_t:
             raise ValueError("subtorus integrals are defined on t-free forms")
         positions = {mask: [j - 1 for j in _indices(mask)]
                      for mask in {key[2] for key in self.terms} if mask.bit_count() == degree}
-        sums = _accumulate({}, (
+        return _accumulate({}, (
             (mask, num) for (_, freq, mask), num in self.terms.items()
             if mask in positions and not any(freq[p] for p in positions[mask])))
-        return {_indices(mask): (Fraction(re_sum, self.den), Fraction(im_sum, self.den))
-                for mask, (re_sum, im_sum) in sums.items()}
 
     # -- pullback ---------------------------------------------------------
 

@@ -39,8 +39,8 @@ def rand_subset(rng: Random, n: int, size: int) -> tuple[int, ...]:
 
 
 def _add_term(terms: dict, key, re_part: Fraction, im_part: Fraction):
-    old_re, old_im = terms.get(key, (0, 0))
-    terms[key] = (old_re + re_part, old_im + im_part)
+    old = terms.get(key)
+    terms[key] = (re_part, im_part) if old is None else (old[0] + re_part, old[1] + im_part)
 
 
 def rand_form(rng: Random, n: int, max_terms: int = MAX_MODES,

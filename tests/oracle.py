@@ -259,3 +259,52 @@ def reference_d(form: TorusForm) -> tuple[int, dict]:
                 yield (m, freq, mask | bit), (-im_num * scale, re_num * scale)
 
     return reference_normalized(form.den, _reference_accumulate({}, derivatives()))
+
+
+# -- reference character layer ---------------------------------------------------
+#
+# The cup with three product wedges and the holonomy comparison through
+# tables of Fractions, as they were before the cup read the curvature
+# its right factor keeps and holonomies were compared as integers.
+
+def reference_cup(x, y) -> tuple[TorusForm, TorusForm]:
+    """``(harmonic, trans)`` of x cup y, the transgression as
+    x.trans ^ y.harmonic + x.harmonic ^ y.trans + x.trans ^ d(y.trans)."""
+    trans = (x.trans.wedge(y.harmonic) + x.harmonic.wedge(y.trans)
+             + x.trans.wedge(y.trans.d()))
+    return x.harmonic.wedge(y.harmonic), trans
+
+
+def reference_holonomy_table(char) -> dict:
+    """Holonomy mod 1 over every (d-1)-subtorus, read from ``invariant_table``."""
+    if char.degree == 0:
+        return {}
+    table = dict.fromkeys(combinations(range(1, char.n + 1), char.degree - 1), Fraction(0))
+    for subset, (re_part, im_part) in char.trans.invariant_table(char.degree - 1).items():
+        if im_part:
+            raise ArithmeticError("holonomy of a real transgression must be real")
+        table[subset] = re_part % 1
+    return table
+
+
+def reference_same_class(x, y) -> bool:
+    if x.n != y.n or x.degree != y.degree:
+        return False
+    if x.curvature() != y.curvature():
+        return False
+    return reference_holonomy_table(x) == reference_holonomy_table(y)
+
+
+def reference_discrepancy(x, y) -> dict:
+    curv = x.curvature() - y.curvature()
+    holo = {}
+    mine, theirs = reference_holonomy_table(x), reference_holonomy_table(y)
+    for subset in sorted(set(mine) | set(theirs)):
+        diff = (mine.get(subset, Fraction(0)) - theirs.get(subset, Fraction(0))) % 1
+        if diff:
+            holo[",".join(map(str, subset))] = str(diff)
+    return {
+        "verdict": curv.is_zero() and not holo,
+        "curvature_discrepancy": curv.to_text(),
+        "holonomy_discrepancy": holo,
+    }

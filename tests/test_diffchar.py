@@ -5,7 +5,8 @@ from random import Random
 
 import pytest
 from oracle import (chern_form, evaluate_chern_polynomial, path_transgressions,
-                    subset_elementary_symmetric)
+                    reference_cup, reference_discrepancy, reference_holonomy_table,
+                    reference_same_class, subset_elementary_symmetric)
 
 from chernforge import diffchar
 from chernforge.bundles import DiagBundle, LineBundle, OddKCycle
@@ -253,6 +254,110 @@ def test_cup_commutative_as_classes():
                                   [0, -1, 0, 0], [0, 0, 0, 0]],
                             theta=(0, Fraction(1, 7), 0, 0)))
     assert x.cup(y).same_class(y.cup(x))
+
+
+def rand_char(rng, n, degree):
+    """A real character of ``degree`` on T^n with a rational harmonic part."""
+    harmonic = rand_real_form(rng, n, degree, max_modes=0)
+    trans = rand_real_form(rng, n, degree - 1) if degree else None
+    return DiffChar(n, degree, harmonic, trans)
+
+
+def test_cup_stores_the_reference_cup_seeded():
+    rng = Random(71)
+    for case in range(90):
+        n = 2 + case % 5
+        dx_, dy_ = rng.choice([(a, b) for a in (0, 2, 4) for b in (0, 2, 4) if a + b <= n])
+        x, y = rand_char(rng, n, dx_), rand_char(rng, n, dy_)
+        product = x.cup(y)
+        assert (product.harmonic, product.trans) == reference_cup(x, y)
+    # products of line classes, as the class pass forms them
+    for n in (4, 5, 6):
+        lines = [cs_class(rand_line_bundle(rng, n)) for _ in range(3)]
+        x = lines[0].cup(lines[1])
+        for left, right in ((lines[0], lines[1]), (x, lines[2]), (lines[2], x)):
+            if left.degree + right.degree <= n:
+                product = left.cup(right)
+                assert (product.harmonic, product.trans) == reference_cup(left, right)
+
+
+def _shifted(char, coeff, subset):
+    """``char`` with ``coeff`` added to its holonomy over the subtorus ``subset``."""
+    shift = TorusForm.single(char.n, coeff, idx=subset)
+    return DiffChar(char.n, char.degree, char.harmonic, char.trans + shift)
+
+
+def test_same_class_agrees_with_the_reference_seeded():
+    rng = Random(73)
+    for case in range(60):
+        n = 2 + case % 5
+        degree = rng.choice([d for d in (2, 4) if d <= n])
+        x = rand_char(rng, n, degree)
+        subset = tuple(sorted(rng.sample(range(1, n + 1), degree - 1)))
+        den = x.trans.den * rng.randint(2, 3)
+        volume = TorusForm.single(n, 1, idx=tuple(range(1, degree + 1)))
+        wiggle = rand_real_form(rng, n, degree - 1, max_modes=1, allow_harmonic=False)
+        spread = TorusForm.from_harmonic(n, {subset: Fraction(k, den) for k, subset in enumerate(
+            combinations(range(1, n + 1), degree - 1), 1)})
+        pairs = [
+            # holonomies apart by 1/den over one subtorus
+            (x, _shifted(x, Fraction(1, den), subset), False),
+            # equal mod 1 but not exactly, over one den or over two
+            (x, _shifted(x, rng.choice([-2, -1, 1, 2]), subset), True),
+            (_shifted(x, Fraction(1, 3), subset), _shifted(x, Fraction(-2, 3), subset), True),
+            # curvatures apart, with the same holonomies
+            (x, DiffChar(n, degree, x.harmonic + volume, x.trans), False),
+            # a closed wiggle moves no curvature, but may move holonomies
+            (x, DiffChar(n, degree, x.harmonic, x.trans + wiggle), None),
+            # holonomies apart over many subtori, reported in sorted order
+            (x, DiffChar(n, degree, x.harmonic, x.trans + spread), None),
+        ]
+        for a, b, expected in pairs:
+            if expected is not None:
+                assert a.same_class(b) is b.same_class(a) is expected
+            for left, right in ((a, b), (b, a)):
+                assert left.same_class(right) == reference_same_class(left, right)
+                found, want = left.discrepancy(right), reference_discrepancy(left, right)
+                assert found == want
+                assert list(found["holonomy_discrepancy"]) == list(want["holonomy_discrepancy"])
+                assert left.holonomy_table() == reference_holonomy_table(left)
+
+
+def test_an_imaginary_holonomy_raises_and_self_is_scanned_first(monkeypatch):
+    message = "holonomy of a real transgression must be real"
+    real = DiffChar.from_form(dx(3, 1) * Fraction(1, 3))
+    imaginary = DiffChar._make(3, 2, TorusForm.zero(3), dx(3, 2) * (Fraction(1, 2), 1))
+    other_imaginary = DiffChar._make(3, 2, TorusForm.zero(3), dx(3, 3) * (0, 1))
+    scanned = []
+    sums = TorusForm._invariant_sums
+
+    def recorded(form, degree):
+        scanned.append(form)
+        return sums(form, degree)
+
+    monkeypatch.setattr(TorusForm, "_invariant_sums", recorded)
+    for a, b in ((imaginary, real), (real, imaginary), (imaginary, other_imaginary)):
+        for compare, reference in ((DiffChar.same_class, reference_same_class),
+                                   (DiffChar.discrepancy, reference_discrepancy)):
+            for run in (reference, compare):
+                scanned.clear()
+                with pytest.raises(ArithmeticError) as caught:
+                    run(a, b)
+                assert str(caught.value) == message
+            # the library scans self first and stops at its imaginary holonomy
+            first_bad = a if a is not real else b
+            assert scanned[-1] is first_bad.trans
+            assert scanned[0] is a.trans
+    # a different curvature answers first, as in the reference
+    apart = DiffChar(3, 2, TorusForm.from_harmonic(3, {(1, 2): 1}))
+    assert imaginary.same_class(apart) is reference_same_class(imaginary, apart) is False
+
+
+def test_scaling_a_character_by_one_returns_it():
+    char = cs_class(line_T2(2, theta=(Fraction(1, 5), 0)))
+    for one in (1, Fraction(1)):
+        assert char.scale(one) is char
+    assert char.scale(2) is not char
 
 
 # -- circle integration --------------------------------------------------------

@@ -662,6 +662,45 @@ def _form_over(rng, n, has_t, den, size):
     return form
 
 
+def test_d_is_kept_on_the_form_seeded():
+    rng = Random(43)
+    for case in range(40):
+        n = case % 6
+        form = rand_form(rng, n, 6, has_t=case % 2 == 1)
+        assert form._derivative is None
+        first = form.d()
+        assert form.d() is first
+        assert _stored(first) == reference_d(form)
+        # a form built from the same terms computes its own
+        twin = TorusForm._make(n, form.has_t, form.den, dict(form.terms))
+        assert twin.d() is not first and twin.d() == first
+
+
+def test_multiplying_by_one_returns_the_operand():
+    form = rand_form(Random(5), 3, 6) * Fraction(1, 6)
+    for one in (1, Fraction(1), (1, 0), (Fraction(1), Fraction(0)), Fraction(2, 2)):
+        assert form * one is form
+        assert one * form is form
+    for other in (-1, 2, Fraction(1, 2), (1, 1), (0, 1)):
+        assert form * other is not form
+    assert form * 2 == form + form and form * -1 == -form
+
+
+def test_torus_dimension_takes_only_ints():
+    for n in (2.0, Fraction(2), "2"):
+        for build in (lambda: TorusForm(n, {(0, (0, 0), (1,)): 1}),
+                      lambda: TorusForm.zero(n), lambda: TorusForm.const(n, 1),
+                      lambda: TorusForm.single(n, 1),
+                      lambda: TorusForm.single(n, 1, freq=(0, 0), idx=(1,))):
+            with pytest.raises(TypeError, match="torus dimension must be an int"):
+                build()
+    for build in (lambda: TorusForm(-1), lambda: TorusForm.zero(-1),
+                  lambda: TorusForm.const(-1, 1), lambda: TorusForm.single(-1, 1)):
+        with pytest.raises(ValueError, match="torus dimension must be >= 0"):
+            build()
+    assert TorusForm.const(2, 1).n == TorusForm.zero(2).n == 2
+
+
 def test_kernel_matches_the_reference_kernel_seeded():
     rng = Random(31)
     sums_rng = Random(41)  # apart, so the other operands stay as they were
@@ -692,12 +731,21 @@ def test_kernel_matches_the_reference_kernel_seeded():
         assert a.d().d().is_zero()
 
 
-def _assert_stored_invariants(form):
+def _assert_normalized(form):
     numerators = [x for num in form.terms.values() for x in num]
     assert all(re_num or im_num for re_num, im_num in form.terms.values())
     assert form.den > 0 and gcd(form.den, *numerators) == 1
     if form.is_zero():
         assert form.den == 1
+
+
+def _assert_stored_invariants(form):
+    _assert_normalized(form)
+    # d is kept on the form, normalized and equal to the reference d
+    derivative = form.d()
+    assert form._derivative is derivative and form.d() is derivative
+    _assert_normalized(derivative)
+    assert _stored(derivative) == reference_d(form)
     # a wedge reads the mask groups and keeps them on the form
     form.wedge(TorusForm.const(form.n, 1, has_t=form.has_t))
     groups = {}

@@ -28,9 +28,8 @@ def test_full_plan_names_every_suite_in_order():
 
 
 def test_layer_times_outputs_are_unchanged():
-    # the checksum over every layer's output, the construct layer
-    # included, pinned before the constructor checked index sets through
-    # their mask
+    # the checksum over every layer's output, the compare layer included,
+    # pinned before the cup read the curvature its right factor keeps
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -40,9 +39,9 @@ def test_layer_times_outputs_are_unchanged():
     assert result.returncode == 0, result.stdout + result.stderr
     layers = re.findall(r"^(\w+) +[0-9.]+ ms", result.stdout, re.M)
     assert layers == ["wedge", "d", "add", "chern_transforms", "cup", "chern_class",
-                      "text", "construct"]
+                      "text", "construct", "compare"]
     assert result.stdout.splitlines()[-1] == (
-        "checksum c3cb6625eca663425a4ba7335a012576c9eb7558af1b906492f30f35e50f8327")
+        "checksum 346d93b456763d8295e714c0faedcec7f325ac0870359cfeda3763f2c3cb6161")
 
 
 def load_script(name):
@@ -69,3 +68,13 @@ def test_bench_pairs_verdicts():
     assert judge(wide, [v * 0.95 for v in wide], "lower", 0.25)["verdict"] == "unresolved"
     assert judge(wide, [0.4] * 10, "lower", 0.25)["verdict"] == "gain"
     assert judge(base, [0.7 * v for v in base], "higher", 0.25)["verdict"] == "worse"
+    # the base runs first in even pairs: a first run that reads 10% slower
+    # shows in the per-order medians and leaves the verdict alone
+    order = [v * (0.9 if p % 2 == 0 else 1.1) for p, v in enumerate(base)]
+    mixed = judge(base, order, "lower", 0.25)
+    assert abs(mixed["ratio_base_first"] - 0.9) < 1e-9
+    assert abs(mixed["ratio_change_first"] - 1.1) < 1e-9
+    assert mixed["verdict"] == "within" and mixed["wins"] == 5
+    assert all(abs(gain[key] - 0.75) < 1e-9 for key in ("ratio_base_first", "ratio_change_first"))
+    single = judge([1.0], [0.8], "lower", 0.25)
+    assert single["ratio_base_first"] == 0.8 and single["ratio_change_first"] is None
