@@ -8,19 +8,12 @@ import argparse
 import sys
 import time
 
-from chernforge.verify import run_suite
+from chernforge.verify import SUITES, run_suite
 
-FULL_PLAN = [
-    ("newton", {}),
-    ("multiplicativity", {}),
-    ("whitney", {"cases": 100}),
-    ("diagram", {"cases": 200}),
-    ("paths", {"cases": 50}),
-    ("gauge", {"cases": 50}),
-    ("odd", {"cases": 50}),
-    ("naturality", {"cases": 500}),
-    ("calculus", {"cases": 500}),
-]
+# every suite in order at its default case count, except these
+CASES = {"naturality": 500}
+FULL_PLAN = [(name, {"cases": CASES.get(name, cases)} if cases else {})
+             for name, (_, cases) in SUITES.items()]
 
 QUICK_PLAN = [(name, {"cases": 10} if kwargs else {}) for name, kwargs in FULL_PLAN]
 

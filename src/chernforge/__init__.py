@@ -7,7 +7,7 @@ from .diffchar import (DiffChar, chern_class, chern_class_via_ch, check_group_ho
 from .errors import ConfigError, PreconditionError
 from .forms import TorusForm, chern_transform, parse_form
 from .symfun import (GradedPoly, RootPoly, ch_from_chern, chern_polynomial,
-                     expand_in_roots, total_chern_truncated, verify_sum_identity)
+                     expand_in_roots, verify_sum_identity)
 
 __all__ = [
     "ConfigError",
@@ -33,7 +33,6 @@ __all__ = [
     "odd_chern_class",
     "parse_form",
     "total_chern_class",
-    "total_chern_truncated",
     "verify_sum_identity",
 ]
 

@@ -162,7 +162,9 @@ def _cmd_chern(args) -> int:
 def _cmd_odd(args) -> int:
     config = _read_config(args.config)
     cycle = config.build_odd_cycle()
-    indices = config.indices or [i for i in range(1, cycle.n + 1, 2)]
+    indices = config.indices or list(range(1, cycle.n + 1, 2))
+    if not indices:
+        raise PreconditionError(f"T^{cycle.n} carries no odd classes")
     classes = [_class_entry(i, odd_chern_class(cycle, i)) for i in indices]
     report = {"command": "odd", "dim": cycle.n, "classes": classes}
     _emit(report, args.format, args.out)

@@ -2,8 +2,9 @@
 
 The format is line oriented: ``key = value`` pairs, ``[line]``,
 ``[rho]`` and ``[component]`` section headers, ``#`` comments.  Exact
-rationals are written ``p/q``; differential forms use the term grammar
-``(a+bi) t^m exp[k1,...,kn] d{t,1,3}`` with terms joined by ``+``.
+rationals are written ``p`` or ``p/q``; differential forms use the term
+grammar ``(a+bi) t^m exp[k1,...,kn] d{t,1,3}`` with terms joined by
+``+``.  A key may be given once per block and ``[rho]`` once per file.
 Parsing failures carry 1-based line numbers; a parsed configuration
 re-serializes bit-exactly.
 """
@@ -17,7 +18,7 @@ from typing import Optional
 
 from .bundles import DiagBundle, KCycle, LineBundle, OddKCycle
 from .errors import ConfigError
-from .forms import TorusForm, parse_form
+from .forms import _RATIONAL_RE, TorusForm, _ratio, parse_form
 
 
 @dataclass
@@ -89,14 +90,14 @@ def _parse_int_list(value: str, lineno: int) -> list[int]:
     return [_parse_int(tok, lineno) for tok in value.split()]
 
 
-def _parse_fraction_list(value: str, lineno: int) -> list[Fraction]:
-    out = []
-    for tok in value.split():
-        try:
-            out.append(Fraction(tok))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"expected a rational, got {tok!r}", lineno) from None
-    return out
+def _parse_rational(tok: str, lineno: int) -> Fraction:
+    # the tokens a form coefficient takes, ``p`` or ``p/q``; 1/0 is refused
+    try:
+        if _RATIONAL_RE.fullmatch(tok):
+            return Fraction(_ratio(tok, tok))
+    except ValueError:
+        pass
+    raise ConfigError(f"expected a rational, got {tok!r}", lineno)
 
 
 def _parse_matrix(value: str, lineno: int) -> list[list[int]]:
@@ -118,6 +119,8 @@ def parse_config(text: str) -> Config:
     section: Optional[str] = None
     current_line: Optional[LineSpec] = None
     current_component: Optional[ComponentSpec] = None
+    seen: set[str] = set()  # keys of the current block
+    rho_seen = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -127,11 +130,14 @@ def parse_config(text: str) -> Config:
             if not line.endswith("]"):
                 raise ConfigError("unterminated section header", lineno)
             section = line[1:-1].strip()
+            seen = set()
             if section == "line":
                 current_line = LineSpec()
                 config.lines.append(current_line)
             elif section == "rho":
-                pass
+                if rho_seen:
+                    raise ConfigError("section [rho] given twice", lineno)
+                rho_seen = True
             elif section == "component":
                 current_component = ComponentSpec()
                 config.components.append(current_component)
@@ -141,6 +147,10 @@ def parse_config(text: str) -> Config:
         if "=" not in line:
             raise ConfigError("expected 'key = value'", lineno, raw.index(raw.strip()[0]) + 1)
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            where = f" in [{section}]" if section else ""
+            raise ConfigError(f"key {key!r} given twice{where}", lineno)
+        seen.add(key)
         if section is None:
             if key == "dim":
                 config.dim = _parse_int(value, lineno)
@@ -152,7 +162,7 @@ def parse_config(text: str) -> Config:
             if key == "K":
                 current_line.K = _parse_matrix(value, lineno)
             elif key == "theta":
-                current_line.theta = _parse_fraction_list(value, lineno)
+                current_line.theta = [_parse_rational(tok, lineno) for tok in value.split()]
             elif key == "beta":
                 current_line.beta = _parse_form_value(value, config.dim, lineno)
             else:

@@ -619,11 +619,15 @@ def _ratio(token: str, piece: str):
     return int(num) if den == 1 else Fraction(int(num), den)
 
 
+# a rational token as _ratio reads it, ``p`` or ``p/q`` in ASCII digits
+_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?", re.ASCII)
+
 _TERM_RE = re.compile(
-    r"^\(\s*(-?\d+(?:/\d+)?)\s*([+-]\s*\d+(?:/\d+)?)i\s*\)"
+    rf"^\(\s*({_RATIONAL_RE.pattern})\s*([+-]\s*\d+(?:/\d+)?)i\s*\)"
     r"(?:\s+t\^(\d+))?"
     r"\s+exp\[([^\]]*)\]"
-    r"\s+d\{([^}]*)\}\s*$"
+    r"\s+d\{([^}]*)\}\s*$",
+    re.ASCII,
 )
 
 

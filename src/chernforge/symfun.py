@@ -6,16 +6,17 @@ characters alike: :func:`elementary_symmetric` (roots to classes),
 :func:`newton` (power sums to classes) and :func:`divided_powers` (a
 root to its character series).  On top sit the universal polynomials
 that turn Chern-character components into Chern classes,
-the inverse conversion, expansion into Chern roots at a finite
-truncation, and the total-class sum identity behind the Whitney
-formula.  Variables come in two alphabets (``s1, s2, ...`` and a primed
-copy) so that the sum identity is a single-ring statement; ``s_i`` and
-its primed twin both carry degree ``i``.
+the inverse conversion, expansion into Chern roots up to a degree
+bound, and the total-class sum identity behind the Whitney formula.
+Variables come in two alphabets (``s1, s2, ...`` and a primed copy) so
+that the sum identity is a single-ring statement; ``s_i`` and its
+primed twin both carry degree ``i``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations, groupby, repeat
 from math import factorial, lcm, prod
 from operator import add, mul
@@ -130,20 +131,6 @@ def divided_powers(x, top: int, times, scale) -> list:
     return out
 
 
-def _truncated_product(left: dict, right: dict, bound: int) -> dict:
-    """Product of exponent-vector maps, dropping total degree above ``bound``."""
-    right_items = [(e2, sum(e2), c2) for e2, c2 in right.items()]
-
-    def products():
-        for e1, c1 in left.items():
-            d1 = sum(e1)
-            for e2, d2, c2 in right_items:
-                if d1 + d2 <= bound:
-                    yield tuple(map(add, e1, e2)), c1 * c2
-
-    return collect(products())
-
-
 class GradedPoly:
     """Polynomial with exact rational coefficients in graded variables.
 
@@ -168,10 +155,6 @@ class GradedPoly:
         self = object.__new__(cls)
         self.terms = terms
         return self
-
-    @classmethod
-    def zero(cls) -> "GradedPoly":
-        return cls()
 
     @classmethod
     def const(cls, value) -> "GradedPoly":
@@ -212,60 +195,36 @@ class GradedPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        return self.mul_trunc(other, None)
+        return GradedPoly._make(collect(
+            (mono_mul(m1, m2), c1 * c2)
+            for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()))
 
     __rmul__ = __mul__
-
-    def mul_trunc(self, other: "GradedPoly", bound: Optional[int]) -> "GradedPoly":
-        """Product, dropping monomials of degree above ``bound`` if given."""
-        if bound is None:
-            return GradedPoly._make(collect(
-                (mono_mul(m1, m2), c1 * c2)
-                for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()))
-        right = [(m2, mono_degree(m2), c2) for m2, c2 in other.terms.items()]
-
-        def products():
-            for m1, c1 in self.terms.items():
-                room = bound - mono_degree(m1)
-                if room < 0:
-                    continue
-                for m2, d2, c2 in right:
-                    if d2 <= room:
-                        yield mono_mul(m1, m2), c1 * c2
-
-        return GradedPoly._make(collect(products()))
 
     def uses_only_unprimed(self) -> bool:
         return all(var[0] == 0 for mono in self.terms for var, _ in mono)
 
-    def substitute(self, table: Callable[[Var], "GradedPoly"],
-                   trunc: Optional[int] = None) -> "GradedPoly":
+    def substitute(self, table: Callable[[Var], "GradedPoly"]) -> "GradedPoly":
         """Replace each variable by ``table(var)`` and expand.
 
-        Powers of the images are cached per call; ``trunc`` bounds the
-        degree of every intermediate product.
+        Powers of the images are cached per call.
         """
         powers: dict[tuple[Var, int], GradedPoly] = {}
 
         def power(var: Var, exp: int) -> GradedPoly:
             key = (var, exp)
             if key not in powers:
-                if exp == 1:
-                    powers[key] = table(var)
-                else:
-                    powers[key] = power(var, exp - 1).mul_trunc(table(var), trunc)
+                powers[key] = table(var) if exp == 1 else power(var, exp - 1) * table(var)
             return powers[key]
 
-        total = GradedPoly()
-        for mono, coeff in self.terms.items():
-            term = GradedPoly.const(coeff)
-            for var, exp in mono:
-                term = term.mul_trunc(power(var, exp), trunc)
-            total = total + term
-        return total
+        def expanded():
+            for mono, coeff in self.terms.items():
+                term = GradedPoly.const(coeff)
+                for var, exp in mono:
+                    term = term * power(var, exp)
+                yield from term.terms.items()
 
-    def to_alphabet(self, prime: int) -> "GradedPoly":
-        return self.substitute(lambda var: GradedPoly.var(var[1], prime))
+        return GradedPoly._make(collect(expanded()))
 
     def render(self) -> str:
         """Debug rendering: sorted monomials in ``a/b*s1^2*s2`` form."""
@@ -282,9 +241,6 @@ class GradedPoly:
                 factors.append(name if exp == 1 else f"{name}^{exp}")
             chunks.append("*".join(factors))
         return " + ".join(chunks)
-
-    def __str__(self):
-        return self.render()
 
     def __repr__(self):
         return f"GradedPoly({self.render()})"
@@ -333,25 +289,26 @@ class RootPoly:
                                      {e: -c for e, c in other.terms.items()})
 
     def __mul__(self, other: "RootPoly") -> "RootPoly":
-        return RootPoly._make(self.k, self.bound,
-                              _truncated_product(self.terms, other.terms, self.bound))
+        right = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
+        return RootPoly._make(self.k, self.bound, collect(
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items() for e2, d2, c2 in right
+            if sum(e1) + d2 <= self.bound))
 
     def __repr__(self):
         return f"RootPoly(k={self.k}, bound={self.bound}, {len(self.terms)} terms)"
 
 
-_SIGMA_CACHE: list[GradedPoly] = [GradedPoly.const(1)]
-_POWER_SUM_CACHE: list[GradedPoly] = [GradedPoly.const(0)]
-
-
+@cache
 def _sigma(i: int) -> GradedPoly:
-    # the j'th character component is p_j / j!, so p_j = j! * s_j; a
-    # request past the cache extends it up to i
-    if len(_SIGMA_CACHE) <= i:
-        _SIGMA_CACHE[:] = newton(
-            [None] + [GradedPoly.var(j).scale(factorial(j)) for j in range(1, i + 1)],
-            _SIGMA_CACHE, GradedPoly.__mul__, GradedPoly.__add__, GradedPoly.scale)
-    return _SIGMA_CACHE[i]
+    # the j'th character component is p_j / j!, so p_j = j! * s_j; one
+    # Newton step extends the prefix [1, sigma_1, ..., sigma_(i-1)]
+    if not i:
+        return GradedPoly.const(1)
+    return newton(
+        [None] + [GradedPoly.var(j).scale(factorial(j)) for j in range(1, i + 1)],
+        [_sigma(j) for j in range(i)],
+        GradedPoly.__mul__, GradedPoly.__add__, GradedPoly.scale)[i]
 
 
 def chern_polynomial(i: int) -> GradedPoly:
@@ -366,17 +323,15 @@ def chern_polynomial(i: int) -> GradedPoly:
     return _sigma(i)
 
 
-def _power_sum_in_sigma(j: int) -> GradedPoly:
+@cache
+def _power_sum_in_sigma(k: int) -> GradedPoly:
     # p_k = sigma_1 p_{k-1} - sigma_2 p_{k-2} + ... + (-1)^{k-1} k sigma_k,
     # with the variables s_i now standing for sigma_i.
-    while len(_POWER_SUM_CACHE) <= j:
-        k = len(_POWER_SUM_CACHE)
-        acc = GradedPoly.var(k).scale(Fraction((-1) ** (k - 1) * k))
-        for m in range(1, k):
-            term = GradedPoly.var(m) * _POWER_SUM_CACHE[k - m]
-            acc = acc + term.scale(Fraction((-1) ** (m - 1)))
-        _POWER_SUM_CACHE.append(acc)
-    return _POWER_SUM_CACHE[j]
+    acc = GradedPoly.var(k).scale(Fraction((-1) ** (k - 1) * k))
+    for m in range(1, k):
+        term = GradedPoly.var(m) * _power_sum_in_sigma(k - m)
+        acc = acc + term.scale(Fraction((-1) ** (m - 1)))
+    return acc
 
 
 def ch_from_chern(j: int) -> GradedPoly:
@@ -481,29 +436,23 @@ def expand_in_roots(poly: GradedPoly, k: int, bound: int) -> RootPoly:
         for expvec in _arrangements(part, k)})
 
 
-def total_chern_truncated(bound: int) -> GradedPoly:
-    """1 + C_1 + ... + C_bound in the unprimed alphabet."""
-    if bound < 0:
-        raise ValueError("truncation bound must be >= 0")
-    total = GradedPoly.const(1)
-    for i in range(1, bound + 1):
-        total = total + chern_polynomial(i)
-    return total
-
-
 def verify_sum_identity(bound: int) -> tuple[bool, GradedPoly]:
-    """Check multiplicativity of the total class up to ``bound``.
+    """C(s + s') = C(s) * C(s') in every degree up to ``bound``.
 
-    The truncated total is built once; its image under s_i -> s_i + s'_i
-    is compared with its product with the primed copy.  Returns the
-    verdict together with the discrepancy polynomial, which is zero
-    exactly when the identity holds at this truncation.
+    The sum of [1, C_1, ..., C_bound] under s_i -> s_i + s'_i, which
+    preserves degree, against the Cauchy sum of C_a * C'_b over
+    a + b <= bound, C'_b the primed copy: each C_k is homogeneous of
+    degree k, so no term needs cutting.  Returns the verdict and the
+    discrepancy, zero exactly when the identity holds.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    total = total_chern_truncated(bound)
-    lhs = total.substitute(
-        lambda var: GradedPoly.var(var[1], 0) + GradedPoly.var(var[1], 1), trunc=bound)
-    rhs = total.mul_trunc(total.to_alphabet(1), bound)
+    classes = [GradedPoly.const(1)] + [chern_polynomial(i) for i in range(1, bound + 1)]
+    primed = [c.substitute(lambda var: GradedPoly.var(var[1], 1)) for c in classes]
+    lhs = sum(classes, GradedPoly()).substitute(
+        lambda var: GradedPoly.var(var[1], 0) + GradedPoly.var(var[1], 1))
+    rhs = GradedPoly._make(collect(chain.from_iterable(
+        (classes[a] * primed[b]).terms.items()
+        for a in range(bound + 1) for b in range(bound + 1 - a))))
     diff = lhs - rhs
     return diff.is_zero(), diff

@@ -84,12 +84,35 @@ def test_odd_even_index_exit_code(tmp_path, capsys):
     assert main(["odd", "--config", str(path)]) == 3
 
 
+def test_odd_on_a_point_exit_code(tmp_path, capsys):
+    path = tmp_path / "odd.cfg"
+    path.write_text("dim = 0\n\n[component]\nwinding =\n", encoding="utf-8")
+    assert main(["odd", "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "precondition violated: T^0 carries no odd classes\n"
+
+
 def test_precondition_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("dim = 2\nindices = 2\n[line]\nK = 0 1 / -1 0\n",
                     encoding="utf-8")
     assert main(["chern", "--config", str(path)]) == 3
     assert "precondition" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dim = 2\n[line]\ntheta = 0.5 0\n", "line 3: expected a rational, got '0.5'"),
+    ("dim = 2\n[line]\nK = 0 1 / -1 0\nK = 0 2 / -2 0\n",
+     "line 4: key 'K' given twice in [line]"),
+], ids=["theta", "repeated key"])
+def test_config_errors_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["chern", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: {message}\n"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

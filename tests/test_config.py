@@ -84,6 +84,44 @@ def test_zero_denominator_reports_line(text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("token", ["0.5", "1e-2", "+1/3", ".5", "1_0", "\uff11", "1/0"])
+def test_theta_takes_only_integer_or_ratio_tokens(token):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"dim = 2\n[line]\ntheta = {token} 0\n")
+    assert err.value.line == 3
+    assert str(err.value) == f"line 3: expected a rational, got {token!r}"
+
+
+def test_theta_reads_signed_ratios():
+    config = parse_config("dim = 2\n[line]\ntheta = -1/2 3\n")
+    assert config.lines[0].theta == [Fraction(-1, 2), Fraction(3)]
+
+
+@pytest.mark.parametrize("text, line, named", [
+    ("dim = 2\ndim = 3\n", 2, "'dim'"),
+    ("dim = 2\nindices = 1\nindices = 1\n", 3, "'indices'"),
+    ("dim = 2\n[line]\nK = 0 1 / -1 0\nK = 0 2 / -2 0\n", 4, "'K' given twice in [line]"),
+    ("dim = 1\n[line]\ntheta = 0\ntheta = 1/2\n", 4, "'theta'"),
+    ("dim = 2\n[component]\nwinding = 1 0\nwinding = 0 1\n", 4, "'winding'"),
+    ("dim = 2\n[rho]\nterms = (1+0i) exp[0,0] d{1}\nterms = (1+0i) exp[0,0] d{2}\n",
+     4, "'terms' given twice in [rho]"),
+    ("dim = 2\n[rho]\nterms = (1+0i) exp[0,0] d{1}\n[rho]\nterms = (1+0i) exp[0,0] d{2}\n",
+     4, "[rho] given twice"),
+], ids=["dim", "indices", "K", "theta", "winding", "terms", "rho"])
+def test_a_key_or_rho_given_twice_is_an_error(text, line, named):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == line
+    assert named in str(err.value)
+
+
+def test_each_block_takes_its_keys_once():
+    config = parse_config("dim = 2\n[line]\nK = 0 1 / -1 0\n[line]\nK = 0 2 / -2 0\n"
+                          "[component]\nwinding = 1 0\n[component]\nwinding = 0 1\n")
+    assert [spec.K[0][1] for spec in config.lines] == [1, 2]
+    assert [spec.winding for spec in config.components] == [[1, 0], [0, 1]]
+
+
 def test_parse_form_rejects_zero_denominator():
     with pytest.raises(ValueError, match="zero denominator"):
         parse_form("(1/0+0i) exp[0,0] d{1}", n=2)

@@ -25,6 +25,7 @@ def test_quick_plan_passes_every_suite():
 def test_full_plan_names_every_suite_in_order():
     plan = load_script("run_verify_suites").FULL_PLAN
     assert [name for name, _ in plan] == list(SUITES)
+    assert [kwargs["cases"] for _, kwargs in plan if kwargs] == [100, 200, 50, 50, 50, 500, 500]
 
 
 def test_layer_times_outputs_are_unchanged():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chernforge import diffchar, verify
+from chernforge import diffchar, symfun, verify
 from chernforge.bundles import OddKCycle
 from chernforge.cli import main
 from chernforge.forms import TorusForm
@@ -97,21 +97,26 @@ def test_odd_bookkeeping_failure_keeps_the_class_checks(monkeypatch):
 
 
 
-def test_multiplicativity_computes_the_identity_once_and_cuts_it_per_bound(monkeypatch):
+def test_multiplicativity_runs_the_identity_once_per_bound(monkeypatch):
     bounds = []
-    # a planted discrepancy of degree 3: the bounds below 3 must still pass
-    planted = GradedPoly.var(1) * GradedPoly.var(2)
+    original = verify.verify_sum_identity
 
-    def fake(bound):
+    def counted(bound):
         bounds.append(bound)
-        return False, planted
+        return original(bound)
 
-    monkeypatch.setattr(verify, "verify_sum_identity", fake)
+    monkeypatch.setattr(verify, "verify_sum_identity", counted)
+    # C_2 + s2 breaks the identity from degree 3 on: the bounds below must pass
+    chern_polynomial = symfun.chern_polynomial
+    monkeypatch.setattr(symfun, "chern_polynomial",
+                        lambda i: chern_polynomial(i) + GradedPoly.var(2) if i == 2
+                        else chern_polynomial(i))
     report = verify.run_suite("multiplicativity")
-    assert bounds == [8]
+    assert bounds == list(range(1, 9))
     assert (report["checks"], report["failures"]) == (8, 6)
-    assert report["first_counterexample"] == {"check": "sum identity at N=3",
-                                              "discrepancy": planted.render()}
+    first = report["first_counterexample"]
+    assert first["check"] == "sum identity at N=3"
+    assert first["discrepancy"] == original(3)[1].render() != "0"
 
 
 def test_gauge_and_paths_run_one_class_pass_per_cycle_shift_and_path(monkeypatch):
