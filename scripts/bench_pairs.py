@@ -13,8 +13,9 @@ in each tree for each workload, the base first in even pairs and the
 change first in odd ones.  For every workload and end-to-end metric the
 output holds both sides' medians and quartiles, the per-pair
 change/base ratios, their median over the pairs where the base ran
-first and over those where the change ran first, the change's wins and
-a verdict against the bound in BENCHMARK.json; for every workload,
+first and over those where the change ran first, the geometric mean of
+those two medians, the change's wins and a verdict against the bound in
+BENCHMARK.json; for every workload,
 whether the round-0 report
 digests agree and the failed counts of both sides.  The file is
 rewritten after each pair, so an interrupted run keeps what it
@@ -26,12 +27,15 @@ Verdicts, per metric, on the pairs run:
               the bound;
   unresolved  the base's own spread (q3 - q1, over its median) is wider
               than the bound, unless every change run beats every base run;
-  gain        the change wins at least nine tenths of the pairs and the
-              medians differ by more than the base's q3 - q1;
+  gain        the change wins at least nine tenths of the pairs, the
+              medians differ by more than the base's q3 - q1, and the
+              median ratio over the pairs of each run order favours the
+              change;
   within      none of these.
-The two per-order medians are printed beside each verdict and do not
-enter it.  They differ when the side that runs first in a pair reads
-slower or faster than it would run second.
+The per-order medians differ when the side that runs first in a pair
+reads slower or faster than it would run second; a gain has to show in
+both, so a run with pairs of one order only never reads gain.  Their
+geometric mean is the change/base ratio with the order effect balanced.
 """
 
 from __future__ import annotations
@@ -116,7 +120,8 @@ def judge(base: list[float], change: list[float], better: str, bound: float) -> 
     """Summary and verdict of one metric over paired runs (base[p], change[p]).
 
     The per-pair ratios are also summarised by run order, pair p having
-    run the base first when ``base_first(p)``; the verdict reads neither.
+    run the base first when ``base_first(p)``; ``gain`` needs both
+    per-order medians on the change's side of 1.
     """
     sign = 1 if better == "lower" else -1
     b_q1, b_med, b_q3 = _quartiles(base)
@@ -127,11 +132,14 @@ def judge(base: list[float], change: list[float], better: str, bound: float) -> 
     wins = sum(c < b for b, c in zip(cost_base, cost_change))
     spread = b_q3 - b_q1
     ratios = [c / b if b else None for b, c in zip(base, change)]
+    by_order = (_median_or_none([r for p, r in enumerate(ratios) if base_first(p)]),
+                _median_or_none([r for p, r in enumerate(ratios) if not base_first(p)]))
+    both_orders_favour = all(r is not None and sign * (1 - r) > 0 for r in by_order)
     if sign * (c_med - b_med) > bound * abs(b_med):
         verdict = "worse"
     elif spread > bound * abs(b_med) and not max(cost_change) < min(cost_base):
         verdict = "unresolved"
-    elif wins >= 0.9 * len(base) and sign * (b_med - c_med) > spread:
+    elif wins >= 0.9 * len(base) and sign * (b_med - c_med) > spread and both_orders_favour:
         verdict = "gain"
     else:
         verdict = "within"
@@ -140,10 +148,10 @@ def judge(base: list[float], change: list[float], better: str, bound: float) -> 
         "change_median": c_med, "change_q1": c_q1, "change_q3": c_q3,
         "ratio_of_medians": c_med / b_med if b_med else None,
         "ratios": ratios,
-        "ratio_base_first": _median_or_none(
-            [r for p, r in enumerate(ratios) if base_first(p)]),
-        "ratio_change_first": _median_or_none(
-            [r for p, r in enumerate(ratios) if not base_first(p)]),
+        "ratio_base_first": by_order[0],
+        "ratio_change_first": by_order[1],
+        "ratio_orders_geomean": (by_order[0] * by_order[1]) ** 0.5
+        if None not in by_order else None,
         "wins": wins, "pairs": len(base), "better": better, "bound": bound,
         "verdict": verdict,
     }
@@ -227,6 +235,7 @@ def main() -> int:
                   f"wins {m['wins']}/{m['pairs']}, "
                   f"base first {_times(m['ratio_base_first'])}, "
                   f"change first {_times(m['ratio_change_first'])}, "
+                  f"orders balanced {_times(m['ratio_orders_geomean'])}, "
                   f"base q1-q3 {m['base_q1']:.4g}-{m['base_q3']:.4g}) {m['verdict']}")
     return 0
 

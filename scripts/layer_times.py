@@ -16,7 +16,11 @@ nothing that a form or a cycle keeps from an earlier call is reused;
 then each layer runs over its whole batch once, timed.  One line per
 layer gives the median batch time over the repeats in milliseconds and,
 beside it, the time of the first repeat, which also fills the
-process-wide tables of the forms kernel (Koszul signs, index sets).
+process-wide tables of the forms kernel (Koszul signs, index sets,
+packed key parts).  Last on the line is the work the layer did, counted
+untimed on the first repeat: the terms of every form in its outputs
+and, for ``wedge``, the term products it forms (pairs of terms whose
+index sets are disjoint).
 The last line is one sha256 over the ``to_text()`` of every output of
 the first repeat, layer by layer.  A changed checksum means that some
 layer's output changed; times depend on the host and its current speed.
@@ -25,6 +29,7 @@ layer's output changed; times depend on the host and its current speed.
 from __future__ import annotations
 
 import argparse
+from collections import Counter
 import copy
 import hashlib
 import statistics
@@ -104,6 +109,24 @@ def _text(value) -> str:
     return value.to_text()
 
 
+def _forms(value):
+    """Every form in a layer's output; a verdict (bool) holds none."""
+    if isinstance(value, list):
+        for item in value:
+            yield from _forms(item)
+    elif isinstance(value, DiffChar):
+        yield from (value.harmonic, value.trans)
+    elif isinstance(value, TorusForm):
+        yield value
+
+
+def _products(a: TorusForm, b: TorusForm) -> int:
+    """The term products of ``a.wedge(b)``: term pairs with disjoint index sets."""
+    left, right = (Counter(mask for (_, _, mask), _ in form.items()) for form in (a, b))
+    return sum(count1 * count2 for mask1, count1 in left.items()
+               for mask2, count2 in right.items() if not mask1 & mask2)
+
+
 LAYERS = (
     ("wedge", lambda a, b: a.wedge(b)),
     ("d", lambda a: a.d()),
@@ -125,7 +148,7 @@ def main() -> int:
         parser.error(f"--repeats must be >= 1, got {args.repeats}")
 
     times = {name: [] for name, _ in LAYERS}
-    digest = None
+    digest = work = None
     for _ in range(args.repeats):
         operands = draw(SEED)
         outputs = []
@@ -136,11 +159,14 @@ def main() -> int:
             outputs.append(results)
         if digest is None:
             digest = hashlib.sha256(_text(outputs).encode()).hexdigest()
+            work = {name: f"{sum(len(form.items()) for form in _forms(results))} terms"
+                    for (name, _), results in zip(LAYERS, outputs)}
+            work["wedge"] += f", {sum(_products(a, b) for a, b in operands['wedge'])} products"
 
     for name, _ in LAYERS:
         print(f"{name:<18} {1000 * statistics.median(times[name]):9.3f} ms"
               f"  (first {1000 * times[name][0]:.3f} ms; {len(operands[name])} ops,"
-              f" median of {args.repeats})")
+              f" median of {args.repeats})  {work[name]}")
     print(f"checksum {digest}")
     return 0
 

@@ -1,7 +1,8 @@
 """Structured-text configuration for the command-line front end.
 
 The format is line oriented: ``key = value`` pairs, ``[line]``,
-``[rho]`` and ``[component]`` section headers, ``#`` comments.  Exact
+``[rho]`` and ``[component]`` section headers, ``#`` comments.  Integers
+are ASCII digits with an optional ``-`` (``forms._INT_RE``), exact
 rationals are written ``p`` or ``p/q``; differential forms use the term
 grammar ``(a+bi) t^m exp[k1,...,kn] d{t,1,3}`` with terms joined by
 ``+``.  A key may be given once per block and ``[rho]`` once per file.
@@ -18,7 +19,7 @@ from typing import Optional
 
 from .bundles import DiagBundle, KCycle, LineBundle, OddKCycle
 from .errors import ConfigError
-from .forms import _RATIONAL_RE, TorusForm, _ratio, parse_form
+from .forms import _INT_RE, _RATIONAL_RE, TorusForm, _ratio, parse_form
 
 
 @dataclass
@@ -80,10 +81,9 @@ class Config:
 
 
 def _parse_int(value: str, lineno: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {value!r}", lineno) from None
+    if not _INT_RE.fullmatch(value):
+        raise ConfigError(f"expected an integer, got {value!r}", lineno)
+    return int(value)
 
 
 def _parse_int_list(value: str, lineno: int) -> list[int]:

@@ -12,30 +12,46 @@ derivative multiplies a Fourier coefficient by i*k_j, which absorbs the
 2*pi of the usual conventions and keeps every period rational.
 
 Storage: one positive integer denominator ``den`` shared by all terms,
-and a map ``terms`` from ``(m, k, mask)`` to a Gaussian-integer
+and a map ``terms`` from a packed int key to a Gaussian-integer
 numerator ``(re, im)`` of ints, so a term's coefficient is
-``(re + im*i) / den``.  Bit j of ``mask`` is set when dx_j is in I;
-index sets merge with ``|``, collide when ``&`` is non-zero, and the
-Koszul sign is a popcount parity (:func:`_koszul_sign`).  Every sign
-comes from that one table, filled on first use with at most one entry
-per pair of disjoint masks: 3^(n+1) of them on T^n with t.  Every form
-is normalized on construction: no zero numerator is stored,
-gcd(den, every numerator) == 1 and the zero form has den == 1.  Equal
-forms therefore have equal storage, and equality is structural.  Zero
-numerators are dropped as sums are formed (:func:`_accumulate` deletes
-a key whose sum cancels), so a finished form is never scanned for them,
-and the gcd is divided out only when den > 1.  A sum copies the operand
-that needs no scaling to the common den (or the larger one) and walks
-the other into the copy.  The terms grouped by index mask, which
-:meth:`TorusForm.wedge` reads, are built once and kept on the form.
-The public constructor checks each index set through its mask: one
-that the cached ``_indices(mask)`` gives back unchanged is strictly
-increasing and in range, and only any other runs the full checks.
-Coefficients enter as an int, a Fraction or an ``(re, im)`` pair of
-them and subtorus integrals leave :meth:`TorusForm.invariant_table` as
-``(re, im)`` pairs of Fractions, so this storage is the only
-Gaussian-rational type.  Tuple index sets appear only at the boundary:
-the public constructor, parsing, invariant tables and text.  Text
+``(re + im*i) / den``.  The key of ``t^m exp(2*pi*i*<k, x>) dx_I``
+(:class:`_Layout`) holds the index mask in bits 0..n, bit j set when
+dx_j is in I, and above it one ``SLOT_BITS``-wide slot for m and one per
+coordinate for k_j, each holding its value plus ``CEILING``.  Stored
+values lie in [-CEILING, CEILING), so the top bit of every slot, its
+guard bit, is clear.  Disjoint masks add without carries, so the key of
+a product of two terms is ``key1 + key2 - bias``; a slot whose sum
+leaves the range sets its guard bit (one that goes below zero borrows
+from the slot above and still shows its own), so one test against the
+guards catches every such product, and the wedge raises
+:class:`PreconditionError` rather than store a key that could alias
+another.  The public constructor, and through it :func:`parse_form`,
+refuses a t exponent or frequency outside the range with ValueError,
+and :meth:`TorusForm.pullback` a pulled-back frequency with
+PreconditionError.  Keys are encoded (``_slots``) and decoded
+(``_Layout.slot_values``) through two bounded caches, and only by the
+constructor, :meth:`TorusForm.items`, ``d``, pullback, circle
+integration and text; every other operation is arithmetic on the keys.
+Index sets merge with
+``|``, collide when ``&`` is non-zero, and the Koszul sign is a popcount
+parity (:func:`_koszul_sign`).  Every sign comes from that one table,
+filled on first use with at most one entry per pair of disjoint masks:
+3^(n+1) of them on T^n with t.  Every form is normalized on
+construction: no zero numerator is stored, gcd(den, every numerator)
+== 1 and the zero form has den == 1.  Equal forms therefore have equal
+storage, and equality is structural.  Zero numerators are dropped as
+sums are formed (:func:`_accumulate` deletes a key whose sum cancels),
+so a finished form is never scanned for them, and the gcd is divided
+out only when den > 1.  A sum copies the operand that needs no scaling
+to the common den (or the larger one) and walks the other into the
+copy.  The terms grouped by index mask, which :meth:`TorusForm.wedge`
+reads, are built once and kept on the form.  The public constructor
+checks each index set through its mask: one that the cached
+``_indices(mask)`` gives back unchanged is strictly increasing and in
+range, and only any other runs the full checks.  Coefficients enter as
+an int, a Fraction or an ``(re, im)`` pair of them and subtorus
+integrals leave :meth:`TorusForm.invariant_table` as ``(re, im)`` pairs
+of Fractions, so this storage is the only Gaussian-rational type.  Text
 leaves :meth:`TorusForm.to_text` without Fraction objects, each
 numerator reduced against ``den`` by one gcd, and :func:`parse_form`
 reads each coefficient as ints, making a Fraction only when its
@@ -60,16 +76,104 @@ numerators over ``den`` the character layer reads directly;
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
+from itertools import repeat
 from math import factorial, gcd, lcm
-from operator import add, neg
+from operator import lshift, sub
 import re
+from struct import Struct
 from typing import Optional, Sequence
 
+from .errors import PreconditionError
 from .symfun import collect, newton, rational
 
-# Term key: (t_exponent, frequency vector, index-set bitmask).
-Key = tuple[int, tuple[int, ...], int]
+# Width of each slot of a packed key, and the bias of every slot value:
+# a slot holds value + CEILING in [0, 2 * CEILING), its top bit clear.
+# Keys decode as 32-bit words (``_Layout.slot_values``), so the width is fixed.
+SLOT_BITS = 32
+CEILING = 1 << (SLOT_BITS - 2)
+_SLOT = (1 << SLOT_BITS) - 1
+_RANGE = f"[-2^{SLOT_BITS - 2}, 2^{SLOT_BITS - 2})"
+_KEPT = 1 << 12  # encoded and decoded keys kept, per cache
+
+
+class _Layout:
+    """The packed term keys of T^n: bit positions and the constants of key arithmetic.
+
+    A key holds the index mask in bits 0..n; above it, from ``t_shift``,
+    sit one slot for the t exponent and then one per coordinate
+    (``shifts``), each holding its value + CEILING.  ``bias`` is the key
+    of t^0 exp(0) with the empty index set, ``guards`` the top bit of
+    every slot and ``freq_bias`` the frequency part of ``bias``.
+    """
+
+    __slots__ = ("n", "mask_bits", "t_shift", "shifts",
+                 "bias", "guards", "freq_bias", "low_bits", "words", "decoded")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.mask_bits = (1 << (n + 1)) - 1
+        self.t_shift = n + 1
+        self.shifts = tuple(self.t_shift + SLOT_BITS * j for j in range(1, n + 1))
+        every_slot = ((1 << SLOT_BITS * (n + 1)) - 1) // _SLOT  # 1 in each of the n + 1 slots
+        self.bias = CEILING * every_slot << self.t_shift
+        self.freq_bias = self.bias - (CEILING << self.t_shift)
+        self.guards = 2 * self.bias
+        self.low_bits = (1 << (self.t_shift + SLOT_BITS)) - 1
+        # the slots as unsigned 32-bit words, the t slot first
+        self.words = Struct(f"<{n + 1}I")
+        self.decoded: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+    def slot_values(self, slots: int) -> tuple[int, tuple[int, ...]]:
+        """``(t_exp, freq)`` of a key's slots, the key shifted past its mask.
+
+        Keys repeat their slot values, so each is decoded once and kept
+        in ``decoded``, which a hot loop may read first; it is emptied
+        when it would hold more than ``_KEPT``.
+        """
+        values = self.decoded.get(slots)
+        if values is None:
+            if len(self.decoded) >= _KEPT:
+                self.decoded.clear()
+            words = self.words.unpack(slots.to_bytes(self.words.size, "little"))
+            t_exp, *freq = map(sub, words, repeat(CEILING))
+            values = self.decoded[slots] = t_exp, tuple(freq)
+        return values
+
+    def unpack(self, key: int) -> tuple[int, tuple[int, ...], int]:
+        """``(t_exp, freq, mask)`` of a key."""
+        return *self.slot_values(key >> self.t_shift), key & self.mask_bits
+
+
+_layout = cache(_Layout)
+
+
+@lru_cache(maxsize=_KEPT, typed=True)
+def _slots(t_exp: int, *freq: int) -> int:
+    """The key of t^t_exp exp(2*pi*i*<freq, x>) on T^len(freq), with no index bits.
+
+    ``t_exp`` must be >= 0.  Raises ValueError for a t exponent or a
+    frequency outside the key range and TypeError for one that is not
+    an int.  Keys repeat their slot values, so the keys are cached;
+    with each value's type, so that one equal to an int without being
+    one (1.0) is never read as that int.
+    """
+    if t_exp >= CEILING:
+        raise ValueError(f"t exponent {t_exp} outside the key range {_RANGE}")
+    if freq and not (-CEILING <= min(freq) and max(freq) < CEILING):
+        raise ValueError(f"frequency vector {freq} outside the key range {_RANGE}")
+    layout = _layout(len(freq))
+    return sum(map(lshift, freq, layout.shifts), layout.bias + (t_exp << layout.t_shift))
+
+
+@cache
+def _zero_slots(n: int, mask: int) -> tuple[int, int]:
+    """``(select, zero)``: a key's frequency vanishes on the coordinates of
+    ``mask`` exactly when ``key & select == zero``."""
+    shifts = _layout(n).shifts
+    coords = [j for j in _indices(mask) if j]
+    return (sum(_SLOT << shifts[j - 1] for j in coords),
+            sum(CEILING << shifts[j - 1] for j in coords))
 
 
 @cache
@@ -209,7 +313,7 @@ class TorusForm:
         self.n = _dimension(n)
         self.has_t = bool(has_t)
         self._transforms = self._groups = self._derivative = None
-        parts: dict[Key, tuple[int, int, int]] = {}
+        parts: dict[int, tuple[int, int, int]] = {}
         for key, coeff in (terms or {}).items():
             part = _gauss_parts(coeff)
             if not (part[0] or part[1]):
@@ -227,10 +331,11 @@ class TorusForm:
                 raise ValueError("t data on a form without the t extension")
             if t_exp < 0:
                 raise ValueError("negative t exponent")
+            slots = _slots(t_exp, *freq)
             if mask is None:
                 # only an index that is not an int gets here: the shift raises TypeError
                 mask = sum(1 << j for j in idx)
-            parts[(t_exp, freq, mask)] = part
+            parts[slots + mask] = part
         self.den, self.terms = _normalized(*_over_common_den(parts))
 
     @classmethod
@@ -333,66 +438,85 @@ class TorusForm:
     __rmul__ = __mul__
 
     def _by_mask(self) -> dict[int, list]:
-        """``{mask: [(m, freq, (re, im)), ...]}``, built once and kept."""
+        """``{mask: [(key, (re, im)), ...]}``, built once and kept."""
         groups = self._groups
         if groups is None:
             groups = self._groups = {}
-            for (m, freq, mask), num in self.terms.items():
-                groups.setdefault(mask, []).append((m, freq, num))
+            mask_bits = _layout(self.n).mask_bits
+            for key, num in self.terms.items():
+                groups.setdefault(key & mask_bits, []).append((key, num))
         return groups
 
     def wedge(self, other: "TorusForm") -> "TorusForm":
         """Graded-commutative product with the standard Koszul sign.
 
         Terms are grouped by index set, so the collision test and the
-        sign are computed once per pair of index sets.
+        sign are computed once per pair of index sets.  The key of each
+        product is one addition, the layout's bias taken off the left
+        key once per row; a product whose t exponent or frequency leaves
+        the key range raises PreconditionError.
         """
         self._compatible(other)
-        zero_freq = (0,) * self.n
+        layout = _layout(self.n)
+        bias, guards = layout.bias, layout.guards
         right = other._by_mask()
-
-        def products():
-            for mask1, group1 in self._by_mask().items():
-                for mask2, group2 in right.items():
-                    if mask1 & mask2:
-                        continue
-                    sign = _koszul_sign(mask1, mask2)
-                    mask = mask1 | mask2
-                    for m1, k1, (a, b) in group1:
-                        if sign < 0:
-                            a, b = -a, -b
-                        for m2, k2, (c, d) in group2:
-                            if k2 == zero_freq:
-                                freq = k1
-                            elif k1 == zero_freq:
-                                freq = k2
+        out: dict = {}
+        get = out.get
+        for mask1, group1 in self._by_mask().items():
+            for mask2, group2 in right.items():
+                if mask1 & mask2:
+                    continue
+                negate = _koszul_sign(mask1, mask2) < 0
+                for key1, (a, b) in group1:
+                    if negate:
+                        a, b = -a, -b
+                    key1 -= bias
+                    for key2, (c, d) in group2:
+                        key = key1 + key2
+                        if key & guards:
+                            raise PreconditionError(
+                                f"a wedge product leaves the key range {_RANGE}")
+                        # a product of non-zero Gaussian integers is not zero
+                        re_num = a * c - b * d
+                        im_num = a * d + b * c
+                        prev = get(key)
+                        if prev is None:
+                            out[key] = (re_num, im_num)
+                        else:
+                            re_num += prev[0]
+                            im_num += prev[1]
+                            if re_num or im_num:
+                                out[key] = (re_num, im_num)
                             else:
-                                freq = tuple(map(add, k1, k2))
-                            yield (m1 + m2, freq, mask), (a * c - b * d, a * d + b * c)
-
-        return self._make(self.n, self.has_t, self.den * other.den,
-                          _accumulate({}, products()))
+                                del out[key]
+        return self._make(self.n, self.has_t, self.den * other.den, out)
 
     def d(self) -> "TorusForm":
         """Exterior derivative on the stored (Chern-normalized) data, kept on the form."""
         if self._derivative is not None:
             return self._derivative
-
-        def derivatives():
-            for (m, freq, mask), (re_num, im_num) in self.terms.items():
+        out: dict = {}
+        if self.terms:
+            layout = _layout(self.n)
+            mask_bits, t_shift = layout.mask_bits, layout.t_shift
+            decoded, slot_values = layout.decoded.get, layout.slot_values
+            derivatives = []
+            for key, (re_num, im_num) in self.terms.items():
+                mask = key & mask_bits
+                slots = key >> t_shift
+                m, freq = decoded(slots) or slot_values(slots)
                 # dt sorts first, so d(t^m) ^ dx_I needs no sign
                 if m > 0 and not mask & 1:
-                    yield (m - 1, freq, mask | 1), (m * re_num, m * im_num)
+                    derivatives.append((key - (1 << t_shift) + 1, (m * re_num, m * im_num)))
                 for j, kj in enumerate(freq, start=1):
                     bit = 1 << j
                     if kj == 0 or mask & bit:
                         continue
                     # multiply by i * k_j, with the sign that moves dx_j in
                     scale = kj * _koszul_sign(bit, mask)
-                    yield (m, freq, mask | bit), (-im_num * scale, re_num * scale)
-
-        self._derivative = self._make(self.n, self.has_t, self.den,
-                                      _accumulate({}, derivatives()))
+                    derivatives.append((key + bit, (-im_num * scale, re_num * scale)))
+            _accumulate(out, derivatives)
+        self._derivative = self._make(self.n, self.has_t, self.den, out)
         return self._derivative
 
     # -- structure queries ----------------------------------------------
@@ -405,13 +529,19 @@ class TorusForm:
 
     def is_real(self) -> bool:
         terms = self.terms
-        for (m, freq, mask), (re_num, im_num) in terms.items():
-            if terms.get((m, tuple(map(neg, freq)), mask)) != (re_num, -im_num):
+        layout = _layout(self.n)
+        # negating every frequency maps a slot value v to 2 * CEILING - v
+        # and keeps the mask and the t slot, the key's low bits
+        conjugate_base, low_bits = 2 * layout.freq_bias, layout.low_bits
+        for key, (re_num, im_num) in terms.items():
+            low = key & low_bits
+            if terms.get(conjugate_base + 2 * low - key) != (re_num, -im_num):
                 return False
         return True
 
     def degrees(self) -> set[int]:
-        return {mask.bit_count() for (_, _, mask) in self.terms}
+        mask_bits = _layout(self.n).mask_bits
+        return {(key & mask_bits).bit_count() for key in self.terms}
 
     def degree(self) -> Optional[int]:
         degs = self.degrees()
@@ -423,12 +553,17 @@ class TorusForm:
 
     def is_invariant(self) -> bool:
         """True when every term has frequency zero: translation invariance."""
-        return not any(any(freq) for (_, freq, _) in self.terms)
+        layout = _layout(self.n)
+        # the frequency slots are the key's top bits
+        low = layout.t_shift + SLOT_BITS
+        zero = layout.freq_bias >> low
+        return all(key >> low == zero for key in self.terms)
 
     def component(self, degree: int) -> "TorusForm":
+        mask_bits = _layout(self.n).mask_bits
         return self._make(self.n, self.has_t, self.den,
-                          {k: c for k, c in self.terms.items()
-                           if k[2].bit_count() == degree})
+                          {key: num for key, num in self.terms.items()
+                           if (key & mask_bits).bit_count() == degree})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusForm):
@@ -450,9 +585,12 @@ class TorusForm:
             raise ValueError("mul_t needs a t-extended form")
         if power < 0:
             raise ValueError("t power must be >= 0")
-        return self._make(self.n, True, self.den,
-                         {(m + power, freq, mask): num
-                          for (m, freq, mask), num in self.terms.items()})
+        layout = _layout(self.n)
+        shift = power << layout.t_shift
+        terms = {key + shift: num for key, num in self.terms.items()}
+        if power >= CEILING or any(key & layout.guards for key in terms):
+            raise PreconditionError(f"a t exponent leaves the key range {_RANGE}")
+        return self._make(self.n, True, self.den, terms)
 
     def restrict_t(self, value) -> "TorusForm":
         """Restrict a t-extended form to the slice t = value, an int or a Fraction."""
@@ -460,24 +598,29 @@ class TorusForm:
             raise ValueError("restrict_t needs a t-extended form")
         value = rational(value)
         p, q = value.numerator, value.denominator
-        kept = [(key, num) for key, num in self.terms.items() if not key[2] & 1]
-        top = max((key[0] for key, _ in kept), default=0)
+        t_shift = _layout(self.n).t_shift
+        kept = [(key, (key >> t_shift & _SLOT) - CEILING, num)
+                for key, num in self.terms.items() if not key & 1]
+        top = max((m for _, m, _ in kept), default=0)
         # t^m = p^m q^(top-m) / q^top over the common denominator
         return self._make(self.n, False, self.den * q ** top, _accumulate({}, (
-            ((0, freq, mask), (re_num * p ** m * q ** (top - m),
-                               im_num * p ** m * q ** (top - m)))
-            for (m, freq, mask), (re_num, im_num) in kept)))
+            (key - (m << t_shift), (re_num * p ** m * q ** (top - m),
+                                    im_num * p ** m * q ** (top - m)))
+            for key, m, (re_num, im_num) in kept)))
 
     def fiber_integrate_t(self) -> "TorusForm":
         """Integrate the t fiber away: int(t^m dt ^ eta) = eta/(m+1)."""
         if not self.has_t:
             raise ValueError("fiber_integrate_t needs a t-extended form")
-        kept = [(key, num) for key, num in self.terms.items() if key[2] & 1]
-        common = lcm(*(key[0] + 1 for key, _ in kept))
+        t_shift = _layout(self.n).t_shift
+        kept = [(key, (key >> t_shift & _SLOT) - CEILING, num)
+                for key, num in self.terms.items() if key & 1]
+        common = lcm(*(m + 1 for _, m, _ in kept))
+        # t^m -> t^0 and dt dropped from the front of the mask
         return self._make(self.n, False, self.den * common, _accumulate({}, (
-            ((0, freq, mask ^ 1), (re_num * (common // (m + 1)),
-                                   im_num * (common // (m + 1))))
-            for (m, freq, mask), (re_num, im_num) in kept)))
+            (key - (m << t_shift) - 1, (re_num * (common // (m + 1)),
+                                        im_num * (common // (m + 1))))
+            for key, m, (re_num, im_num) in kept)))
 
     # -- circle fibers and subtorus integrals -----------------------------
 
@@ -497,15 +640,21 @@ class TorusForm:
         pos = axis - 1
         bit = 1 << axis
         below = bit - 1
+        layout = _layout(self.n)
+        mask_bits, t_shift = layout.mask_bits, layout.t_shift
 
         def integrated():
-            for (m, freq, mask), (re_num, im_num) in self.terms.items():
-                if not mask & bit or freq[pos] != 0:
+            for key, (re_num, im_num) in self.terms.items():
+                mask = key & mask_bits
+                if not mask & bit:
+                    continue
+                _, freq = layout.slot_values(key >> t_shift)
+                if freq[pos]:
                     continue
                 rest = mask ^ bit
                 new_mask = (rest & below) | (rest >> (axis + 1) << axis)
                 sign = _koszul_sign(bit, rest)
-                yield (0, freq[:pos] + freq[pos + 1:], new_mask), \
+                yield _slots(0, *freq[:pos], *freq[axis:]) + new_mask, \
                     (sign * re_num, sign * im_num)
 
         return self._make(self.n - 1, False, self.den, _accumulate({}, integrated()))
@@ -528,11 +677,18 @@ class TorusForm:
         """The scan behind :meth:`invariant_table`: ``{mask: (re, im)}``, numerators over ``den``."""
         if self.has_t:
             raise ValueError("subtorus integrals are defined on t-free forms")
-        positions = {mask: [j - 1 for j in _indices(mask)]
-                     for mask in {key[2] for key in self.terms} if mask.bit_count() == degree}
-        return _accumulate({}, (
-            (mask, num) for (_, freq, mask), num in self.terms.items()
-            if mask in positions and not any(freq[p] for p in positions[mask])))
+        n = self.n
+        mask_bits = _layout(n).mask_bits
+
+        def vanishing():
+            for key, num in self.terms.items():
+                mask = key & mask_bits
+                if mask.bit_count() == degree:
+                    select, zero = _zero_slots(n, mask)
+                    if key & select == zero:
+                        yield mask, num
+
+        return _accumulate({}, vanishing())
 
     # -- pullback ---------------------------------------------------------
 
@@ -563,37 +719,60 @@ class TorusForm:
                     if entry and not chosen >> l & 1)
             return partial
 
+        layout = _layout(self.n)
+
         def pulled():
-            for (t_exp, freq, mask), (re_num, im_num) in self.terms.items():
+            for key, (re_num, im_num) in self.terms.items():
+                t_exp, freq, mask = layout.unpack(key)
                 new_freq = tuple(
                     sum(rows[j][l] * freq[j] for j in range(self.n)) for l in range(m_src)
                 )
+                try:
+                    base = _slots(t_exp, *new_freq)
+                except ValueError:
+                    raise PreconditionError(f"pulled-back frequency vector {new_freq} "
+                                            f"leaves the key range {_RANGE}") from None
                 dt = mask & 1
                 spatial = mask ^ dt
                 if spatial not in expansions:
                     expansions[spatial] = expand(spatial)
                 for chosen, c in expansions[spatial].items():
-                    yield (t_exp, new_freq, chosen | dt), (re_num * c, im_num * c)
+                    yield base + (chosen | dt), (re_num * c, im_num * c)
 
         return self._make(m_src, self.has_t, self.den, _accumulate({}, pulled()))
 
     # -- textual serialization ---------------------------------------------
+
+    def items(self) -> list:
+        """Every stored term as ``((t_exp, freq, mask), (re, im))``, in storage order.
+
+        The keys decoded: the coefficient is ``(re + im*i) / den`` and
+        bit j of ``mask`` is set when dx_j is in the index set.
+        """
+        unpack = _layout(self.n).unpack
+        return [(unpack(key), num) for key, num in self.terms.items()]
 
     def to_text(self) -> str:
         """Canonical rendering, one term per line; bit-exact round-trip."""
         if not self.terms:
             return "0"
         rows = sorted((_indices(mask), t_exp, freq, num)
-                      for (t_exp, freq, mask), num in self.terms.items())
+                      for (t_exp, freq, mask), num in self.items())
         lines = []
+        den = self.den
         for idx, t_exp, freq, (re_num, im_num) in rows:
             sign = "-" if im_num < 0 else "+"
-            parts = [f"({_ratio_text(re_num, self.den)}{sign}"
-                     f"{_ratio_text(abs(im_num), self.den)}i)"]
+            if den == 1:
+                parts = [f"({re_num}{sign}{abs(im_num)}i)"]
+            else:
+                parts = [f"({_ratio_text(re_num, den)}{sign}{_ratio_text(abs(im_num), den)}i)"]
             if t_exp:
                 parts.append(f"t^{t_exp}")
-            parts.append("exp[" + ",".join(str(v) for v in freq) + "]")
-            parts.append("d{" + ",".join("t" if j == 0 else str(j) for j in idx) + "}")
+            parts.append("exp[" + ",".join(map(str, freq)) + "]")
+            indices = ",".join(map(str, idx))
+            if indices[:1] == "0":  # index 0 is dt, which sorts first
+                indices = "t" + indices[1:]
+            parts.append("d{" + indices + "}")
             lines.append(" ".join(parts))
         return "\n".join(lines)
 
@@ -619,14 +798,22 @@ def _ratio(token: str, piece: str):
     return int(num) if den == 1 else Fraction(int(num), den)
 
 
-# a rational token as _ratio reads it, ``p`` or ``p/q`` in ASCII digits
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?", re.ASCII)
+# the one integer grammar of forms and configs, ASCII digits with an
+# optional minus; a rational token as _ratio reads it is ``p`` or ``p/q``
+_INT_RE = re.compile(r"-?\d+", re.ASCII)
+_RATIONAL_RE = re.compile(rf"{_INT_RE.pattern}(?:/\d+)?", re.ASCII)
+
+
+def _list_pattern(item: str) -> str:
+    """Comma-separated ``item``s, possibly none, with spaces around each."""
+    return rf"\s*(?:(?:{item})\s*(?:,\s*(?:{item})\s*)*)?"
+
 
 _TERM_RE = re.compile(
     rf"^\(\s*({_RATIONAL_RE.pattern})\s*([+-]\s*\d+(?:/\d+)?)i\s*\)"
     r"(?:\s+t\^(\d+))?"
-    r"\s+exp\[([^\]]*)\]"
-    r"\s+d\{([^}]*)\}\s*$",
+    rf"\s+exp\[({_list_pattern(_INT_RE.pattern)})\]"
+    rf"\s+d\{{({_list_pattern('t|' + _INT_RE.pattern)})\}}\s*$",
     re.ASCII,
 )
 
@@ -675,9 +862,10 @@ def parse_form(text: str, n: Optional[int] = None,
             raise ValueError(f"bad form term: {piece!r}")
         re_part, im_part, t_exp, freq_part, idx_part = match.groups()
         coeff = (_ratio(re_part, piece), _ratio(im_part.replace(" ", ""), piece))
-        freq = tuple(int(v) for v in freq_part.split(",")) if freq_part.strip() else ()
-        idx_items = [s.strip() for s in idx_part.split(",") if s.strip()]
-        idx = tuple(0 if s == "t" else int(s) for s in idx_items)
+        # _TERM_RE admits only _INT_RE entries, which int() reads as written
+        freq = tuple(map(int, freq_part.split(","))) if freq_part.strip() else ()
+        idx = tuple(0 if s.strip() == "t" else int(s) for s in idx_part.split(",")) \
+            if idx_part.strip() else ()
         m = int(t_exp) if t_exp else 0
         if m or 0 in idx:
             saw_t = True

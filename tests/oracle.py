@@ -122,13 +122,14 @@ def path_transgressions(cycle, rho_t: TorusForm) -> list:
 
 # -- reference forms kernel ------------------------------------------------------
 #
-# The wedge, exterior derivative and sum of the forms kernel as first
-# written: every product or derivative term goes through a generator
-# into a plain per-key sum, zero sums included, and the result is
-# rescanned to drop zero numerators and divide out the gcd.  Each
-# returns the normalized ``(den, terms)`` of the result, to be compared
-# with a kernel form's stored ``(den, terms)``.  Signs come from
-# counting inversions, not from the kernel's sign table.
+# The operations of the forms kernel as first written, on tuple keys
+# ``(t_exp, freq, mask)``: every product or derivative term goes through
+# a generator into a plain per-key sum, zero sums included, and the
+# result is rescanned to drop zero numerators and divide out the gcd.
+# Each reads a form through ``TorusForm.items()`` and returns the
+# normalized ``(den, terms)`` of the result, to be compared with a kernel
+# form's ``(den, dict(items()))``; nothing bounds a frequency here.
+# Signs come from counting inversions, not from the kernel's sign table.
 
 def permutation_sign(seq) -> int:
     """(-1)^(number of inversions of ``seq``)."""
@@ -152,7 +153,8 @@ def reference_construct(n: int, terms: dict, has_t: bool = False) -> tuple[int, 
     has_t)`` must store, or raises what it must raise.  A zero
     coefficient skips every check.  Then come the frequency arity and
     the four index checks (strictly increasing, in range, t data, t
-    exponent), and last the mask shift, which raises TypeError for an
+    exponent), the key range of the t exponent and of the frequencies,
+    and last the mask shift, which raises TypeError for an
     index that is not an int.
     """
     if n < 0:
@@ -173,6 +175,10 @@ def reference_construct(n: int, terms: dict, has_t: bool = False) -> tuple[int, 
             raise ValueError("t data on a form without the t extension")
         if t_exp < 0:
             raise ValueError("negative t exponent")
+        if t_exp >= 2 ** 30:
+            raise ValueError(f"t exponent {t_exp} outside the key range [-2^30, 2^30)")
+        if not all(-2 ** 30 <= k < 2 ** 30 for k in freq):
+            raise ValueError(f"frequency vector {freq} outside the key range [-2^30, 2^30)")
         parts[(t_exp, freq, sum(1 << j for j in idx))] = part
     den = lcm(*(part_den for _, _, part_den in parts.values()))
     return reference_normalized(den, {
@@ -203,7 +209,7 @@ def _reference_accumulate(out: dict, pairs) -> dict:
 
 def _reference_scaled(form: TorusForm, factor: int) -> dict:
     return {key: (re_num * factor, im_num * factor)
-            for key, (re_num, im_num) in form.terms.items()}
+            for key, (re_num, im_num) in form.items()}
 
 
 def reference_add(a: TorusForm, b: TorusForm) -> tuple[int, dict]:
@@ -218,7 +224,7 @@ def reference_wedge(a: TorusForm, b: TorusForm) -> tuple[int, dict]:
 
     def by_mask(form):
         groups = {}
-        for (m, freq, mask), num in form.terms.items():
+        for (m, freq, mask), num in form.items():
             groups.setdefault(mask, []).append((m, freq, num))
         return groups
 
@@ -248,7 +254,7 @@ def reference_wedge(a: TorusForm, b: TorusForm) -> tuple[int, dict]:
 
 def reference_d(form: TorusForm) -> tuple[int, dict]:
     def derivatives():
-        for (m, freq, mask), (re_num, im_num) in form.terms.items():
+        for (m, freq, mask), (re_num, im_num) in form.items():
             if m > 0 and not mask & 1:
                 yield (m - 1, freq, mask | 1), (m * re_num, m * im_num)
             for j, kj in enumerate(freq, start=1):
@@ -259,6 +265,98 @@ def reference_d(form: TorusForm) -> tuple[int, dict]:
                 yield (m, freq, mask | bit), (-im_num * scale, re_num * scale)
 
     return reference_normalized(form.den, _reference_accumulate({}, derivatives()))
+
+
+def reference_scale(form: TorusForm, scalar) -> tuple[int, dict]:
+    s_re, s_im, s_den = _gauss_parts(scalar)
+    return reference_normalized(form.den * s_den, {
+        key: (a * s_re - b * s_im, a * s_im + b * s_re) for key, (a, b) in form.items()})
+
+
+def reference_pullback(form: TorusForm, matrix) -> tuple[int, dict]:
+    """dy_j -> sum_l A[j][l] dx_l expanded factor by factor, frequencies by A^T."""
+    m_src = len(matrix[0]) if matrix else 0
+
+    def pulled():
+        for (t_exp, freq, mask), (re_num, im_num) in form.items():
+            new_freq = tuple(sum(matrix[j][l] * freq[j] for j in range(form.n))
+                             for l in range(m_src))
+            partial = {mask & 1: 1}
+            for j in _mask_indices(mask & ~1):
+                grown = {}
+                for chosen, c in partial.items():
+                    for l, entry in enumerate(matrix[j - 1], start=1):
+                        if entry and not chosen >> l & 1:
+                            sign = reference_koszul_sign(chosen, 1 << l)
+                            grown[chosen | 1 << l] = grown.get(chosen | 1 << l, 0) \
+                                + c * entry * sign
+                partial = grown
+            for chosen, c in partial.items():
+                yield (t_exp, new_freq, chosen), (re_num * c, im_num * c)
+
+    return reference_normalized(form.den, _reference_accumulate({}, pulled()))
+
+
+def reference_restrict_t(form: TorusForm, value: Fraction) -> tuple[int, dict]:
+    """Sum of coeff * value^m over the dt-free terms, in Fractions."""
+    sums = {}
+    for (m, freq, mask), (re_num, im_num) in form.items():
+        if not mask & 1:
+            prev = sums.get((0, freq, mask), (Fraction(0), Fraction(0)))
+            scale = Fraction(value) ** m / form.den
+            sums[(0, freq, mask)] = (prev[0] + re_num * scale, prev[1] + im_num * scale)
+    return _normalized_fractions(sums)
+
+
+def reference_fiber_integrate_t(form: TorusForm) -> tuple[int, dict]:
+    """int(t^m dt ^ eta) = eta / (m + 1), in Fractions."""
+    sums = {}
+    for (m, freq, mask), (re_num, im_num) in form.items():
+        if mask & 1:
+            prev = sums.get((0, freq, mask ^ 1), (Fraction(0), Fraction(0)))
+            scale = Fraction(1, (m + 1) * form.den)
+            sums[(0, freq, mask ^ 1)] = (prev[0] + re_num * scale, prev[1] + im_num * scale)
+    return _normalized_fractions(sums)
+
+
+def reference_fiber_integrate_circle(form: TorusForm, axis: int) -> tuple[int, dict]:
+    """Terms with dx_axis and no frequency along it, dx_axis moved to the front."""
+    def integrated():
+        for (m, freq, mask), (re_num, im_num) in form.items():
+            if not mask >> axis & 1 or freq[axis - 1]:
+                continue
+            rest = [j for j in _mask_indices(mask) if j != axis]
+            sign = permutation_sign([axis] + rest)
+            new_mask = sum(1 << (j - 1 if j > axis else j) for j in rest)
+            yield (0, freq[:axis - 1] + freq[axis:], new_mask), (sign * re_num, sign * im_num)
+
+    return reference_normalized(form.den, _reference_accumulate({}, integrated()))
+
+
+def reference_is_real(form: TorusForm) -> bool:
+    terms = dict(form.items())
+    return all(terms.get((m, tuple(-k for k in freq), mask)) == (re_num, -im_num)
+               for (m, freq, mask), (re_num, im_num) in terms.items())
+
+
+def reference_invariant_table(form: TorusForm, degree: int) -> dict:
+    """Per index set of that degree, the sum of its terms whose frequency
+    vanishes on the index set, as Fractions; vanishing sums left out."""
+    sums = {}
+    for (_, freq, mask), (re_num, im_num) in form.items():
+        idx = tuple(_mask_indices(mask))
+        if len(idx) == degree and not any(freq[j - 1] for j in idx):
+            prev = sums.get(idx, (0, 0))
+            sums[idx] = (prev[0] + re_num, prev[1] + im_num)
+    return {idx: (Fraction(re_sum, form.den), Fraction(im_sum, form.den))
+            for idx, (re_sum, im_sum) in sums.items() if re_sum or im_sum}
+
+
+def _normalized_fractions(sums: dict) -> tuple[int, dict]:
+    """``{key: (re, im)}`` of Fractions as a normalized ``(den, terms)``."""
+    den = lcm(*(part.denominator for pair in sums.values() for part in pair))
+    return reference_normalized(den, {key: (int(re_part * den), int(im_part * den))
+                                      for key, (re_part, im_part) in sums.items()})
 
 
 # -- reference character layer ---------------------------------------------------

@@ -97,6 +97,47 @@ def test_theta_reads_signed_ratios():
     assert config.lines[0].theta == [Fraction(-1, 2), Fraction(3)]
 
 
+@pytest.mark.parametrize("text, line, token", [
+    ("dim = +1\n", 1, "+1"),
+    ("dim = 1_0\n", 1, "1_0"),
+    ("dim = \uff12\n", 1, "\uff12"),
+    ("dim = 2.0\n", 1, "2.0"),
+    ("dim = 2\nindices = +1\n", 2, "+1"),
+    ("dim = 2\nindices = 1_0\n", 2, "1_0"),
+    ("dim = 2\nindices = \uff11\n", 2, "\uff11"),
+    ("dim = 2\n[line]\nK = 0 +1 / -1 0\n", 3, "+1"),
+    ("dim = 2\n[line]\nK = 0 1_0 / -1_0 0\n", 3, "1_0"),
+    ("dim = 2\n[line]\nK = 0 \uff11 / -1 0\n", 3, "\uff11"),
+    ("dim = 2\n[component]\nwinding = +1 0\n", 3, "+1"),
+    ("dim = 2\n[component]\nwinding = 1_0 0\n", 3, "1_0"),
+    ("dim = 2\n[component]\nwinding = \uff12 0\n", 3, "\uff12"),
+])
+def test_integers_take_only_ascii_digits(text, line, token):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == f"line {line}: expected an integer, got {token!r}"
+
+
+@pytest.mark.parametrize("terms", [
+    "(1+0i) exp[+1,0] d{1}", "(1+0i) exp[1_0,0] d{1}", "(1+0i) exp[\uff12,0] d{1}",
+    "(1+0i) exp[1,0] d{+1}", "(1+0i) exp[1,0] d{\uff11}", "(1+0i) exp[1,,0] d{1}",
+    "(1+0i) exp[1073741824,0] d{1}", "(1+0i) exp[0,-1073741825] d{1}",
+    "(1+0i) exp[99999999999999999999999,0] d{1}",
+], ids=["plus", "underscore", "full-width", "index plus", "index full-width",
+        "empty entry", "ceiling", "below the floor", "huge"])
+def test_form_integers_take_only_ascii_digits_below_the_ceiling(terms):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"dim = 2\n[rho]\nterms = {terms}\n")
+    assert err.value.line == 3
+
+
+def test_frequencies_reach_the_floor_and_one_below_the_ceiling():
+    config = parse_config("dim = 2\n[rho]\n"
+                          "terms = (1+0i) exp[1073741823,-1073741824] d{1}\n")
+    assert config.rho.to_text() == "(1+0i) exp[1073741823,-1073741824] d{1}"
+    assert parse_config(serialize_config(config)).rho == config.rho
+
+
 @pytest.mark.parametrize("text, line, named", [
     ("dim = 2\ndim = 3\n", 2, "'dim'"),
     ("dim = 2\nindices = 1\nindices = 1\n", 3, "'indices'"),

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (evaluate_chern_polynomial, permutation_sign, reference_add,
-                    reference_construct, reference_d, reference_wedge, total_chern_transform)
+                    reference_construct, reference_d, reference_fiber_integrate_circle,
+                    reference_fiber_integrate_t, reference_invariant_table, reference_is_real,
+                    reference_pullback, reference_restrict_t, reference_scale, reference_wedge,
+                    total_chern_transform)
 
-from chernforge.forms import (TorusForm, _indices, _koszul_sign, _ratio_text, chern_log,
-                              chern_transform, chern_transforms, parse_form)
+from chernforge.errors import PreconditionError
+from chernforge.forms import (CEILING, TorusForm, _indices, _koszul_sign, _layout, _ratio_text,
+                              chern_log, chern_transform, chern_transforms, parse_form)
 from chernforge.generators import (rand_form, rand_frequency, rand_homogeneous,
                                    rand_int_matrix, rand_phase, rand_real_form)
 from chernforge.symfun import divided_powers
@@ -114,7 +118,7 @@ def _outcome(build):
 
 def _construct(n, idx, t_exp, has_t):
     form = TorusForm(n, {(t_exp, (0,) * n, idx): 1}, has_t=has_t)
-    return form.den, form.terms
+    return form.den, dict(form.items())
 
 
 def test_constructor_index_checks_match_the_reference():
@@ -162,7 +166,7 @@ def test_from_harmonic_matches_constructor_and_rejects_bad_index_sets():
                  if rng.random() < 0.5}
         built = TorusForm.from_harmonic(n, table)
         expected = TorusForm(n, {(0, (0,) * n, idx): c for idx, c in table.items()})
-        assert (built.den, built.terms) == (expected.den, expected.terms)
+        assert (built.den, dict(built.items())) == (expected.den, dict(expected.items()))
     for bad in [(2, 1), (1, 1), (0, 2), (1, 4), (-1,), (4,)]:
         with pytest.raises(ValueError):
             TorusForm.from_harmonic(3, {bad: 1})
@@ -623,7 +627,7 @@ def test_sums_drop_zero_coefficients_structurally():
         assert (a - a).terms == {}
         again = (a + b) - b
         assert again == a
-        assert set(again.terms) == set(a.terms)
+        assert {key for key, _ in again.items()} == {key for key, _ in a.items()}
 
 
 def test_scaling_round_trip_and_text_round_trip_seeded():
@@ -645,7 +649,7 @@ def test_scaling_round_trip_and_text_round_trip_seeded():
 # -- the kernel against its reference, and its storage invariants -----------------
 
 def _stored(form):
-    return form.den, form.terms
+    return form.den, dict(form.items())
 
 
 def _form_over(rng, n, has_t, den, size):
@@ -658,7 +662,7 @@ def _form_over(rng, n, has_t, den, size):
         t_exp = rng.randint(0, 2) if has_t else 0
         terms[(t_exp, freq, idx)] = (Fraction(rng.randint(-4, 4), den), Fraction(1, den))
     form = TorusForm(n, terms, has_t=has_t)
-    assert (form.den, len(form.terms)) == (den, size)
+    assert (form.den, len(form.items())) == (den, size)
     return form
 
 
@@ -672,7 +676,11 @@ def test_d_is_kept_on_the_form_seeded():
         assert form.d() is first
         assert _stored(first) == reference_d(form)
         # a form built from the same terms computes its own
-        twin = TorusForm._make(n, form.has_t, form.den, dict(form.terms))
+        twin = TorusForm(n, {(m, freq, _indices(mask)): (Fraction(re_num, form.den),
+                                                         Fraction(im_num, form.den))
+                             for (m, freq, mask), (re_num, im_num) in form.items()},
+                         has_t=form.has_t)
+        assert twin == form
         assert twin.d() is not first and twin.d() == first
 
 
@@ -732,8 +740,8 @@ def test_kernel_matches_the_reference_kernel_seeded():
 
 
 def _assert_normalized(form):
-    numerators = [x for num in form.terms.values() for x in num]
-    assert all(re_num or im_num for re_num, im_num in form.terms.values())
+    numerators = [x for _, num in form.items() for x in num]
+    assert all(re_num or im_num for _, (re_num, im_num) in form.items())
     assert form.den > 0 and gcd(form.den, *numerators) == 1
     if form.is_zero():
         assert form.den == 1
@@ -749,9 +757,11 @@ def _assert_stored_invariants(form):
     # a wedge reads the mask groups and keeps them on the form
     form.wedge(TorusForm.const(form.n, 1, has_t=form.has_t))
     groups = {}
-    for (m, freq, mask), num in form.terms.items():
-        groups.setdefault(mask, []).append((m, freq, num))
-    assert form._groups == groups
+    for key, num in form.items():
+        groups.setdefault(key[2], []).append((key, num))
+    unpack = _layout(form.n).unpack
+    assert {mask: [(unpack(key), num) for key, num in group]
+            for mask, group in form._groups.items()} == groups
 
 
 def test_every_operation_stores_normalized_terms_seeded():
@@ -777,3 +787,133 @@ def test_every_operation_stores_normalized_terms_seeded():
         for result in results:
             _assert_stored_invariants(result)
         assert a * 0 == a * (0, 0) == TorusForm.zero(n, True)
+
+
+# -- packed keys against the tuple-keyed oracle ----------------------------------
+
+B = CEILING
+
+
+def _fits(t_exp, freq):
+    return 0 <= t_exp < B and all(-B <= k < B for k in freq)
+
+
+_frequency = st.one_of(st.integers(-2, 2), st.integers(-(B - 1), B - 1),
+                       st.sampled_from([-B, -(B - 1), B - 1]))
+_coefficient = st.tuples(st.fractions(-3, 3, max_denominator=6),
+                         st.fractions(-3, 3, max_denominator=6))
+
+
+@st.composite
+def _form(draw, n, has_t, frequency=_frequency):
+    indices = list(range(0 if has_t else 1, n + 1))
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        idx = tuple(sorted(draw(st.sets(st.sampled_from(indices), max_size=3)))) \
+            if indices else ()
+        t_exp = draw(st.one_of(st.integers(0, 3), st.just(B - 1))) if has_t else 0
+        freq = tuple(draw(frequency) for _ in range(n))
+        terms[(t_exp, freq, idx)] = draw(_coefficient)
+    return TorusForm(n, terms, has_t=has_t)
+
+
+def _conjugate(form):
+    """The complex conjugate, built through the public constructor."""
+    return TorusForm(form.n, {(m, tuple(-k for k in freq), _indices(mask)):
+                              (Fraction(re_num, form.den), Fraction(-im_num, form.den))
+                              for (m, freq, mask), (re_num, im_num) in form.items()},
+                     has_t=form.has_t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_kernel_matches_the_tuple_keyed_oracle(data):
+    n = data.draw(st.integers(0, 6), label="n")
+    has_t = data.draw(st.booleans(), label="has_t")
+    a = data.draw(_form(n, has_t), label="a")
+    b = data.draw(_form(n, has_t), label="b")
+    assert _stored(a + b) == reference_add(a, b)
+    scalar = data.draw(st.one_of(st.integers(-3, 3), _coefficient), label="scalar")
+    assert _stored(a * scalar) == reference_scale(a, scalar)
+    assert _stored(a.d()) == reference_d(a)
+    if any(not mask1 & mask2 and not _fits(m1 + m2, tuple(map(sum, zip(k1, k2))))
+           for (m1, k1, mask1), _ in a.items() for (m2, k2, mask2), _ in b.items()):
+        with pytest.raises(PreconditionError):
+            a.wedge(b)
+    else:
+        assert _stored(a.wedge(b)) == reference_wedge(a, b)
+    matrix = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                                min_size=n, max_size=n), label="matrix")
+    if any(not _fits(0, [sum(row[l] * freq[j] for j, row in enumerate(matrix))
+                         for l in range(3 if n else 0)])
+           for (_, freq, _), _ in a.items()):
+        with pytest.raises(PreconditionError):
+            a.pullback(matrix)
+    else:
+        assert _stored(a.pullback(matrix)) == reference_pullback(a, matrix)
+    assert a.is_real() == reference_is_real(a)
+    if all(-B < k for (_, freq, _), _ in a.items() for k in freq):
+        real = a + _conjugate(a)
+        assert real.is_real() and reference_is_real(real)
+    if has_t:
+        value = data.draw(st.fractions(-2, 2, max_denominator=4), label="t")
+        # t^(B-1) at a value other than 0 and +-1 builds huge integers
+        if all(m < 4 for (m, _, _), _ in a.items()) or value in (0, 1, -1):
+            assert _stored(a.restrict_t(value)) == reference_restrict_t(a, value)
+        assert _stored(a.fiber_integrate_t()) == reference_fiber_integrate_t(a)
+    else:
+        for axis in range(1, n + 1):
+            assert _stored(a.fiber_integrate_circle(axis)) == \
+                reference_fiber_integrate_circle(a, axis)
+        for degree in range(n + 2):
+            assert a.invariant_table(degree) == reference_invariant_table(a, degree)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_packed_keys_round_trip_at_the_range_ends(n):
+    for slot in range(n + 1):  # slot 0 is the t exponent
+        for value in (-B, -(B - 1), -1, 0, 1, B - 1):
+            if slot == 0 and value < 0:
+                continue
+            freq = tuple(value if j == slot else (-1) ** j * j for j in range(1, n + 1))
+            t_exp = value if slot == 0 else 1
+            idx = (0,) + tuple(range(1, n + 1, 2))
+            form = TorusForm.single(n, (2, -1), freq=freq, idx=idx, t_exp=t_exp, has_t=True)
+            assert form.items() == [((t_exp, freq, sum(1 << j for j in idx)), (2, -1))]
+            assert parse_form(form.to_text(), n=n, has_t=True) == form
+    for bad in (B, -B - 1, 2 ** 40):
+        if n:
+            with pytest.raises(ValueError, match="frequency vector .* outside the key range"):
+                TorusForm.single(n, 1, freq=(0,) * (n - 1) + (bad,))
+    for bad in (B, 2 ** 40):
+        with pytest.raises(ValueError, match="t exponent .* outside the key range"):
+            TorusForm.single(n, 1, t_exp=bad, has_t=True)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_a_product_that_leaves_the_key_range_raises(n):
+    def mode(slot, k, t_exp=0):
+        return TorusForm.single(n, 1, freq=tuple(k if j == slot else 0 for j in range(1, n + 1)),
+                                t_exp=t_exp, has_t=True)
+
+    for slot in (1, n):
+        for k1, k2 in ((B - 1, 1), (-B, -1), (B - 1, B - 1), (-B, -B)):
+            with pytest.raises(PreconditionError):
+                mode(slot, k1).wedge(mode(slot, k2))
+            with pytest.raises(PreconditionError):
+                mode(slot, k2).wedge(mode(slot, k1))
+        # one step inside either end stays exact
+        assert mode(slot, B - 2).wedge(mode(slot, 1)) == mode(slot, B - 1)
+        assert mode(slot, -(B - 1)).wedge(mode(slot, -1)) == mode(slot, -B)
+    with pytest.raises(PreconditionError):
+        mode(1, 0, B - 1).wedge(mode(1, 0, 1))
+    with pytest.raises(PreconditionError):
+        mode(1, 0, B - 1).mul_t(1)
+    with pytest.raises(PreconditionError):
+        mode(1, 0).mul_t(B)
+    assert mode(1, 0, B - 2).wedge(mode(1, 0, 1)) == mode(1, 0, B - 1) == mode(1, 0).mul_t(B - 1)
+    with pytest.raises(PreconditionError):
+        mode(n, B - 1).pullback([[2 if j == l else 0 for l in range(n)] for j in range(n)])
+    # a derivative keeps every frequency, and the slots next to a changed one stay put
+    assert mode(n, -B).d() == TorusForm.single(n, (0, -B), freq=(0,) * (n - 1) + (-B,),
+                                               idx=(n,), has_t=True)

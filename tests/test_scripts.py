@@ -41,6 +41,10 @@ def test_layer_times_outputs_are_unchanged():
     layers = re.findall(r"^(\w+) +[0-9.]+ ms", result.stdout, re.M)
     assert layers == ["wedge", "d", "add", "chern_transforms", "cup", "chern_class",
                       "text", "construct", "compare"]
+    # the work of each layer, as the tuple-keyed kernel counted it
+    work = re.findall(r"\)  (\d+ terms(?:, \d+ products)?)$", result.stdout, re.M)
+    assert work == ["2227 terms, 4676 products", "229 terms", "154 terms", "107 terms",
+                    "459 terms", "564 terms", "1452 terms", "395 terms", "0 terms"]
     assert result.stdout.splitlines()[-1] == (
         "checksum 346d93b456763d8295e714c0faedcec7f325ac0870359cfeda3763f2c3cb6161")
 
@@ -76,6 +80,17 @@ def test_bench_pairs_verdicts():
     assert abs(mixed["ratio_base_first"] - 0.9) < 1e-9
     assert abs(mixed["ratio_change_first"] - 1.1) < 1e-9
     assert mixed["verdict"] == "within" and mixed["wins"] == 5
-    assert all(abs(gain[key] - 0.75) < 1e-9 for key in ("ratio_base_first", "ratio_change_first"))
+    assert abs(mixed["ratio_orders_geomean"] - (0.9 * 1.1) ** 0.5) < 1e-9
+    assert all(abs(gain[key] - 0.75) < 1e-9
+               for key in ("ratio_base_first", "ratio_change_first", "ratio_orders_geomean"))
+    # a gain must show in both run orders: base-first pairs that win by
+    # 30% and change-first pairs that lose by 5% are no gain
+    split = [v * (0.7 if p % 2 == 0 else 1.05) for p, v in enumerate(base)]
+    one_sided = judge(base, split, "lower", 0.25)
+    assert one_sided["verdict"] == "within" and one_sided["ratio_change_first"] > 1
+    # one pair has no change-first order, so it can no longer read gain
     single = judge([1.0], [0.8], "lower", 0.25)
     assert single["ratio_base_first"] == 0.8 and single["ratio_change_first"] is None
+    assert single["ratio_orders_geomean"] is None and single["verdict"] == "within"
+    assert judge([1.0, 1.0], [0.8, 0.8], "lower", 0.25)["verdict"] == "gain"
+    assert judge([1.0, 1.0], [1.2, 1.2], "higher", 0.25)["verdict"] == "gain"
