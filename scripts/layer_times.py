@@ -13,8 +13,14 @@ for every index of the ``chern_class`` layer's cycles, both routes built
 untimed on copies of those cycles.
 Each repeat draws the same operands afresh from ``SEED``, untimed, so
 nothing that a form or a cycle keeps from an earlier call is reused;
-then each layer runs over its whole batch once, timed.  One line per
-layer gives the median batch time over the repeats in milliseconds and,
+then each layer runs over its whole batch once, timed.  The host's
+speed drifts by a fifth or more within seconds, so each batch time is
+scaled as the benchmark worker scales an operation: by
+``pace.REFERENCE_S / pace``, where ``pace`` is the mean of two timings
+of the reference task of ``bench/pace.py``, one just before the batch
+and one just after.  The times then read as milliseconds on a host that
+runs that task in ``REFERENCE_S``.  One line per
+layer gives the median scaled batch time over the repeats and,
 beside it, the time of the first repeat, which also fills the
 process-wide tables of the forms kernel (Koszul signs, index sets,
 packed key parts).  Last on the line is the work the layer did, counted
@@ -23,7 +29,7 @@ and, for ``wedge``, the term products it forms (pairs of terms whose
 index sets are disjoint).
 The last line is one sha256 over the ``to_text()`` of every output of
 the first repeat, layer by layer.  A changed checksum means that some
-layer's output changed; times depend on the host and its current speed.
+layer's output changed; the times do not enter it.
 """
 
 from __future__ import annotations
@@ -34,8 +40,13 @@ import copy
 import hashlib
 import statistics
 import time
+from pathlib import Path
 from random import Random
+import sys
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import pace  # noqa: E402  (bench/pace.py, the benchmark's reference task)
 from chernforge.diffchar import DiffChar, chern_class, chern_class_via_ch, cs_class
 from chernforge.forms import TorusForm, chern_transforms, parse_form
 from chernforge.generators import (rand_cycle, rand_form, rand_fraction, rand_homogeneous,
@@ -148,14 +159,20 @@ def main() -> int:
         parser.error(f"--repeats must be >= 1, got {args.repeats}")
 
     times = {name: [] for name, _ in LAYERS}
+    paces = []
     digest = work = None
+    pace.sample()  # warm-up
     for _ in range(args.repeats):
         operands = draw(SEED)
         outputs = []
         for name, layer in LAYERS:
+            before = pace.sample()[0]
             start = time.perf_counter()
             results = [layer(*arguments) for arguments in operands[name]]
-            times[name].append(time.perf_counter() - start)
+            elapsed = time.perf_counter() - start
+            after = pace.sample()[0]
+            paces += before, after
+            times[name].append(elapsed * pace.REFERENCE_S / ((before + after) / 2))
             outputs.append(results)
         if digest is None:
             digest = hashlib.sha256(_text(outputs).encode()).hexdigest()
@@ -163,6 +180,8 @@ def main() -> int:
                     for (name, _), results in zip(LAYERS, outputs)}
             work["wedge"] += f", {sum(_products(a, b) for a, b in operands['wedge'])} products"
 
+    print(f"times scaled to a reference pace of {1000 * pace.REFERENCE_S:g} ms;"
+          f" this host's median pace {1000 * statistics.median(paces):.3f} ms")
     for name, _ in LAYERS:
         print(f"{name:<18} {1000 * statistics.median(times[name]):9.3f} ms"
               f"  (first {1000 * times[name][0]:.3f} ms; {len(operands[name])} ops,"

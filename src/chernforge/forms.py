@@ -28,10 +28,13 @@ guards catches every such product, and the wedge raises
 another.  The public constructor, and through it :func:`parse_form`,
 refuses a t exponent or frequency outside the range with ValueError,
 and :meth:`TorusForm.pullback` a pulled-back frequency with
-PreconditionError.  Keys are encoded (``_slots``) and decoded
-(``_Layout.slot_values``) through two bounded caches, and only by the
-constructor, :meth:`TorusForm.items`, ``d``, pullback, circle
-integration and text; every other operation is arithmetic on the keys.
+PreconditionError.  Keys are encoded by ``_slots``, through one bounded
+cache, and only the constructor and pullback encode.  A slot is read
+by a shift and a mask: ``_Layout.unpack`` reads whole keys for
+:meth:`TorusForm.items`, text and pullback, and ``d`` reads the slots
+it needs in place.  Circle integration splices slots: it drops the
+axis slot and moves the slots above it down one, so nothing is decoded
+or re-encoded.  Every other operation is arithmetic on the keys.
 Index sets merge with
 ``|``, collide when ``&`` is non-zero, and the Koszul sign is a popcount
 parity (:func:`_koszul_sign`).  Every sign comes from that one table,
@@ -77,11 +80,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import repeat
 from math import factorial, gcd, lcm
-from operator import lshift, sub
+from operator import lshift
 import re
-from struct import Struct
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
@@ -89,12 +90,11 @@ from .symfun import collect, newton, rational
 
 # Width of each slot of a packed key, and the bias of every slot value:
 # a slot holds value + CEILING in [0, 2 * CEILING), its top bit clear.
-# Keys decode as 32-bit words (``_Layout.slot_values``), so the width is fixed.
 SLOT_BITS = 32
 CEILING = 1 << (SLOT_BITS - 2)
 _SLOT = (1 << SLOT_BITS) - 1
 _RANGE = f"[-2^{SLOT_BITS - 2}, 2^{SLOT_BITS - 2})"
-_KEPT = 1 << 12  # encoded and decoded keys kept, per cache
+_KEPT = 1 << 12  # encoded keys kept
 
 
 class _Layout:
@@ -108,7 +108,7 @@ class _Layout:
     """
 
     __slots__ = ("n", "mask_bits", "t_shift", "shifts",
-                 "bias", "guards", "freq_bias", "low_bits", "words", "decoded")
+                 "bias", "guards", "freq_bias", "low_bits")
 
     def __init__(self, n: int):
         self.n = n
@@ -120,29 +120,12 @@ class _Layout:
         self.freq_bias = self.bias - (CEILING << self.t_shift)
         self.guards = 2 * self.bias
         self.low_bits = (1 << (self.t_shift + SLOT_BITS)) - 1
-        # the slots as unsigned 32-bit words, the t slot first
-        self.words = Struct(f"<{n + 1}I")
-        self.decoded: dict[int, tuple[int, tuple[int, ...]]] = {}
-
-    def slot_values(self, slots: int) -> tuple[int, tuple[int, ...]]:
-        """``(t_exp, freq)`` of a key's slots, the key shifted past its mask.
-
-        Keys repeat their slot values, so each is decoded once and kept
-        in ``decoded``, which a hot loop may read first; it is emptied
-        when it would hold more than ``_KEPT``.
-        """
-        values = self.decoded.get(slots)
-        if values is None:
-            if len(self.decoded) >= _KEPT:
-                self.decoded.clear()
-            words = self.words.unpack(slots.to_bytes(self.words.size, "little"))
-            t_exp, *freq = map(sub, words, repeat(CEILING))
-            values = self.decoded[slots] = t_exp, tuple(freq)
-        return values
 
     def unpack(self, key: int) -> tuple[int, tuple[int, ...], int]:
-        """``(t_exp, freq, mask)`` of a key."""
-        return *self.slot_values(key >> self.t_shift), key & self.mask_bits
+        """``(t_exp, freq, mask)`` of a key, each slot read by shift and mask."""
+        return ((key >> self.t_shift & _SLOT) - CEILING,
+                tuple([(key >> shift & _SLOT) - CEILING for shift in self.shifts]),
+                key & self.mask_bits)
 
 
 _layout = cache(_Layout)
@@ -499,22 +482,23 @@ class TorusForm:
         if self.terms:
             layout = _layout(self.n)
             mask_bits, t_shift = layout.mask_bits, layout.t_shift
-            decoded, slot_values = layout.decoded.get, layout.slot_values
+            coords = [(1 << j, shift) for j, shift in enumerate(layout.shifts, start=1)]
             derivatives = []
             for key, (re_num, im_num) in self.terms.items():
                 mask = key & mask_bits
-                slots = key >> t_shift
-                m, freq = decoded(slots) or slot_values(slots)
                 # dt sorts first, so d(t^m) ^ dx_I needs no sign
-                if m > 0 and not mask & 1:
-                    derivatives.append((key - (1 << t_shift) + 1, (m * re_num, m * im_num)))
-                for j, kj in enumerate(freq, start=1):
-                    bit = 1 << j
-                    if kj == 0 or mask & bit:
+                if not mask & 1:
+                    m = (key >> t_shift & _SLOT) - CEILING
+                    if m:
+                        derivatives.append((key - (1 << t_shift) + 1, (m * re_num, m * im_num)))
+                for bit, shift in coords:
+                    if mask & bit:
                         continue
-                    # multiply by i * k_j, with the sign that moves dx_j in
-                    scale = kj * _koszul_sign(bit, mask)
-                    derivatives.append((key + bit, (-im_num * scale, re_num * scale)))
+                    kj = (key >> shift & _SLOT) - CEILING
+                    if kj:
+                        # multiply by i * k_j, with the sign that moves dx_j in
+                        scale = kj * _koszul_sign(bit, mask)
+                        derivatives.append((key + bit, (-im_num * scale, re_num * scale)))
             _accumulate(out, derivatives)
         self._derivative = self._make(self.n, self.has_t, self.den, out)
         return self._derivative
@@ -637,27 +621,26 @@ class TorusForm:
             raise ValueError("circle integration is defined on t-free forms")
         if not 1 <= axis <= self.n:
             raise ValueError(f"no coordinate {axis} on T^{self.n}")
-        pos = axis - 1
         bit = 1 << axis
         below = bit - 1
         layout = _layout(self.n)
-        mask_bits, t_shift = layout.mask_bits, layout.t_shift
-
-        def integrated():
-            for key, (re_num, im_num) in self.terms.items():
-                mask = key & mask_bits
-                if not mask & bit:
-                    continue
-                _, freq = layout.slot_values(key >> t_shift)
-                if freq[pos]:
-                    continue
-                rest = mask ^ bit
-                new_mask = (rest & below) | (rest >> (axis + 1) << axis)
-                sign = _koszul_sign(bit, rest)
-                yield _slots(0, *freq[:pos], *freq[axis:]) + new_mask, \
-                    (sign * re_num, sign * im_num)
-
-        return self._make(self.n - 1, False, self.den, _accumulate({}, integrated()))
+        mask_bits = layout.mask_bits
+        shift = layout.shifts[axis - 1]  # the axis slot
+        kept_low = ((1 << shift) - 1) ^ mask_bits  # the t slot and the slots below the axis
+        # distinct kept keys give distinct keys, so no sum is formed
+        terms = {}
+        for key, (re_num, im_num) in self.terms.items():
+            mask = key & mask_bits
+            if not mask & bit or key >> shift & _SLOT != CEILING:
+                continue
+            rest = mask ^ bit
+            sign = _koszul_sign(bit, rest)
+            # the mask loses its axis bit, so the slots below the axis move
+            # down one bit and those above it one slot and one bit
+            slots = (key & kept_low) >> 1 | key >> (shift + SLOT_BITS) << (shift - 1)
+            terms[slots + ((rest & below) | rest >> (axis + 1) << axis)] = \
+                (sign * re_num, sign * im_num)
+        return self._make(self.n - 1, False, self.den, terms)
 
     def invariant_table(self, degree: int) -> dict[tuple[int, ...], tuple[Fraction, Fraction]]:
         """Subtorus integrals of the degree-``degree`` part, in one scan.

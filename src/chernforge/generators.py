@@ -12,7 +12,7 @@ from fractions import Fraction
 from random import Random
 
 from .bundles import DiagBundle, KCycle, LineBundle, OddKCycle
-from .forms import TorusForm
+from .forms import TorusForm, _accumulate
 
 MAX_CURVATURE = 3
 MAX_DENOMINATOR = 12
@@ -38,15 +38,10 @@ def rand_subset(rng: Random, n: int, size: int) -> tuple[int, ...]:
     return tuple(sorted(rng.sample(range(1, n + 1), size)))
 
 
-def _add_term(terms: dict, key, re_part: Fraction, im_part: Fraction):
-    old = terms.get(key)
-    terms[key] = (re_part, im_part) if old is None else (old[0] + re_part, old[1] + im_part)
-
-
 def rand_form(rng: Random, n: int, max_terms: int = MAX_MODES,
               has_t: bool = False) -> TorusForm:
     """General (complex) form with a handful of small Fourier modes."""
-    terms = {}
+    terms = []
     indices = list(range(0 if has_t else 1, n + 1))
     for _ in range(rng.randint(1, max_terms)):
         re_part, im_part = rand_fraction(rng), rand_fraction(rng)
@@ -56,8 +51,8 @@ def rand_form(rng: Random, n: int, max_terms: int = MAX_MODES,
         size = rng.randint(0, min(len(indices), 3))
         idx = tuple(sorted(rng.sample(indices, size)))
         t_exp = rng.randint(0, MAX_T_EXPONENT) if has_t else 0
-        _add_term(terms, (t_exp, freq, idx), re_part, im_part)
-    return TorusForm(n, terms, has_t=has_t)
+        terms.append(((t_exp, freq, idx), (re_part, im_part)))
+    return TorusForm(n, _accumulate({}, terms), has_t=has_t)
 
 
 def rand_homogeneous(rng: Random, n: int, degree: int, max_terms: int = 3,
@@ -66,7 +61,7 @@ def rand_homogeneous(rng: Random, n: int, degree: int, max_terms: int = 3,
     indices = list(range(0 if has_t else 1, n + 1))
     if degree > len(indices):
         return TorusForm.zero(n, has_t=has_t)
-    terms = {}
+    terms = []
     for _ in range(rng.randint(1, max_terms)):
         re_part, im_part = rand_fraction(rng), rand_fraction(rng)
         if not (re_part or im_part):
@@ -74,8 +69,8 @@ def rand_homogeneous(rng: Random, n: int, degree: int, max_terms: int = 3,
         idx = tuple(sorted(rng.sample(indices, degree)))
         freq = tuple(rng.randint(-1, 1) for _ in range(n))
         t_exp = rng.randint(0, MAX_T_EXPONENT) if has_t else 0
-        _add_term(terms, (t_exp, freq, idx), re_part, im_part)
-    return TorusForm(n, terms, has_t=has_t)
+        terms.append(((t_exp, freq, idx), (re_part, im_part)))
+    return TorusForm(n, _accumulate({}, terms), has_t=has_t)
 
 
 def rand_real_form(rng: Random, n: int, degree: int,

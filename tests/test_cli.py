@@ -1,13 +1,17 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from chernforge import cli
 from chernforge.cli import main
+from chernforge.config import parse_config, serialize_config
 from chernforge.verify import SUITES
 
 BASIC = """\
@@ -310,3 +314,82 @@ def test_postcondition_failure_is_one_stderr_line(tmp_path, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "postcondition failed: curvature compatibility failed at index 1\n"
+
+
+@pytest.mark.parametrize("command", ["chern", "odd"])
+def test_a_dimension_above_the_ceiling_exits_3(tmp_path, capsys, command):
+    path = tmp_path / "big.cfg"
+    for dim in (cli.MAX_DIM + 1, 200):
+        path.write_text(f"dim = {dim}\n", encoding="utf-8")
+        assert main([command, "--config", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"precondition violated: dim = {dim} "
+                       f"exceeds the ceiling {cli.MAX_DIM}\n")
+    # the ceiling itself is accepted
+    path.write_text(f"dim = {cli.MAX_DIM}\n\n[component]\nwinding = "
+                    + " ".join(["0"] * cli.MAX_DIM) + "\n", encoding="utf-8")
+    assert main(["odd", "--config", str(path)]) == 0
+
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "scripts"
+# what a mutation may put in place of an integer token: in range, at and
+# past the dimension ceiling and the key range, and not integers at all
+SPLICED = ("0", "1", "-1", "2", "3", "-3", "7", "12", "13", "200", "1073741823",
+           "1073741824", "-1073741825", "99999999999999999999", "1/0", "1/2", "+1",
+           "1.5", "x", "")
+ALPHABET = "0123456789-/+ =[]{}(),#^itexpd\n"
+
+
+def _mutate(rng, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        lines = text.split("\n")
+        kind = rng.randrange(6)
+        if kind == 0:
+            numbers = list(re.finditer(r"-?\d+", text))
+            if numbers:
+                hit = rng.choice(numbers)
+                text = text[:hit.start()] + rng.choice(SPLICED) + text[hit.end():]
+        elif kind == 1 and text:
+            pos = rng.randrange(len(text))
+            text = text[:pos] + text[pos + 1:]
+        elif kind == 2:
+            pos = rng.randrange(len(text) + 1)
+            text = text[:pos] + rng.choice(ALPHABET) + text[pos:]
+        elif kind == 3:
+            del lines[rng.randrange(len(lines))]
+            text = "\n".join(lines)
+        elif kind == 4:
+            pos = rng.randrange(len(lines))
+            lines.insert(pos, lines[pos])
+            text = "\n".join(lines)
+        else:
+            i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+    return text
+
+
+def test_mutated_configs_exit_0_2_or_3_and_round_trip(tmp_path, capsys):
+    rng = Random(20)
+    path, again = tmp_path / "fuzz.cfg", tmp_path / "again.cfg"
+    exits = Counter()
+    for example, command in (("example_even", "chern"), ("example_odd", "odd")):
+        seed_text = (EXAMPLES / f"{example}.cfg").read_text(encoding="utf-8")
+        for _ in range(400):
+            text = _mutate(rng, seed_text)
+            fmt = rng.choice(("text", "json", "csv"))
+            path.write_text(text, encoding="utf-8")
+            code = main([command, "--config", str(path), "--format", fmt])
+            out, err = capsys.readouterr()
+            exits[code] += 1
+            assert code in (0, 2, 3), text
+            if code:
+                assert out == "" and err.count("\n") == 1 and err.endswith("\n"), text
+                continue
+            assert err == ""
+            again.write_text(serialize_config(parse_config(text)), encoding="utf-8")
+            assert main([command, "--config", str(again), "--format", fmt]) == 0
+            assert capsys.readouterr().out == out, text
+    # the mutations reach every exit code they may
+    assert exits[0] and exits[2] and exits[3], exits

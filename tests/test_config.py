@@ -56,6 +56,7 @@ def test_serializer_round_trip():
     assert again.lines[0].K == config.lines[0].K
     assert again.rho == config.rho
     assert again.components[0].phase == config.components[0].phase
+    assert again == config  # theta, beta and winding too
 
 
 def test_unknown_key_reports_line():

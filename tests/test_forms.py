@@ -709,6 +709,17 @@ def test_torus_dimension_takes_only_ints():
     assert TorusForm.const(2, 1).n == TorusForm.zero(2).n == 2
 
 
+def test_an_equal_non_int_is_never_read_as_the_cached_int_key():
+    # the int keys are encoded first, so a cache that ignored types would hand them back
+    TorusForm.single(2, 1, freq=(1, 0))
+    TorusForm.single(2, 1, freq=(1, 0), t_exp=1, has_t=True)
+    for build in (lambda: TorusForm.single(2, 1, freq=(1.0, 0)),
+                  lambda: TorusForm.single(2, 1, freq=(Fraction(1), 0)),
+                  lambda: TorusForm.single(2, 1, freq=(1, 0), t_exp=1.0, has_t=True)):
+        with pytest.raises(TypeError):
+            build()
+
+
 def test_kernel_matches_the_reference_kernel_seeded():
     rng = Random(31)
     sums_rng = Random(41)  # apart, so the other operands stay as they were
