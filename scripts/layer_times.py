@@ -7,10 +7,13 @@ The layers, bottom up: ``TorusForm.wedge``, ``TorusForm.d``,
 ``TorusForm.__add__``, ``chern_transforms``, ``DiffChar.cup`` and
 ``chern_class``, then the text boundary of a request:
 ``parse_form(f.to_text(), f.n, f.has_t)`` over every wedge operand,
-the public ``TorusForm`` constructor over seeded term dicts, and last
+the public ``TorusForm`` constructor over seeded term dicts, then
 ``DiffChar.same_class`` of ``chern_class`` against ``chern_class_via_ch``
 for every index of the ``chern_class`` layer's cycles, both routes built
-untimed on copies of those cycles.
+untimed on copies of those cycles.  Last, ``draw`` iterates the seeded
+case streams of the ``calculus``, ``naturality`` and ``odd`` suites with
+no check run; its output is every value each check would read, the
+drawn forms, cycles and matrices, so the checksum pins the draws.
 Each repeat draws the same operands afresh from ``SEED``, untimed, so
 nothing that a form or a cycle keeps from an earlier call is reused;
 then each layer runs over its whole batch once, timed.  The host's
@@ -47,15 +50,19 @@ import sys
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import pace  # noqa: E402  (bench/pace.py, the benchmark's reference task)
+from chernforge.bundles import KCycle, LineBundle, OddKCycle
 from chernforge.diffchar import DiffChar, chern_class, chern_class_via_ch, cs_class
 from chernforge.forms import TorusForm, chern_transforms, parse_form
 from chernforge.generators import (rand_cycle, rand_form, rand_fraction, rand_homogeneous,
                                    rand_line_bundle)
+from chernforge.verify import SUITES
 
 SEED = 1
 DIMENSIONS = (4, 5, 6)
 PER_DIMENSION = 6
 TERMS_PER_DICT = 24
+# (suite, cases) of the draw layer, each drawn from three seeds
+DRAWN = (("calculus", 40), ("naturality", 10), ("odd", 10))
 
 
 def draw(seed: int) -> dict:
@@ -93,6 +100,9 @@ def draw(seed: int) -> dict:
     operands["compare"] = [(chern_class(cycle, i), chern_class_via_ch(cycle, i))
                            for cycle, top in copy.deepcopy(operands["chern_class"])
                            for i in range(1, top + 1)]
+    # seeds of their own, so the suites' streams leave the other operands alone
+    operands["draw"] = [(suite, seed, cases) for suite, cases in DRAWN
+                        for seed in range(SEED, SEED + 3)]
     return operands
 
 
@@ -110,23 +120,46 @@ def term_dict(rng: Random, n: int) -> tuple:
     return n, terms, has_t
 
 
+def draw_cases(suite: str, seed: int, cases: int) -> list:
+    """The values each check of ``suite`` reads, drawn from ``seed``; no check runs.
+
+    A check reads its case through its closure, so the cells are read
+    as the check is yielded, before the stream draws the next case.
+    """
+    stream = SUITES[suite][0](Random(seed), cases)
+    return [[cell.cell_contents for cell in check.__closure__ or ()] for _, check in stream]
+
+
 def _text(value) -> str:
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return "\n;\n".join(map(_text, value))
-    if isinstance(value, bool):
+    if isinstance(value, int):
         return str(value)
     if isinstance(value, DiffChar):
         return f"{value.harmonic.to_text()}\n|\n{value.trans.to_text()}"
+    if isinstance(value, KCycle):
+        return _text([value.rho, *value.bundle.lines])
+    if isinstance(value, LineBundle):
+        return f"{value.K} {' '.join(map(str, value.theta))}\n{value.beta.to_text()}"
+    if isinstance(value, OddKCycle):
+        return _text(value.components)
     return value.to_text()
 
 
 def _forms(value):
-    """Every form in a layer's output; a verdict (bool) holds none."""
-    if isinstance(value, list):
+    """Every form in a layer's output; a verdict (bool) or a number holds none."""
+    if isinstance(value, (list, tuple)):
         for item in value:
             yield from _forms(item)
     elif isinstance(value, DiffChar):
         yield from (value.harmonic, value.trans)
+    elif isinstance(value, KCycle):
+        yield value.rho
+        yield from _forms(value.bundle.lines)
+    elif isinstance(value, LineBundle):
+        yield value.beta
+    elif isinstance(value, OddKCycle):
+        yield from _forms(value.components)
     elif isinstance(value, TorusForm):
         yield value
 
@@ -148,6 +181,7 @@ LAYERS = (
     ("text", lambda form: parse_form(form.to_text(), form.n, form.has_t)),
     ("construct", TorusForm),
     ("compare", DiffChar.same_class),
+    ("draw", draw_cases),
 )
 
 

@@ -62,9 +62,11 @@ class LineBundle:
     def harmonic_curvature(self) -> TorusForm:
         """The translation-invariant curvature part sum K_jl dx_j dx_l, built once."""
         if self._harmonic is None:
-            self._harmonic = TorusForm.from_harmonic(self.n, {
-                (j + 1, l + 1): self.K[j][l]
-                for j in range(self.n) for l in range(j + 1, self.n)})
+            zero = (0,) * self.n
+            # int() reads a bool entry as the constructor reads it
+            self._harmonic = TorusForm._checked(self.n, False, 1, [
+                ((0, zero, (j + 1, l + 1)), (int(self.K[j][l]), 0))
+                for j in range(self.n) for l in range(j + 1, self.n)])
         return self._harmonic
 
     def curvature(self) -> TorusForm:

@@ -154,6 +154,8 @@ def parse_config(text: str) -> Config:
         if section is None:
             if key == "dim":
                 config.dim = _parse_int(value, lineno)
+                if config.dim < 0:
+                    raise ConfigError(f"dim must be >= 0, got {config.dim}", lineno)
             elif key == "indices":
                 config.indices = _parse_int_list(value, lineno)
             else:

@@ -84,11 +84,14 @@ class DiffChar:
 
     @classmethod
     def zero(cls, n: int, degree: int) -> "DiffChar":
-        return cls(n, degree)
+        _check_degree(n, degree)
+        zero = TorusForm.zero(n)
+        return cls._make(n, degree, zero, zero)
 
     @classmethod
     def unit(cls, n: int) -> "DiffChar":
-        return cls(n, 0, TorusForm.const(n, 1))
+        _check_degree(n, 0)
+        return cls._make(n, 0, TorusForm.const(n, 1), TorusForm.zero(n))
 
     @classmethod
     def from_form(cls, rho: TorusForm, degree: Optional[int] = None) -> "DiffChar":

@@ -29,8 +29,12 @@ another.  The public constructor, and through it :func:`parse_form`,
 refuses a t exponent or frequency outside the range with ValueError,
 and :meth:`TorusForm.pullback` a pulled-back frequency with
 PreconditionError.  Keys are encoded by ``_slots``, through one bounded
-cache, and only the constructor and pullback encode.  A slot is read
-by a shift and a mask: ``_Layout.unpack`` reads whole keys for
+cache, and only three paths encode: the constructor, pullback and the
+checked builder ``TorusForm._checked``, which takes int numerators over
+one den and skips only the Fraction round trip of the coefficients;
+every key it stores passes ``_packed_key``, the constructor's checks in
+the constructor's order.  A slot is read by a shift and a mask:
+``_Layout.unpack`` reads whole keys for
 :meth:`TorusForm.items`, text and pullback, and ``d`` reads the slots
 it needs in place.  Circle integration splices slots: it drops the
 axis slot and moves the slots above it down one, so nothing is decoded
@@ -45,10 +49,13 @@ construction: no zero numerator is stored, gcd(den, every numerator)
 storage, and equality is structural.  Zero numerators are dropped as
 sums are formed (:func:`_accumulate` deletes a key whose sum cancels),
 so a finished form is never scanned for them, and the gcd is divided
-out only when den > 1.  A sum copies the operand that needs no scaling
-to the common den (or the larger one) and walks the other into the
-copy.  The terms grouped by index mask, which :meth:`TorusForm.wedge`
-reads, are built once and kept on the form.  The public constructor
+out only when den > 1.  ``zero``, ``const(n, 1)``, ``dx`` and ``volume``
+return one shared form per validated argument tuple: no operation
+writes to a ``terms`` dict that it did not build, so a shared form, and
+the memos kept on it, never change.  A sum copies the operand that
+needs no scaling to the common den (or the larger one) and walks the
+other into the copy.  The terms grouped by index mask, which
+:meth:`TorusForm.wedge` reads, are built once and kept on the form.  The public constructor
 checks each index set through its mask: one that the cached
 ``_indices(mask)`` gives back unchanged is strictly increasing and in
 range, and only any other runs the full checks.  Coefficients enter as
@@ -238,6 +245,32 @@ def _dimension(n: int) -> int:
     return n
 
 
+def _packed_key(n: int, has_t: bool, t_exp: int, freq, idx) -> int:
+    """The key of the term ``(t_exp, freq, idx)`` on T^n, checked as the constructor checks it.
+
+    In order: the frequency arity, the index set (strictly increasing,
+    in range), t data on a form without t, the sign of the t exponent,
+    and the key range of the t exponent and the frequencies (``_slots``).
+    """
+    if len(freq) != n:
+        raise ValueError(f"frequency vector {freq} has wrong arity for T^{n}")
+    mask = _index_mask(idx, n)
+    if mask is None:
+        if tuple(sorted(set(idx))) != idx:
+            raise ValueError(f"index set {idx} is not strictly increasing")
+        if any(j < 0 or j > n for j in idx):
+            raise ValueError(f"index set {idx} out of range for T^{n}")
+    if not has_t and (t_exp != 0 or 0 in idx):
+        raise ValueError("t data on a form without the t extension")
+    if t_exp < 0:
+        raise ValueError("negative t exponent")
+    slots = _slots(t_exp, *freq)
+    if mask is None:
+        # only an index that is not an int gets here: the shift raises TypeError
+        mask = sum(1 << j for j in idx)
+    return slots + mask
+
+
 def _normalized(den: int, terms: dict) -> tuple[int, dict]:
     """Divide out gcd(den, all numerators); ``terms`` holds no zero numerator."""
     if den == 1:
@@ -302,23 +335,7 @@ class TorusForm:
             if not (part[0] or part[1]):
                 continue
             t_exp, freq, idx = key
-            if len(freq) != n:
-                raise ValueError(f"frequency vector {freq} has wrong arity for T^{n}")
-            mask = _index_mask(idx, n)
-            if mask is None:
-                if tuple(sorted(set(idx))) != idx:
-                    raise ValueError(f"index set {idx} is not strictly increasing")
-                if any(j < 0 or j > n for j in idx):
-                    raise ValueError(f"index set {idx} out of range for T^{n}")
-            if not self.has_t and (t_exp != 0 or 0 in idx):
-                raise ValueError("t data on a form without the t extension")
-            if t_exp < 0:
-                raise ValueError("negative t exponent")
-            slots = _slots(t_exp, *freq)
-            if mask is None:
-                # only an index that is not an int gets here: the shift raises TypeError
-                mask = sum(1 << j for j in idx)
-            parts[slots + mask] = part
+            parts[_packed_key(n, self.has_t, t_exp, freq, idx)] = part
         self.den, self.terms = _normalized(*_over_common_den(parts))
 
     @classmethod
@@ -331,15 +348,31 @@ class TorusForm:
         self._transforms = self._groups = self._derivative = None
         return self
 
+    @classmethod
+    def _checked(cls, n: int, has_t: bool, den: int, pairs) -> "TorusForm":
+        """The form of ``pairs``: ``((t_exp, freq, idx), (re, im))``, numerators over ``den``.
+
+        Every key passes :func:`_packed_key`, the public constructor's
+        checks; only the coefficients are trusted: ints, and ``den`` a
+        positive int.  Repeated keys add up.
+        """
+        n, has_t = _dimension(n), bool(has_t)
+        return cls._make(n, has_t, den, _accumulate(
+            {}, [(_packed_key(n, has_t, *key), num) for key, num in pairs]))
+
     # -- constructors ---------------------------------------------------
+    # zero, const(n, 1), dx and volume are shared: one form per validated
+    # argument tuple, which no operation mutates
 
     @classmethod
     def zero(cls, n: int, has_t: bool = False) -> "TorusForm":
-        return cls._make(_dimension(n), bool(has_t), 1, {})
+        return _shared_zero(_dimension(n), bool(has_t))
 
     @classmethod
     def const(cls, n: int, coeff, has_t: bool = False) -> "TorusForm":
         n = _dimension(n)
+        if type(coeff) is int and coeff == 1:
+            return _shared_one(n, bool(has_t))
         return cls(n, {(0, (0,) * n, ()): coeff}, has_t=has_t)
 
     @classmethod
@@ -355,11 +388,11 @@ class TorusForm:
         low = 0 if has_t else 1
         if not low <= j <= n:
             raise ValueError(f"no coordinate {j} on T^{n}")
-        return cls.single(n, 1, idx=(j,), has_t=has_t)
+        return _shared_dx(_dimension(n), j, bool(has_t))
 
     @classmethod
     def volume(cls, n: int) -> "TorusForm":
-        return cls.single(n, 1, idx=tuple(range(1, n + 1)))
+        return _shared_volume(_dimension(n))
 
     @classmethod
     def from_harmonic(cls, n: int, table: dict) -> "TorusForm":
@@ -762,6 +795,29 @@ class TorusForm:
     def __repr__(self):
         flat = "; ".join(self.to_text().splitlines())
         return f"TorusForm(T^{self.n}{'+t' if self.has_t else ''}: {flat})"
+
+
+# The shared constants, keyed by validated arguments; typed, so that an
+# argument equal to an int without being one (True) has its own entry.
+
+@lru_cache(maxsize=None, typed=True)
+def _shared_zero(n: int, has_t: bool) -> TorusForm:
+    return TorusForm._make(n, has_t, 1, {})
+
+
+@lru_cache(maxsize=None, typed=True)
+def _shared_one(n: int, has_t: bool) -> TorusForm:
+    return TorusForm(n, {(0, (0,) * n, ()): 1}, has_t=has_t)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _shared_dx(n: int, j: int, has_t: bool) -> TorusForm:
+    return TorusForm.single(n, 1, idx=(j,), has_t=has_t)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _shared_volume(n: int) -> TorusForm:
+    return TorusForm.single(n, 1, idx=tuple(range(1, n + 1)))
 
 
 def _ratio_text(num: int, den: int) -> str:

@@ -10,7 +10,9 @@ from functools import reduce
 from itertools import combinations
 from math import factorial, gcd, lcm
 from operator import add
+from random import Random
 
+from chernforge.bundles import DiagBundle, KCycle, LineBundle, OddKCycle
 from chernforge.forms import TorusForm, _gauss_parts, chern_transform, chern_transforms
 from chernforge.symfun import RootPoly, chern_polynomial, elementary_symmetric
 
@@ -406,3 +408,146 @@ def reference_discrepancy(x, y) -> dict:
         "curvature_discrepancy": curv.to_text(),
         "holonomy_discrepancy": holo,
     }
+
+
+# The case generators as first written: every number drawn by randint,
+# every coefficient a Fraction, every form built by the public
+# constructor and summed with +.  chernforge.generators must draw the
+# same numbers in the same order and store the same forms.
+
+def reference_rand_fraction(rng: Random, max_num: int = 3) -> Fraction:
+    return Fraction(rng.randint(-max_num, max_num), rng.randint(1, 12))
+
+
+def reference_rand_frequency(rng: Random, n: int) -> tuple:
+    if n < 1:
+        raise ValueError(f"no non-zero frequency vector on T^{n}")
+    while True:
+        freq = tuple(rng.randint(-1, 1) for _ in range(n))
+        if any(freq):
+            return freq
+
+
+def reference_rand_subset(rng: Random, n: int, size: int) -> tuple:
+    return tuple(sorted(rng.sample(range(1, n + 1), size)))
+
+
+def reference_rand_form(rng: Random, n: int, max_terms: int = 4,
+                        has_t: bool = False) -> TorusForm:
+    terms = []
+    indices = list(range(0 if has_t else 1, n + 1))
+    for _ in range(rng.randint(1, max_terms)):
+        re_part, im_part = reference_rand_fraction(rng), reference_rand_fraction(rng)
+        if not (re_part or im_part):
+            continue
+        freq = tuple(rng.randint(-1, 1) for _ in range(n))
+        size = rng.randint(0, min(len(indices), 3))
+        idx = tuple(sorted(rng.sample(indices, size)))
+        t_exp = rng.randint(0, 2) if has_t else 0
+        terms.append(((t_exp, freq, idx), (re_part, im_part)))
+    return TorusForm(n, _reference_accumulate({}, terms), has_t=has_t)
+
+
+def reference_rand_homogeneous(rng: Random, n: int, degree: int, max_terms: int = 3,
+                               has_t: bool = False) -> TorusForm:
+    indices = list(range(0 if has_t else 1, n + 1))
+    if degree > len(indices):
+        return TorusForm(n, {}, has_t=has_t)
+    terms = []
+    for _ in range(rng.randint(1, max_terms)):
+        re_part, im_part = reference_rand_fraction(rng), reference_rand_fraction(rng)
+        if not (re_part or im_part):
+            continue
+        idx = tuple(sorted(rng.sample(indices, degree)))
+        freq = tuple(rng.randint(-1, 1) for _ in range(n))
+        t_exp = rng.randint(0, 2) if has_t else 0
+        terms.append(((t_exp, freq, idx), (re_part, im_part)))
+    return TorusForm(n, _reference_accumulate({}, terms), has_t=has_t)
+
+
+def reference_rand_real_form(rng: Random, n: int, degree: int, max_modes: int = 2,
+                             allow_harmonic: bool = True) -> TorusForm:
+    total = TorusForm(n)
+    if degree > n:
+        return total
+    for _ in range(rng.randint(0, max_modes)):
+        idx = reference_rand_subset(rng, n, degree)
+        freq = reference_rand_frequency(rng, n)
+        re_part, im_part = reference_rand_fraction(rng), reference_rand_fraction(rng)
+        if not (re_part or im_part):
+            continue
+        total = total + TorusForm(n, {(0, freq, idx): (re_part, im_part),
+                                      (0, tuple(-x for x in freq), idx): (re_part, -im_part)})
+    if allow_harmonic and rng.random() < 0.7:
+        coeff = reference_rand_fraction(rng)
+        if coeff:
+            total = total + TorusForm.single(n, coeff,
+                                             idx=reference_rand_subset(rng, n, degree))
+    return total
+
+
+def reference_rand_line_bundle(rng: Random, n: int) -> LineBundle:
+    K = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for l in range(j + 1, n):
+            value = rng.randint(-3, 3)
+            K[j][l] = value
+            K[l][j] = -value
+    theta = tuple(reference_rand_fraction(rng, max_num=2) for _ in range(n))
+    beta = reference_rand_real_form(rng, n, 1, max_modes=1, allow_harmonic=False)
+    return LineBundle(n, K, theta, beta)
+
+
+def reference_rand_bundle(rng: Random, n: int, max_rank: int = 3) -> DiagBundle:
+    rank = rng.randint(1, max_rank)
+    return DiagBundle([reference_rand_line_bundle(rng, n) for _ in range(rank)])
+
+
+def reference_rand_odd_real_form(rng: Random, n: int, max_modes: int = 2) -> TorusForm:
+    total = reference_rand_real_form(rng, n, 1, max_modes=max_modes)
+    if n >= 3 and rng.random() < 0.5:
+        total = total + reference_rand_real_form(rng, n, 3, max_modes=1)
+    return total
+
+
+def reference_rand_cycle(rng: Random, n: int, max_rank: int = 3) -> KCycle:
+    rho = reference_rand_odd_real_form(rng, n)
+    return KCycle(reference_rand_bundle(rng, n, max_rank), rho)
+
+
+def reference_rand_phase(rng: Random, n: int) -> TorusForm:
+    total = TorusForm(n)
+    for _ in range(rng.randint(0, 2)):
+        freq = reference_rand_frequency(rng, n)
+        amp = reference_rand_fraction(rng)
+        if not amp:
+            continue
+        half = Fraction(amp, 2)
+        total = total + TorusForm(n, {(0, freq, ()): (0, -half),
+                                      (0, tuple(-x for x in freq), ()): (0, half)})
+    return total
+
+
+def reference_rand_odd_cycle(rng: Random, n: int) -> OddKCycle:
+    components = []
+    for _ in range(rng.randint(1, 2)):
+        winding = tuple(rng.randint(-3, 3) for _ in range(n))
+        components.append((winding, reference_rand_phase(rng, n)))
+    return OddKCycle(n, components)
+
+
+def reference_rand_int_matrix(rng: Random, target_dim: int, source_dim: int) -> list:
+    return [[rng.randint(-2, 2) for _ in range(source_dim)]
+            for _ in range(target_dim)]
+
+
+def reference_rand_integral_shift(rng: Random, n: int) -> TorusForm:
+    total = TorusForm(n)
+    for _ in range(rng.randint(0, 2)):
+        total = total + TorusForm.single(n, rng.randint(-2, 2),
+                                         idx=reference_rand_subset(rng, n, 1))
+    if n >= 3 and rng.random() < 0.4:
+        total = total + TorusForm.single(n, rng.randint(-2, 2),
+                                         idx=reference_rand_subset(rng, n, 3))
+    exact = reference_rand_real_form(rng, n, 0, max_modes=1, allow_harmonic=False).d()
+    return total + exact

@@ -28,6 +28,18 @@ def test_curvature_examples():
     assert L2.curvature().invariant_table(2) == {(1, 2): (2, 0)}
 
 
+def test_harmonic_curvature_is_the_constructors_form_of_K():
+    rng = Random(17)
+    lines = [rand_line_bundle(rng, n) for n in range(7) for _ in range(10)]
+    lines.append(LineBundle(2, K=((0, True), (-1, 0))))
+    for line in lines:
+        public = TorusForm.from_harmonic(line.n, {
+            (j + 1, l + 1): line.K[j][l] for j in range(line.n) for l in range(j + 1, line.n)})
+        harmonic = line.harmonic_curvature()
+        assert harmonic == public and harmonic.to_text() == public.to_text()
+        assert line.harmonic_curvature() is harmonic
+
+
 def test_holonomy_shifts_take_only_rationals():
     assert LineBundle(2, theta=(Fraction(1, 3), 2)).theta == (Fraction(1, 3), 2)
     for bad in ((0.1, 0), ("1/3", 0), ((1, 0), 0)):

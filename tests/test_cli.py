@@ -105,23 +105,30 @@ def test_precondition_exit_code(tmp_path, capsys):
     assert "precondition" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, message", [
-    ("dim = 2\n[line]\ntheta = 0.5 0\n", "line 3: expected a rational, got '0.5'"),
-    ("dim = 2\n[line]\nK = 0 1 / -1 0\nK = 0 2 / -2 0\n",
+@pytest.mark.parametrize("command, text, message", [
+    ("chern", "dim = 2\n[line]\ntheta = 0.5 0\n", "line 3: expected a rational, got '0.5'"),
+    ("chern", "dim = 2\n[line]\nK = 0 1 / -1 0\nK = 0 2 / -2 0\n",
      "line 4: key 'K' given twice in [line]"),
-    ("dim = +2\n", "line 1: expected an integer, got '+2'"),
-    ("dim = 2\nindices = 1_0\n", "line 2: expected an integer, got '1_0'"),
-    ("dim = 2\n[line]\nK = 0 \uff11 / -1 0\n", "line 3: expected an integer, got '\uff11'"),
-    ("dim = 2\n[rho]\nterms = (1+0i) exp[1073741824,0] d{1}\n",
+    ("chern", "dim = +2\n", "line 1: expected an integer, got '+2'"),
+    ("chern", "dim = 2\nindices = 1_0\n", "line 2: expected an integer, got '1_0'"),
+    ("chern", "dim = 2\n[line]\nK = 0 \uff11 / -1 0\n",
+     "line 3: expected an integer, got '\uff11'"),
+    ("chern", "dim = 2\n[rho]\nterms = (1+0i) exp[1073741824,0] d{1}\n",
      "line 3: frequency vector (1073741824, 0) outside the key range [-2^30, 2^30)"),
-    ("dim = 2\n[rho]\nterms = (1+0i) exp[+1,0] d{1}\n",
+    ("chern", "dim = 2\n[rho]\nterms = (1+0i) exp[+1,0] d{1}\n",
      "line 3: bad form term: '(1+0i) exp[+1,0] d{1}'"),
+    ("chern", "dim = -1\n", "line 1: dim must be >= 0, got -1"),
+    ("chern", "# a negative torus\n\ndim = -2\n[line]\nK = 0 1 / -1 0\n",
+     "line 3: dim must be >= 0, got -2"),
+    ("odd", "dim = -1\n", "line 1: dim must be >= 0, got -1"),
+    ("odd", "dim = -1\n\n[component]\nwinding = 1\n", "line 1: dim must be >= 0, got -1"),
 ], ids=["theta", "repeated key", "plus", "underscore", "full-width digit", "frequency ceiling",
-        "frequency plus"])
-def test_config_errors_exit_2(tmp_path, capsys, text, message):
+        "frequency plus", "negative dim chern", "negative dim chern with a line",
+        "negative dim odd", "negative dim odd with a component"])
+def test_config_errors_exit_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "bad.cfg"
     path.write_text(text, encoding="utf-8")
-    assert main(["chern", "--config", str(path)]) == 2
+    assert main([command, "--config", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"config error: {message}\n"

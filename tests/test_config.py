@@ -183,6 +183,23 @@ def test_unread_keys_are_unknown(key):
     assert repr(key) in str(err.value)
 
 
+@pytest.mark.parametrize("text, line, value", [
+    ("dim = -1\n", 1, -1),
+    ("# comment\n\ndim = -12\n[line]\nK = 0 1 / -1 0\n", 3, -12),
+    ("indices = 1\ndim = -3\n[component]\nwinding = 1 0 0\n", 2, -3),
+])
+def test_a_negative_dim_is_refused_on_its_line(text, line, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: dim must be >= 0, got {value}"
+
+
+def test_dim_zero_is_a_torus():
+    assert parse_config("dim = 0\n").dim == 0
+    assert parse_config("dim = -0\n").dim == 0
+
+
 def test_dim_required_before_forms():
     bad = "[rho]\nterms = (1+0i) exp[0,0] d{1}\ndim = 2\n"
     with pytest.raises(ConfigError):

@@ -928,3 +928,101 @@ def test_a_product_that_leaves_the_key_range_raises(n):
     # a derivative keeps every frequency, and the slots next to a changed one stay put
     assert mode(n, -B).d() == TorusForm.single(n, (0, -B), freq=(0,) * (n - 1) + (-B,),
                                                idx=(n,), has_t=True)
+
+
+# -- shared constant forms and the checked builder -----------------------------
+
+def _constants():
+    """``(build, args, public)``: each shared constant's builder and arguments,
+    beside the public constructor's form."""
+    for n in range(5):
+        for has_t in (False, True):
+            yield TorusForm.zero, (n, has_t), TorusForm(n, {}, has_t=has_t)
+            yield (TorusForm.const, (n, 1, has_t),
+                   TorusForm(n, {(0, (0,) * n, ()): 1}, has_t=has_t))
+            for j in range(0 if has_t else 1, n + 1):
+                yield (TorusForm.dx, (n, j, has_t),
+                       TorusForm(n, {(0, (0,) * n, (j,)): 1}, has_t=has_t))
+        yield TorusForm.volume, (n,), TorusForm(n, {(0, (0,) * n, tuple(range(1, n + 1))): 1})
+
+
+def test_shared_constants_are_one_form_each_equal_to_the_constructors():
+    for build, args, public in _constants():
+        first = build(*args)
+        assert build(*args) is first, (build, args)
+        assert first == public and first.to_text() == public.to_text(), (build, args)
+        assert type(first.n) is int and type(first.has_t) is bool, (build, args)
+    assert TorusForm.const(3, Fraction(1)) == TorusForm.const(3, 1)
+    assert TorusForm.const(3, Fraction(1), True) == TorusForm.const(3, 1, True)
+    assert TorusForm.const(3, 2) is not TorusForm.const(3, 2)
+    assert TorusForm.zero(2, 1) is TorusForm.zero(2, True)
+
+
+def test_shared_constants_validate_before_the_lookup():
+    TorusForm.zero(2)
+    for bad in (2.0, "2", Fraction(2)):
+        with pytest.raises(TypeError):
+            TorusForm.zero(bad)
+        with pytest.raises(TypeError):
+            TorusForm.const(bad, 1)
+        with pytest.raises(TypeError):
+            TorusForm.volume(bad)
+    with pytest.raises(ValueError):
+        TorusForm.zero(-1)
+    with pytest.raises(ValueError):
+        TorusForm.dx(2, 0)
+    with pytest.raises(ValueError):
+        TorusForm.dx(2, 3)
+    with pytest.raises(TypeError):
+        TorusForm.dx(2, 1.0)
+    with pytest.raises(TypeError):
+        TorusForm.const(2, 1.0)
+    # a bool dimension is an int, as the constructor reads it, with its own entry
+    assert TorusForm.zero(True).n is True and TorusForm.zero(1).n == 1
+    assert TorusForm.zero(1).n is not True
+
+
+def test_shared_constants_survive_the_suites():
+    from chernforge.verify import run_suite
+
+    shared = [(build, args, build(*args), public) for build, args, public in _constants()]
+    stored = [(form.n, form.has_t, form.den, dict(form.terms)) for _, _, form, _ in shared]
+    assert run_suite("calculus", 0, 20)["ok"]
+    assert run_suite("odd", 0, 5)["ok"]
+    for (build, args, form, public), data in zip(shared, stored):
+        assert build(*args) is form, (build, args)
+        assert (form.n, form.has_t, form.den, form.terms) == data, (build, args)
+        assert form == public, (build, args)
+
+
+def test_checked_builder_checks_every_key_as_the_constructor_does():
+    index_sets = ([()] + [(a,) for a in INDEX_ENTRIES]
+                  + [(a, b) for a in INDEX_ENTRIES for b in INDEX_ENTRIES])
+    keys = [(t_exp, freq, idx) for idx in index_sets
+            for t_exp in (0, 1, -1) for freq in ((0, 0), (1, -1), (0,), (CEILING, 0))]
+    for key in keys:
+        for has_t in (False, True):
+            want = _outcome(lambda: TorusForm(2, {key: 1}, has_t=has_t))
+            got = _outcome(lambda: TorusForm._checked(2, has_t, 1, [(key, (1, 0))]))
+            assert got == want, (key, has_t)
+    with pytest.raises(TypeError):
+        TorusForm._checked(2.0, False, 1, [])
+
+
+def test_checked_builder_stores_what_the_constructor_stores():
+    rng = Random(23)
+    for _ in range(200):
+        n, has_t = rng.randint(0, 4), rng.random() < 0.5
+        den = rng.randint(1, 30)
+        pairs = []
+        for _ in range(rng.randint(0, 6)):
+            idx = tuple(sorted(rng.sample(range(0 if has_t else 1, n + 1),
+                                          rng.randint(0, min(n + has_t, 3)))))
+            key = (rng.randint(0, 2) if has_t else 0,
+                   tuple(rng.randint(-1, 1) for _ in range(n)), idx)
+            pairs.append((key, (rng.randint(-3, 3), rng.randint(-3, 3))))
+        summed = {}
+        for key, (re_num, im_num) in pairs:
+            re_sum, im_sum = summed.get(key, (0, 0))
+            summed[key] = (re_sum + Fraction(re_num, den), im_sum + Fraction(im_num, den))
+        assert TorusForm._checked(n, has_t, den, pairs) == TorusForm(n, summed, has_t=has_t)

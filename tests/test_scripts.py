@@ -29,8 +29,9 @@ def test_full_plan_names_every_suite_in_order():
 
 
 def test_layer_times_outputs_are_unchanged():
-    # the checksum over every layer's output, the compare layer included,
-    # pinned before the cup read the curvature its right factor keeps
+    # the checksum over every layer's output, the compare and draw layers
+    # included; the draw layer's share was pinned on the generators that
+    # drew with randint, Fraction and the public constructor
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -40,13 +41,14 @@ def test_layer_times_outputs_are_unchanged():
     assert result.returncode == 0, result.stdout + result.stderr
     layers = re.findall(r"^(\w+) +[0-9.]+ ms", result.stdout, re.M)
     assert layers == ["wedge", "d", "add", "chern_transforms", "cup", "chern_class",
-                      "text", "construct", "compare"]
+                      "text", "construct", "compare", "draw"]
     # the work of each layer, as the tuple-keyed kernel counted it
     work = re.findall(r"\)  (\d+ terms(?:, \d+ products)?)$", result.stdout, re.M)
     assert work == ["2227 terms, 4676 products", "229 terms", "154 terms", "107 terms",
-                    "459 terms", "564 terms", "1452 terms", "395 terms", "0 terms"]
+                    "459 terms", "564 terms", "1452 terms", "395 terms", "0 terms",
+                    "2125 terms"]
     assert result.stdout.splitlines()[-1] == (
-        "checksum 346d93b456763d8295e714c0faedcec7f325ac0870359cfeda3763f2c3cb6161")
+        "checksum 1f3260d561d361b5c932884e29774219eccd0ffd2259dc34b9d9b6e583db2259")
 
 
 def load_script(name):
