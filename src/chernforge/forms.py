@@ -25,15 +25,17 @@ leaves the range sets its guard bit (one that goes below zero borrows
 from the slot above and still shows its own), so one test against the
 guards catches every such product, and the wedge raises
 :class:`PreconditionError` rather than store a key that could alias
-another.  The public constructor, and through it :func:`parse_form`,
-refuses a t exponent or frequency outside the range with ValueError,
-and :meth:`TorusForm.pullback` a pulled-back frequency with
+another.  The public constructor and :func:`parse_form` refuse a t
+exponent or frequency outside the range with ValueError, and
+:meth:`TorusForm.pullback` a pulled-back frequency with
 PreconditionError.  Keys are encoded by ``_slots``, through one bounded
-cache, and only three paths encode: the constructor, pullback and the
-checked builder ``TorusForm._checked``, which takes int numerators over
-one den and skips only the Fraction round trip of the coefficients;
-every key it stores passes ``_packed_key``, the constructor's checks in
-the constructor's order.  A slot is read by a shift and a mask:
+cache, and only one builder and pullback encode.  The builder,
+:func:`_packed_terms`, passes every key through :func:`_packed_key`
+first, a zero coefficient's too, then adds repeated keys and drops the
+zero sums; the public constructor and :func:`parse_form` reach it
+with their coefficients as int numerators over one den
+(:func:`_over_common_den`), and ``TorusForm._checked`` with int
+numerators its caller gives.  A slot is read by a shift and a mask:
 ``_Layout.unpack`` reads whole keys for
 :meth:`TorusForm.items`, text and pullback, and ``d`` reads the slots
 it needs in place.  Circle integration splices slots: it drops the
@@ -50,7 +52,8 @@ storage, and equality is structural.  Zero numerators are dropped as
 sums are formed (:func:`_accumulate` deletes a key whose sum cancels),
 so a finished form is never scanned for them, and the gcd is divided
 out only when den > 1.  ``zero``, ``const(n, 1)``, ``dx`` and ``volume``
-return one shared form per validated argument tuple: no operation
+return one shared form per validated argument tuple, from two caches,
+one of zero forms and one of units ``1 dx_I``: no operation
 writes to a ``terms`` dict that it did not build, so a shared form, and
 the memos kept on it, never change.  A sum copies the operand that
 needs no scaling to the common den (or the larger one) and walks the
@@ -286,11 +289,23 @@ def _normalized(den: int, terms: dict) -> tuple[int, dict]:
                            for key, (re_num, im_num) in terms.items()}
 
 
-def _over_common_den(parts: dict) -> tuple[int, dict]:
-    """``{key: (re, im, den)}`` over the lcm of the dens: ``(den, {key: (re, im)})``."""
-    den = lcm(*(part[2] for part in parts.values()))
-    return den, {key: (re_num * (den // part_den), im_num * (den // part_den))
-                 for key, (re_num, im_num, part_den) in parts.items()}
+def _over_common_den(pairs) -> tuple[int, list]:
+    """``(key, coeff)`` pairs as ``(den, [(key, (re, im)), ...])``: int numerators
+    over ``den``, the lcm of the coefficients' least dens (:func:`_gauss_parts`).
+
+    One pass converts; a second scales the numerators only when some
+    den is not 1.
+    """
+    parts, dens = [], []
+    for key, coeff in pairs:
+        re_num, im_num, part_den = _gauss_parts(coeff)
+        parts.append((key, (re_num, im_num)))
+        dens.append(part_den)
+    den = lcm(*dens)
+    if den == 1:
+        return den, parts
+    return den, [(key, (re_num * (den // part_den), im_num * (den // part_den)))
+                 for (key, (re_num, im_num)), part_den in zip(parts, dens)]
 
 
 def _accumulate(out: dict, pairs) -> dict:
@@ -312,6 +327,17 @@ def _accumulate(out: dict, pairs) -> dict:
     return out
 
 
+def _packed_terms(n: int, has_t: bool, pairs) -> dict:
+    """``{packed key: (re, im)}`` of ``((t_exp, freq, idx), (re, im))`` pairs.
+
+    The one body that builds a form's terms from term keys: every key
+    passes :func:`_packed_key` first, a zero coefficient's and a
+    cancelling one's too; then repeated keys add up and zero sums are
+    dropped.
+    """
+    return _accumulate({}, [(_packed_key(n, has_t, *key), num) for key, num in pairs])
+
+
 class TorusForm:
     """Differential form with trigonometric-polynomial coefficients.
 
@@ -326,17 +352,11 @@ class TorusForm:
     __slots__ = ("n", "has_t", "den", "terms", "_transforms", "_groups", "_derivative")
 
     def __init__(self, n: int, terms: Optional[dict] = None, has_t: bool = False):
-        self.n = _dimension(n)
-        self.has_t = bool(has_t)
+        self.n = n = _dimension(n)
+        self.has_t = has_t = bool(has_t)
         self._transforms = self._groups = self._derivative = None
-        parts: dict[int, tuple[int, int, int]] = {}
-        for key, coeff in (terms or {}).items():
-            part = _gauss_parts(coeff)
-            if not (part[0] or part[1]):
-                continue
-            t_exp, freq, idx = key
-            parts[_packed_key(n, self.has_t, t_exp, freq, idx)] = part
-        self.den, self.terms = _normalized(*_over_common_den(parts))
+        den, pairs = _over_common_den((terms or {}).items())
+        self.den, self.terms = _normalized(den, _packed_terms(n, has_t, pairs))
 
     @classmethod
     def _make(cls, n: int, has_t: bool, den: int, terms: dict) -> "TorusForm":
@@ -352,17 +372,16 @@ class TorusForm:
     def _checked(cls, n: int, has_t: bool, den: int, pairs) -> "TorusForm":
         """The form of ``pairs``: ``((t_exp, freq, idx), (re, im))``, numerators over ``den``.
 
-        Every key passes :func:`_packed_key`, the public constructor's
-        checks; only the coefficients are trusted: ints, and ``den`` a
-        positive int.  Repeated keys add up.
+        The public constructor's body (:func:`_packed_terms`) without
+        its coefficient conversion: the numerators must be ints and
+        ``den`` a positive int.
         """
         n, has_t = _dimension(n), bool(has_t)
-        return cls._make(n, has_t, den, _accumulate(
-            {}, [(_packed_key(n, has_t, *key), num) for key, num in pairs]))
+        return cls._make(n, has_t, den, _packed_terms(n, has_t, pairs))
 
     # -- constructors ---------------------------------------------------
     # zero, const(n, 1), dx and volume are shared: one form per validated
-    # argument tuple, which no operation mutates
+    # argument tuple, which no operation mutates; the last three are units
 
     @classmethod
     def zero(cls, n: int, has_t: bool = False) -> "TorusForm":
@@ -372,7 +391,7 @@ class TorusForm:
     def const(cls, n: int, coeff, has_t: bool = False) -> "TorusForm":
         n = _dimension(n)
         if type(coeff) is int and coeff == 1:
-            return _shared_one(n, bool(has_t))
+            return _shared_unit(n, bool(has_t))
         return cls(n, {(0, (0,) * n, ()): coeff}, has_t=has_t)
 
     @classmethod
@@ -388,11 +407,11 @@ class TorusForm:
         low = 0 if has_t else 1
         if not low <= j <= n:
             raise ValueError(f"no coordinate {j} on T^{n}")
-        return _shared_dx(_dimension(n), j, bool(has_t))
+        return _shared_unit(_dimension(n), bool(has_t), j)
 
     @classmethod
     def volume(cls, n: int) -> "TorusForm":
-        return _shared_volume(_dimension(n))
+        return _shared_unit(_dimension(n), False, *range(1, n + 1))
 
     @classmethod
     def from_harmonic(cls, n: int, table: dict) -> "TorusForm":
@@ -806,18 +825,10 @@ def _shared_zero(n: int, has_t: bool) -> TorusForm:
 
 
 @lru_cache(maxsize=None, typed=True)
-def _shared_one(n: int, has_t: bool) -> TorusForm:
-    return TorusForm(n, {(0, (0,) * n, ()): 1}, has_t=has_t)
-
-
-@lru_cache(maxsize=None, typed=True)
-def _shared_dx(n: int, j: int, has_t: bool) -> TorusForm:
-    return TorusForm.single(n, 1, idx=(j,), has_t=has_t)
-
-
-@lru_cache(maxsize=None, typed=True)
-def _shared_volume(n: int) -> TorusForm:
-    return TorusForm.single(n, 1, idx=tuple(range(1, n + 1)))
+def _shared_unit(n: int, has_t: bool, *idx: int) -> TorusForm:
+    # idx is spread, so that each entry's type is in the cache key: a
+    # tuple argument would share one entry between (1.0,) and (1,)
+    return TorusForm._checked(n, has_t, 1, [((0, (0,) * n, idx), (1, 0))])
 
 
 def _ratio_text(num: int, den: int) -> str:
@@ -915,8 +926,8 @@ def parse_form(text: str, n: Optional[int] = None,
         terms.append(((m, freq, idx), coeff))
     if has_t is None:
         has_t = saw_t
-    # duplicate terms add up and those that cancel are dropped
-    return TorusForm(n, _accumulate({}, terms), has_t=has_t)
+    # every key is checked; then duplicates add up and those that cancel are dropped
+    return TorusForm._checked(n, has_t, *_over_common_den(terms))
 
 
 def chern_transforms(form: TorusForm, top: int) -> list[TorusForm]:

@@ -10,8 +10,9 @@ tuple that ``rng.choice`` indexes, which consumes the stream exactly as
 ``rng.randint`` over the same range does (both are ``lo +
 _randbelow(width)``).  Coefficients are drawn as int numerators over
 their drawn denominators, and each generated form is one
-``TorusForm._checked`` call over the common denominator ``_DEN``, whose
-keys pass the public constructor's checks.  ``tests/oracle.py`` keeps
+``TorusForm._checked`` call over the common denominator ``_DEN``, which
+builds through the public constructor's builder, so its keys pass the
+constructor's checks.  ``tests/oracle.py`` keeps
 the generators as they were written with ``randint``, ``Fraction`` and
 the public constructor, and a tier-1 test pins every stream to them.
 """

@@ -152,20 +152,18 @@ def reference_construct(n: int, terms: dict, has_t: bool = False) -> tuple[int, 
     """The public constructor's checks in their first order, then its stored data.
 
     Returns the normalized ``(den, terms)`` that ``TorusForm(n, terms,
-    has_t)`` must store, or raises what it must raise.  A zero
-    coefficient skips every check.  Then come the frequency arity and
-    the four index checks (strictly increasing, in range, t data, t
-    exponent), the key range of the t exponent and of the frequencies,
-    and last the mask shift, which raises TypeError for an
-    index that is not an int.
+    has_t)`` must store, or raises what it must raise.  Every
+    coefficient is read first.  Then every key is checked, a zero
+    coefficient's too: the frequency arity and the four index checks
+    (strictly increasing, in range, t data, t exponent), the key range
+    of the t exponent and of the frequencies, and last the mask shift,
+    which raises TypeError for an index that is not an int.  Zero
+    numerators are dropped only after that.
     """
     if n < 0:
         raise ValueError("torus dimension must be >= 0")
     parts = {}
-    for key, coeff in terms.items():
-        part = _gauss_parts(coeff)
-        if not (part[0] or part[1]):
-            continue
+    for key, part in [(key, _gauss_parts(coeff)) for key, coeff in terms.items()]:
         t_exp, freq, idx = key
         if len(freq) != n:
             raise ValueError(f"frequency vector {freq} has wrong arity for T^{n}")

@@ -105,6 +105,14 @@ def test_precondition_exit_code(tmp_path, capsys):
     assert "precondition" in capsys.readouterr().err
 
 
+_INVALID_TERMS = [
+    ("index range", "index set (9,) out of range for T^2", "exp[0,0] d{9}"),
+    ("index order", "index set (2, 1) is not strictly increasing", "t^3 exp[0,0] d{2,1}"),
+    ("frequency range", "frequency vector (4000000000, 0) outside the key range [-2^30, 2^30)",
+     "exp[4000000000,0] d{1}"),
+]
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("chern", "dim = 2\n[line]\ntheta = 0.5 0\n", "line 3: expected a rational, got '0.5'"),
     ("chern", "dim = 2\n[line]\nK = 0 1 / -1 0\nK = 0 2 / -2 0\n",
@@ -122,9 +130,20 @@ def test_precondition_exit_code(tmp_path, capsys):
      "line 3: dim must be >= 0, got -2"),
     ("odd", "dim = -1\n", "line 1: dim must be >= 0, got -1"),
     ("odd", "dim = -1\n\n[component]\nwinding = 1\n", "line 1: dim must be >= 0, got -1"),
+] + [
+    # a term whose coefficient is zero, or whose duplicates cancel, is
+    # checked as the same term with coefficient 1
+    (command, f"dim = 2\n{section}\n{key} = {terms}\n", f"line {line}: {message}")
+    for _, message, term in _INVALID_TERMS
+    for terms in (f"(1+0i) {term}", f"(0+0i) {term}", f"(1+0i) {term} + (-1+0i) {term}")
+    for command, section, key, line in (
+        ("chern", "[line]\nK = 0 1 / -1 0", "beta", 4), ("chern", "[rho]", "terms", 3),
+        ("odd", "[component]\nwinding = 1 0", "phase", 4))
 ], ids=["theta", "repeated key", "plus", "underscore", "full-width digit", "frequency ceiling",
         "frequency plus", "negative dim chern", "negative dim chern with a line",
-        "negative dim odd", "negative dim odd with a component"])
+        "negative dim odd", "negative dim odd with a component"] + [
+    f"{name} {coeff} {where}" for name, _, _ in _INVALID_TERMS
+    for coeff in ("one", "zero", "cancelling") for where in ("beta", "rho", "phase")])
 def test_config_errors_exit_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "bad.cfg"
     path.write_text(text, encoding="utf-8")

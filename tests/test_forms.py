@@ -996,15 +996,41 @@ def test_shared_constants_survive_the_suites():
 
 
 def test_checked_builder_checks_every_key_as_the_constructor_does():
+    # every key is checked before the terms are summed: a term whose
+    # coefficient is zero, or whose duplicates cancel, is refused with
+    # the error of coefficient 1, and otherwise leaves the zero form
     index_sets = ([()] + [(a,) for a in INDEX_ENTRIES]
                   + [(a, b) for a in INDEX_ENTRIES for b in INDEX_ENTRIES])
     keys = [(t_exp, freq, idx) for idx in index_sets
             for t_exp in (0, 1, -1) for freq in ((0, 0), (1, -1), (0,), (CEILING, 0))]
+    parsed = 0
     for key in keys:
+        t_exp, freq, idx = key
+        # the keys that the text grammar writes on T^2
+        text = None
+        if t_exp >= 0 and len(freq) == 2 and all(type(j) is int for j in idx):
+            text = f"t^{t_exp} exp[{freq[0]},{freq[1]}] d{{{','.join(map(str, idx))}}}"
         for has_t in (False, True):
             want = _outcome(lambda: TorusForm(2, {key: 1}, has_t=has_t))
-            got = _outcome(lambda: TorusForm._checked(2, has_t, 1, [(key, (1, 0))]))
-            assert got == want, (key, has_t)
+            refused = not isinstance(want, TorusForm)
+            builds = {
+                1: [lambda: TorusForm._checked(2, has_t, 1, [(key, (1, 0))])],
+                0: [lambda: TorusForm(2, {key: 0}, has_t=has_t),
+                    lambda: TorusForm._checked(2, has_t, 1, [(key, (0, 0))]),
+                    lambda: TorusForm._checked(2, has_t, 1, [(key, (1, 0)), (key, (-1, 0))])],
+            }
+            if text is not None:
+                parsed += 1
+                builds[1].append(lambda: parse_form(f"(1+0i) {text}", 2, has_t))
+                builds[0] += [lambda: parse_form(f"(0+0i) {text}", 2, has_t),
+                              lambda: parse_form(f"(1+0i) {text} + (-1+0i) {text}", 2, has_t)]
+            for coeff, outcomes in builds.items():
+                expected = want if coeff or refused else TorusForm.zero(2, has_t)
+                for build in outcomes:
+                    assert _outcome(build) == expected, (key, has_t, coeff)
+            assert _outcome(lambda: reference_construct(2, {key: 0}, has_t)) == (
+                want if refused else (1, {})), (key, has_t)
+    assert parsed == 43 * 2 * 3 * 2  # int index sets, t exponents, T^2 frequencies, has_t
     with pytest.raises(TypeError):
         TorusForm._checked(2.0, False, 1, [])
 
