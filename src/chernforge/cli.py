@@ -16,7 +16,6 @@ written); 3 precondition violation, among them a torus dimension above
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -104,6 +103,8 @@ def _render_text(report: dict) -> str:
 
 
 def _render_csv(report: dict) -> str:
+    import csv  # only this renderer needs it, so importing the module stays cheap
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     command = report["command"]

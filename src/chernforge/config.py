@@ -6,14 +6,19 @@ are ASCII digits with an optional ``-`` (``forms._INT_RE``), exact
 rationals are written ``p`` or ``p/q``; differential forms use the term
 grammar ``(a+bi) t^m exp[k1,...,kn] d{t,1,3}`` with terms joined by
 ``+``.  A key may be given once per block and ``[rho]`` once per file.
-Parsing failures carry 1-based line numbers; a parsed configuration
-re-serializes bit-exactly.
+Every error names its 1-based line: a parse error or a written form
+term of the wrong degree (also one whose coefficient is zero or whose
+duplicates cancel) names the key's line, and cycle data that the
+``bundles`` constructors refuse names the header of the block it came
+from.  A parsed configuration re-serializes bit-exactly.
+
+The records are plain classes rather than dataclasses, which would
+import ``inspect`` and its dependencies with every command.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -22,48 +27,102 @@ from .errors import ConfigError
 from .forms import _INT_RE, _RATIONAL_RE, TorusForm, _ratio, parse_form
 
 
-@dataclass
-class LineSpec:
-    K: Optional[list[list[int]]] = None
-    theta: Optional[list[Fraction]] = None
-    beta: Optional[TorusForm] = None
+class _Record:
+    """Keyword construction, mutable attributes, ``==`` field by field.
+
+    ``_fields`` holds the data; the text line a record came from is kept
+    beside it for error messages, and equality ignores it.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._fields)
 
 
-@dataclass
-class ComponentSpec:
-    winding: Optional[list[int]] = None
-    phase: Optional[TorusForm] = None
+class LineSpec(_Record):
+    """A ``[line]`` block; ``lineno`` is its header's line."""
+
+    _fields = ("K", "theta", "beta")
+    __slots__ = _fields + ("lineno",)
+
+    def __init__(self, K: Optional[list[list[int]]] = None,
+                 theta: Optional[list[Fraction]] = None,
+                 beta: Optional[TorusForm] = None, lineno: Optional[int] = None):
+        self.K = K
+        self.theta = theta
+        self.beta = beta
+        self.lineno = lineno
+
+
+class ComponentSpec(_Record):
+    """A ``[component]`` block; ``lineno`` is its header's line."""
+
+    _fields = ("winding", "phase")
+    __slots__ = _fields + ("lineno",)
+
+    def __init__(self, winding: Optional[list[int]] = None,
+                 phase: Optional[TorusForm] = None, lineno: Optional[int] = None):
+        self.winding = winding
+        self.phase = phase
+        self.lineno = lineno
 
 
 @contextmanager
-def _cycle_data():
+def _cycle_data(lineno: Optional[int]):
     # constructors reject malformed cycle data with ValueError; to the
     # front end that is bad input, like any other config error
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(str(exc), lineno) from None
 
 
-@dataclass
-class Config:
-    dim: Optional[int] = None
-    indices: list[int] = field(default_factory=list)
-    lines: list[LineSpec] = field(default_factory=list)
-    rho: Optional[TorusForm] = None
-    components: list[ComponentSpec] = field(default_factory=list)
+def _first_refused(n: int, specs: list[ComponentSpec]) -> Optional[int]:
+    """Header line of the first component that ``OddKCycle`` refuses alone.
+
+    Each component is checked on its own data, in order, so this is the
+    component whose error the whole cycle raised.
+    """
+    for spec in specs:
+        try:
+            OddKCycle(n, [(spec.winding, spec.phase)])
+        except ValueError:
+            return spec.lineno
+    return None
+
+
+class Config(_Record):
+    """A parsed file; ``rho_lineno`` is the line of its ``[rho]`` header."""
+
+    _fields = ("dim", "indices", "lines", "rho", "components")
+    __slots__ = _fields + ("rho_lineno",)
+
+    def __init__(self, dim: Optional[int] = None, indices: Optional[list[int]] = None,
+                 lines: Optional[list[LineSpec]] = None, rho: Optional[TorusForm] = None,
+                 components: Optional[list[ComponentSpec]] = None):
+        self.dim = dim
+        self.indices = [] if indices is None else indices
+        self.lines = [] if lines is None else lines
+        self.rho = rho
+        self.components = [] if components is None else components
+        self.rho_lineno = None
 
     def build_bundle(self) -> DiagBundle:
         if self.dim is None:
             raise ConfigError("missing 'dim'")
-        specs = self.lines or [LineSpec()]
-        with _cycle_data():
-            return DiagBundle([LineBundle(self.dim, spec.K, spec.theta, spec.beta)
-                               for spec in specs])
+        lines = []
+        for spec in self.lines or [LineSpec()]:
+            with _cycle_data(spec.lineno):
+                lines.append(LineBundle(self.dim, spec.K, spec.theta, spec.beta))
+        return DiagBundle(lines)
 
     def build_cycle(self) -> KCycle:
         bundle = self.build_bundle()
-        with _cycle_data():
+        with _cycle_data(self.rho_lineno):
             return KCycle(bundle, self.rho)
 
     def build_odd_cycle(self) -> OddKCycle:
@@ -74,10 +133,12 @@ class Config:
         comps = []
         for spec in self.components:
             if spec.winding is None:
-                raise ConfigError("odd component is missing 'winding'")
+                raise ConfigError("odd component is missing 'winding'", spec.lineno)
             comps.append((spec.winding, spec.phase))
-        with _cycle_data():
+        try:
             return OddKCycle(self.dim, comps)
+        except ValueError as exc:
+            raise ConfigError(str(exc), _first_refused(self.dim, self.components)) from None
 
 
 def _parse_int(value: str, lineno: int) -> int:
@@ -105,13 +166,31 @@ def _parse_matrix(value: str, lineno: int) -> list[list[int]]:
     return [_parse_int_list(row, lineno) for row in rows if row]
 
 
-def _parse_form_value(value: str, dim: Optional[int], lineno: int) -> TorusForm:
+# the degree each form key takes, and the message of the constructor
+# that checks it; ``parse_config`` checks the written terms, so a term
+# whose coefficient is zero or whose duplicates cancel is refused too
+_FORM_DEGREES = {
+    "beta": (lambda degree: degree == 1, "connection perturbation must be a 1-form"),
+    "terms": (lambda degree: degree % 2 == 1, "cycle form must have odd degrees"),
+    "phase": (lambda degree: degree == 0, "phase must be a function"),
+}
+
+
+def _parse_form_value(key: str, value: str, dim: Optional[int], lineno: int) -> TorusForm:
     if dim is None:
         raise ConfigError("'dim' must be set before any form data", lineno)
     try:
-        return parse_form(value, n=dim, has_t=False)
+        form = parse_form(value, n=dim, has_t=False)
     except ValueError as exc:
         raise ConfigError(str(exc), lineno) from None
+    # every term of a text that parse_form has read matches forms._TERM_RE,
+    # where only the index list opens with ``d{``
+    takes, message = _FORM_DEGREES[key]
+    for piece in value.split("d{")[1:]:
+        index_list = piece.partition("}")[0]
+        if not takes(index_list.count(",") + 1 if index_list.strip() else 0):
+            raise ConfigError(message, lineno)
+    return form
 
 
 def parse_config(text: str) -> Config:
@@ -132,14 +211,15 @@ def parse_config(text: str) -> Config:
             section = line[1:-1].strip()
             seen = set()
             if section == "line":
-                current_line = LineSpec()
+                current_line = LineSpec(lineno=lineno)
                 config.lines.append(current_line)
             elif section == "rho":
                 if rho_seen:
                     raise ConfigError("section [rho] given twice", lineno)
                 rho_seen = True
+                config.rho_lineno = lineno
             elif section == "component":
-                current_component = ComponentSpec()
+                current_component = ComponentSpec(lineno=lineno)
                 config.components.append(current_component)
             else:
                 raise ConfigError(f"unknown section [{section}]", lineno)
@@ -166,19 +246,19 @@ def parse_config(text: str) -> Config:
             elif key == "theta":
                 current_line.theta = [_parse_rational(tok, lineno) for tok in value.split()]
             elif key == "beta":
-                current_line.beta = _parse_form_value(value, config.dim, lineno)
+                current_line.beta = _parse_form_value(key, value, config.dim, lineno)
             else:
                 raise ConfigError(f"unknown key {key!r} in [line]", lineno)
         elif section == "rho":
             if key == "terms":
-                config.rho = _parse_form_value(value, config.dim, lineno)
+                config.rho = _parse_form_value(key, value, config.dim, lineno)
             else:
                 raise ConfigError(f"unknown key {key!r} in [rho]", lineno)
         elif section == "component":
             if key == "winding":
                 current_component.winding = _parse_int_list(value, lineno)
             elif key == "phase":
-                current_component.phase = _parse_form_value(value, config.dim, lineno)
+                current_component.phase = _parse_form_value(key, value, config.dim, lineno)
             else:
                 raise ConfigError(f"unknown key {key!r} in [component]", lineno)
     if config.dim is None:

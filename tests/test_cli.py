@@ -113,6 +113,33 @@ _INVALID_TERMS = [
 ]
 
 
+_WRONG_DEGREE = [
+    ("chern", "[line]", "beta", "exp[0,0] d{1,2}", "connection perturbation must be a 1-form"),
+    ("chern", "[rho]", "terms", "exp[0,0] d{1,2}", "cycle form must have odd degrees"),
+    ("odd", "[component]", "phase", "exp[0,0] d{1}", "phase must be a function"),
+]
+
+# data the cycle constructors refuse names the header of its block
+_CYCLE_DATA = [
+    ("K shape", "chern", "dim = 2\n[line]\nK = 0 1\n", "line 2: curvature matrix must be 2x2"),
+    ("theta length", "chern", "dim = 2\n[line]\ntheta = 1/2\n",
+     "line 2: holonomy vector must have length 2"),
+    ("beta real", "chern", "dim = 2\n[line]\nbeta = (1+0i) exp[1,0] d{1}\n",
+     "line 2: connection perturbation must be real"),
+    ("second line", "chern", "dim = 2\n\n[line]\nK = 0 1 / -1 0\n\n[line]\n"
+     "K = 0 1 / 1 0\n", "line 6: curvature matrix must be antisymmetric"),
+    ("rho real", "chern", "dim = 2\n# odd form\n[rho]\nterms = (1+1i) exp[0,0] d{1}\n",
+     "line 3: cycle form must be real"),
+    ("winding length", "odd", "dim = 2\n[component]\nwinding = 1 0 3\n",
+     "line 2: winding vector must have length 2"),
+    ("second component", "odd", "dim = 2\n[component]\nwinding = 1 0\n[component]\n"
+     "winding = 0 1\nphase = (1+0i) exp[0,0] d{}\n",
+     "line 4: phase must have no constant Fourier mode"),
+    ("missing winding", "odd", "dim = 2\n[component]\nwinding = 1 0\n\n[component]\n",
+     "line 5: odd component is missing 'winding'"),
+]
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("chern", "dim = 2\n[line]\ntheta = 0.5 0\n", "line 3: expected a rational, got '0.5'"),
     ("chern", "dim = 2\n[line]\nK = 0 1 / -1 0\nK = 0 2 / -2 0\n",
@@ -139,11 +166,21 @@ _INVALID_TERMS = [
     for command, section, key, line in (
         ("chern", "[line]\nK = 0 1 / -1 0", "beta", 4), ("chern", "[rho]", "terms", 3),
         ("odd", "[component]\nwinding = 1 0", "phase", 4))
+] + [
+    # a written term of the wrong degree is refused on its key's line,
+    # whatever its coefficient
+    (command, f"dim = 2\n{section}\n{key} = {terms}\n", f"line 3: {message}")
+    for command, section, key, term, message in _WRONG_DEGREE
+    for terms in (f"(1+0i) {term}", f"(0+0i) {term}", f"(1+0i) {term} + (-1+0i) {term}")
+] + [
+    (command, text, message) for _, command, text, message in _CYCLE_DATA
 ], ids=["theta", "repeated key", "plus", "underscore", "full-width digit", "frequency ceiling",
         "frequency plus", "negative dim chern", "negative dim chern with a line",
         "negative dim odd", "negative dim odd with a component"] + [
     f"{name} {coeff} {where}" for name, _, _ in _INVALID_TERMS
-    for coeff in ("one", "zero", "cancelling") for where in ("beta", "rho", "phase")])
+    for coeff in ("one", "zero", "cancelling") for where in ("beta", "rho", "phase")] + [
+    f"degree {coeff} {key}" for _, _, key, _, _ in _WRONG_DEGREE
+    for coeff in ("one", "zero", "cancelling")] + [name for name, _, _, _ in _CYCLE_DATA])
 def test_config_errors_exit_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "bad.cfg"
     path.write_text(text, encoding="utf-8")
@@ -323,6 +360,19 @@ def test_the_parser_is_not_built_at_import():
     code = ("import chernforge.cli as cli; "
             "assert cli.build_parser.cache_info().currsize == 0")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_the_import_loads_no_unused_module():
+    # dataclasses would bring inspect, ast, dis and tokenize; csv loads
+    # with the CSV renderer
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import chernforge, chernforge.cli, chernforge.symfun; "
+            "print(' '.join(sorted(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", code, str(Path(cli.__file__).parents[1])],
+                            capture_output=True, text=True, check=True, timeout=60)
+    loaded = set(result.stdout.split())
+    assert "chernforge.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"})
 
 
 @pytest.mark.parametrize("command, name", [("chern", "chern_class"),

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from chernforge.config import (ComponentSpec, Config, parse_config,
+from chernforge.config import (ComponentSpec, Config, LineSpec, parse_config,
                                serialize_config)
 from chernforge.errors import ConfigError
 from chernforge.forms import parse_form
@@ -57,6 +57,46 @@ def test_serializer_round_trip():
     assert again.rho == config.rho
     assert again.components[0].phase == config.components[0].phase
     assert again == config  # theta, beta and winding too
+
+
+def test_records_take_their_keyword_defaults():
+    assert (LineSpec().K, LineSpec().theta, LineSpec().beta) == (None, None, None)
+    assert (ComponentSpec().winding, ComponentSpec().phase) == (None, None)
+    config = Config(dim=2)
+    assert (config.dim, config.indices, config.lines, config.rho, config.components) \
+        == (2, [], [], None, [])
+    assert Config().dim is None
+    assert LineSpec(theta=[Fraction(1, 2)]).theta == [Fraction(1, 2)]
+    assert ComponentSpec(winding=[1, 0]).winding == [1, 0]
+
+
+def test_configs_do_not_share_their_lists():
+    one, two = Config(), Config()
+    one.indices.append(1)
+    one.lines.append(LineSpec())
+    one.components.append(ComponentSpec())
+    assert (two.indices, two.lines, two.components) == ([], [], [])
+
+
+def test_records_compare_field_by_field():
+    config = parse_config(EXAMPLE)
+    again = parse_config(serialize_config(config))
+    assert again == config
+    assert again.lines[0].lineno != config.lines[0].lineno  # position is not content
+    for record, name, value in [
+        (again, "dim", 3), (again, "indices", [2]), (again, "rho", None),
+        (again.lines[0], "K", [[0, 4], [-4, 0]]), (again.lines[0], "theta", None),
+        (again.lines[0], "beta", None), (again.components[0], "winding", [1, 0]),
+        (again.components[0], "phase", None),
+    ]:
+        kept = getattr(record, name)
+        setattr(record, name, value)
+        assert again != config, name
+        setattr(record, name, kept)
+        assert again == config
+    again.lines.append(LineSpec())
+    assert again != config
+    assert LineSpec() != ComponentSpec() and LineSpec() == LineSpec()
 
 
 def test_unknown_key_reports_line():
