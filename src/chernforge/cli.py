@@ -10,7 +10,7 @@ that does not hold or raises, or a ``chern``/``odd`` postcondition,
 reported as one ``postcondition failed:`` line); 2 parse/usage error (a
 config that cannot be read or parsed, or a report that cannot be
 written); 3 precondition violation, among them a torus dimension above
-``MAX_DIM``.
+``config.MAX_DIM``.
 """
 
 from __future__ import annotations
@@ -21,18 +21,10 @@ import io
 import json
 import sys
 
-from .config import Config, parse_config
+from .config import parse_config
 from .diffchar import chern_class, odd_chern_class
 from .errors import ConfigError, PreconditionError
 from .verify import SUITES, run_suite
-
-
-# The largest torus dimension ``chern`` and ``odd`` accept.  Cost grows
-# about 2.5x per dimension: with Python 3.11 on a 2-core Xeon, a rank-3
-# config with a few Fourier modes takes 4.7 s and 95 MiB on T^12 and
-# 11.9 s and 174 MiB on T^13, and a report lists 2^(dim-1) holonomies,
-# 17.6 MB at dim = 20.
-MAX_DIM = 12
 
 
 class _OutputError(Exception):
@@ -145,11 +137,8 @@ def _emit(report: dict, fmt: str, out_path) -> None:
         sys.stdout.write(rendered)
 
 
-def _read_config(path: str) -> Config:
-    """Parse the config file at ``path``; unreadable files are config errors.
-
-    A dimension above ``MAX_DIM`` is a precondition violation.
-    """
+def _read_config(path: str):
+    """``parse_config`` of the file at ``path``; unreadable files are config errors."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -157,16 +146,12 @@ def _read_config(path: str) -> Config:
         raise ConfigError(str(exc)) from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    config = parse_config(text)
-    if config.dim > MAX_DIM:
-        raise PreconditionError(f"dim = {config.dim} exceeds the ceiling {MAX_DIM}")
-    return config
+    return parse_config(text)
 
 
 def _cmd_chern(args) -> int:
-    config = _read_config(args.config)
-    cycle = config.build_cycle()
-    indices = config.indices or list(range(1, cycle.n // 2 + 1))
+    indices, cycle, _ = _read_config(args.config)
+    indices = indices or list(range(1, cycle.n // 2 + 1))
     if not indices:
         raise PreconditionError(f"T^{cycle.n} carries no even classes")
     classes = [_class_entry(i, chern_class(cycle, i)) for i in indices]
@@ -176,9 +161,10 @@ def _cmd_chern(args) -> int:
 
 
 def _cmd_odd(args) -> int:
-    config = _read_config(args.config)
-    cycle = config.build_odd_cycle()
-    indices = config.indices or list(range(1, cycle.n + 1, 2))
+    indices, _, cycle = _read_config(args.config)
+    if not cycle.components:
+        raise ConfigError("no [component] blocks for an odd cycle")
+    indices = indices or list(range(1, cycle.n + 1, 2))
     if not indices:
         raise PreconditionError(f"T^{cycle.n} carries no odd classes")
     classes = [_class_entry(i, odd_chern_class(cycle, i)) for i in indices]

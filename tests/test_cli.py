@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from chernforge import cli
+from chernforge import cli, config
 from chernforge.cli import main
 from chernforge.config import parse_config, serialize_config
 from chernforge.verify import SUITES
@@ -137,6 +137,15 @@ _CYCLE_DATA = [
      "line 4: phase must have no constant Fourier mode"),
     ("missing winding", "odd", "dim = 2\n[component]\nwinding = 1 0\n\n[component]\n",
      "line 5: odd component is missing 'winding'"),
+] + [
+    # every block is checked, also one the command does not read
+    (f"{name} {command}", command, text, message)
+    for name, text, message in (
+        ("unread line", "dim = 2\n[line]\nK = 0 1\n[component]\nwinding = 1 0\n",
+         "line 2: curvature matrix must be 2x2"),
+        ("unread component", "dim = 2\n[component]\nwinding = 1 0 0\n",
+         "line 2: winding vector must have length 2"))
+    for command in ("chern", "odd")
 ]
 
 
@@ -157,6 +166,9 @@ _CYCLE_DATA = [
      "line 3: dim must be >= 0, got -2"),
     ("odd", "dim = -1\n", "line 1: dim must be >= 0, got -1"),
     ("odd", "dim = -1\n\n[component]\nwinding = 1\n", "line 1: dim must be >= 0, got -1"),
+    ("chern", "dim = 2\nindices =\n", "line 2: 'indices' lists no index"),
+    ("chern", "# no dim yet\n[line]\ndim = 2\n", "line 2: 'dim' must be set before any block"),
+    ("odd", "dim = 2\n[line]\nK = 0 1 / -1 0\n", "no [component] blocks for an odd cycle"),
 ] + [
     # a term whose coefficient is zero, or whose duplicates cancel, is
     # checked as the same term with coefficient 1
@@ -176,7 +188,8 @@ _CYCLE_DATA = [
     (command, text, message) for _, command, text, message in _CYCLE_DATA
 ], ids=["theta", "repeated key", "plus", "underscore", "full-width digit", "frequency ceiling",
         "frequency plus", "negative dim chern", "negative dim chern with a line",
-        "negative dim odd", "negative dim odd with a component"] + [
+        "negative dim odd", "negative dim odd with a component", "empty indices",
+        "block before dim", "no component"] + [
     f"{name} {coeff} {where}" for name, _, _ in _INVALID_TERMS
     for coeff in ("one", "zero", "cancelling") for where in ("beta", "rho", "phase")] + [
     f"degree {coeff} {key}" for _, _, key, _, _ in _WRONG_DEGREE
@@ -395,16 +408,18 @@ def test_postcondition_failure_is_one_stderr_line(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("command", ["chern", "odd"])
 def test_a_dimension_above_the_ceiling_exits_3(tmp_path, capsys, command):
     path = tmp_path / "big.cfg"
-    for dim in (cli.MAX_DIM + 1, 200):
-        path.write_text(f"dim = {dim}\n", encoding="utf-8")
-        assert main([command, "--config", str(path)]) == 3
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == (f"precondition violated: dim = {dim} "
-                       f"exceeds the ceiling {cli.MAX_DIM}\n")
+    # refused on its line, before a block is built or a later line read
+    for text in ("dim = {}\n", "dim = {}\n[line]\nK = x\n", "dim = {}\nindices =\n"):
+        for dim in (config.MAX_DIM + 1, 200):
+            path.write_text(text.format(dim), encoding="utf-8")
+            assert main([command, "--config", str(path)]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (f"precondition violated: dim = {dim} "
+                           f"exceeds the ceiling {config.MAX_DIM}\n")
     # the ceiling itself is accepted
-    path.write_text(f"dim = {cli.MAX_DIM}\n\n[component]\nwinding = "
-                    + " ".join(["0"] * cli.MAX_DIM) + "\n", encoding="utf-8")
+    path.write_text(f"dim = {config.MAX_DIM}\n\n[component]\nwinding = "
+                    + " ".join(["0"] * config.MAX_DIM) + "\n", encoding="utf-8")
     assert main(["odd", "--config", str(path)]) == 0
 
 
@@ -450,22 +465,30 @@ def test_mutated_configs_exit_0_2_or_3_and_round_trip(tmp_path, capsys):
     rng = Random(20)
     path, again = tmp_path / "fuzz.cfg", tmp_path / "again.cfg"
     exits = Counter()
-    for example, command in (("example_even", "chern"), ("example_odd", "odd")):
+    for example in ("example_even", "example_odd"):
         seed_text = (EXAMPLES / f"{example}.cfg").read_text(encoding="utf-8")
         for _ in range(400):
             text = _mutate(rng, seed_text)
             fmt = rng.choice(("text", "json", "csv"))
             path.write_text(text, encoding="utf-8")
-            code = main([command, "--config", str(path), "--format", fmt])
-            out, err = capsys.readouterr()
-            exits[code] += 1
-            assert code in (0, 2, 3), text
-            if code:
-                assert out == "" and err.count("\n") == 1 and err.endswith("\n"), text
-                continue
-            assert err == ""
-            again.write_text(serialize_config(parse_config(text)), encoding="utf-8")
-            assert main([command, "--config", str(again), "--format", fmt]) == 0
-            assert capsys.readouterr().out == out, text
+            errors = []
+            for command in ("chern", "odd"):
+                code = main([command, "--config", str(path), "--format", fmt])
+                out, err = capsys.readouterr()
+                exits[code] += 1
+                errors.append(err)
+                assert code in (0, 2, 3), text
+                if code:
+                    assert out == "" and err.count("\n") == 1 and err.endswith("\n"), text
+                    continue
+                assert err == ""
+                indices, cycle, odd_cycle = parse_config(text)
+                again.write_text(serialize_config(cycle if command == "chern" else odd_cycle,
+                                                  indices), encoding="utf-8")
+                assert main([command, "--config", str(again), "--format", fmt]) == 0
+                assert capsys.readouterr().out == out, text
+            # both commands read every block, so an error on a line reads the same
+            if any(err.startswith("config error: line ") for err in errors):
+                assert errors[0] == errors[1], text
     # the mutations reach every exit code they may
     assert exits[0] and exits[2] and exits[3], exits

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
-from chernforge.config import (ComponentSpec, Config, LineSpec, parse_config,
-                               serialize_config)
+from chernforge.bundles import KCycle, OddKCycle
+from chernforge.config import parse_config, serialize_config
 from chernforge.errors import ConfigError
 from chernforge.forms import parse_form
+from chernforge.generators import rand_cycle, rand_odd_cycle
 
 EXAMPLE = """\
 # line bundle with curvature 3 and a holonomy shift
@@ -26,77 +28,63 @@ phase = (0-1/4i) exp[1,0] d{} + (0+1/4i) exp[-1,0] d{}
 """
 
 
+def _line_data(cycle: KCycle) -> list:
+    return [(line.K, line.theta, line.beta) for line in cycle.bundle.lines]
+
+
 def test_parse_example():
-    config = parse_config(EXAMPLE)
-    assert config.dim == 2
-    assert config.indices == [1]
-    assert len(config.lines) == 1
-    assert config.lines[0].K == [[0, 3], [-3, 0]]
-    assert config.lines[0].theta == [Fraction(1, 3), Fraction(0)]
-    assert config.lines[0].beta.is_real()
-    assert config.rho == parse_form("(1/5+0i) exp[0,0] d{1}", n=2)
-    assert len(config.components) == 1
-    assert config.components[0].winding == [2, 0]
-
-
-def test_build_cycle_and_odd_cycle():
-    config = parse_config(EXAMPLE)
-    cycle = config.build_cycle()
-    assert cycle.n == 2
-    assert cycle.bundle.lines[0].K[0][1] == 3
-    odd = config.build_odd_cycle()
+    indices, cycle, odd = parse_config(EXAMPLE)
+    assert cycle.n == odd.n == 2
+    assert indices == [1]
+    assert len(cycle.bundle.lines) == 1
+    assert cycle.bundle.lines[0].K == ((0, 3), (-3, 0))
+    assert cycle.bundle.lines[0].theta == (Fraction(1, 3), 0)
+    assert cycle.bundle.lines[0].beta.is_real()
+    assert cycle.rho == parse_form("(1/5+0i) exp[0,0] d{1}", n=2)
+    assert len(odd.components) == 1
     assert odd.components[0][0] == (2, 0)
 
 
+def test_build_cycle_and_odd_cycle():
+    _, cycle, odd = parse_config(EXAMPLE)
+    assert isinstance(cycle, KCycle) and isinstance(odd, OddKCycle)
+    assert cycle.bundle.lines[0].K[0][1] == 3
+    assert odd.components[0][1] == parse_form(
+        "(0-1/4i) exp[1,0] d{} + (0+1/4i) exp[-1,0] d{}", n=2)
+
+
 def test_serializer_round_trip():
-    config = parse_config(EXAMPLE)
-    text = serialize_config(config)
-    again = parse_config(text)
-    assert serialize_config(again) == text
-    assert again.lines[0].K == config.lines[0].K
-    assert again.rho == config.rho
-    assert again.components[0].phase == config.components[0].phase
-    assert again == config  # theta, beta and winding too
+    indices, cycle, odd = parse_config(EXAMPLE)
+    text = serialize_config(cycle, indices)
+    again_indices, again, _ = parse_config(text)
+    assert serialize_config(again, again_indices) == text
+    assert again_indices == indices
+    assert _line_data(again) == _line_data(cycle)  # K, theta and beta
+    assert again.rho == cycle.rho
+    odd_text = serialize_config(odd)
+    _, _, odd_again = parse_config(odd_text)
+    assert odd_again.components == odd.components  # windings and phases
+    assert serialize_config(odd_again) == odd_text
 
 
-def test_records_take_their_keyword_defaults():
-    assert (LineSpec().K, LineSpec().theta, LineSpec().beta) == (None, None, None)
-    assert (ComponentSpec().winding, ComponentSpec().phase) == (None, None)
-    config = Config(dim=2)
-    assert (config.dim, config.indices, config.lines, config.rho, config.components) \
-        == (2, [], [], None, [])
-    assert Config().dim is None
-    assert LineSpec(theta=[Fraction(1, 2)]).theta == [Fraction(1, 2)]
-    assert ComponentSpec(winding=[1, 0]).winding == [1, 0]
-
-
-def test_configs_do_not_share_their_lists():
-    one, two = Config(), Config()
-    one.indices.append(1)
-    one.lines.append(LineSpec())
-    one.components.append(ComponentSpec())
-    assert (two.indices, two.lines, two.components) == ([], [], [])
-
-
-def test_records_compare_field_by_field():
-    config = parse_config(EXAMPLE)
-    again = parse_config(serialize_config(config))
-    assert again == config
-    assert again.lines[0].lineno != config.lines[0].lineno  # position is not content
-    for record, name, value in [
-        (again, "dim", 3), (again, "indices", [2]), (again, "rho", None),
-        (again.lines[0], "K", [[0, 4], [-4, 0]]), (again.lines[0], "theta", None),
-        (again.lines[0], "beta", None), (again.components[0], "winding", [1, 0]),
-        (again.components[0], "phase", None),
-    ]:
-        kept = getattr(record, name)
-        setattr(record, name, value)
-        assert again != config, name
-        setattr(record, name, kept)
-        assert again == config
-    again.lines.append(LineSpec())
-    assert again != config
-    assert LineSpec() != ComponentSpec() and LineSpec() == LineSpec()
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generated_cycles_round_trip(seed):
+    rng = Random(seed)
+    for n in range(7):
+        cycle = rand_cycle(rng, n)
+        text = serialize_config(cycle, [1, 2])
+        indices, again, _ = parse_config(text)
+        assert indices == [1, 2]
+        assert _line_data(again) == _line_data(cycle)
+        assert again.rho == cycle.rho
+        assert serialize_config(again, indices) == text
+        if n == 0:
+            continue  # a phase needs a non-zero frequency, so none is drawn on T^0
+        odd = rand_odd_cycle(rng, n)
+        text = serialize_config(odd)
+        _, _, again = parse_config(text)
+        assert again.components == odd.components
+        assert serialize_config(again) == text
 
 
 def test_unknown_key_reports_line():
@@ -134,8 +122,8 @@ def test_theta_takes_only_integer_or_ratio_tokens(token):
 
 
 def test_theta_reads_signed_ratios():
-    config = parse_config("dim = 2\n[line]\ntheta = -1/2 3\n")
-    assert config.lines[0].theta == [Fraction(-1, 2), Fraction(3)]
+    _, cycle, _ = parse_config("dim = 2\n[line]\ntheta = -1/2 3\n")
+    assert cycle.bundle.lines[0].theta == (Fraction(-1, 2), 3)
 
 
 @pytest.mark.parametrize("text, line, token", [
@@ -173,10 +161,15 @@ def test_form_integers_take_only_ascii_digits_below_the_ceiling(terms):
 
 
 def test_frequencies_reach_the_floor_and_one_below_the_ceiling():
-    config = parse_config("dim = 2\n[rho]\n"
-                          "terms = (1+0i) exp[1073741823,-1073741824] d{1}\n")
-    assert config.rho.to_text() == "(1+0i) exp[1073741823,-1073741824] d{1}"
-    assert parse_config(serialize_config(config)).rho == config.rho
+    terms = "(1+0i) exp[1073741823,0] d{1} + (1+0i) exp[-1073741823,0] d{1}"
+    _, cycle, _ = parse_config(f"dim = 2\n[rho]\nterms = {terms}\n")
+    assert cycle.rho.to_text() == "\n".join(reversed(terms.split(" + ")))
+    assert parse_config(serialize_config(cycle))[1].rho == cycle.rho
+    # the floor is read, but its conjugate 2^30 is out of range, so a
+    # form that holds it is not real: the block refuses it on its header
+    with pytest.raises(ConfigError) as err:
+        parse_config("dim = 2\n[rho]\nterms = (1+0i) exp[0,-1073741824] d{1}\n")
+    assert str(err.value) == "line 2: cycle form must be real"
 
 
 @pytest.mark.parametrize("text, line, named", [
@@ -198,10 +191,10 @@ def test_a_key_or_rho_given_twice_is_an_error(text, line, named):
 
 
 def test_each_block_takes_its_keys_once():
-    config = parse_config("dim = 2\n[line]\nK = 0 1 / -1 0\n[line]\nK = 0 2 / -2 0\n"
-                          "[component]\nwinding = 1 0\n[component]\nwinding = 0 1\n")
-    assert [spec.K[0][1] for spec in config.lines] == [1, 2]
-    assert [spec.winding for spec in config.components] == [[1, 0], [0, 1]]
+    _, cycle, odd = parse_config("dim = 2\n[line]\nK = 0 1 / -1 0\n[line]\nK = 0 2 / -2 0\n"
+                                 "[component]\nwinding = 1 0\n[component]\nwinding = 0 1\n")
+    assert [line.K[0][1] for line in cycle.bundle.lines] == [1, 2]
+    assert [winding for winding, _ in odd.components] == [(1, 0), (0, 1)]
 
 
 def test_parse_form_rejects_zero_denominator():
@@ -236,14 +229,15 @@ def test_a_negative_dim_is_refused_on_its_line(text, line, value):
 
 
 def test_dim_zero_is_a_torus():
-    assert parse_config("dim = 0\n").dim == 0
-    assert parse_config("dim = -0\n").dim == 0
+    assert parse_config("dim = 0\n")[1].n == 0
+    assert parse_config("dim = -0\n")[2].n == 0
 
 
 def test_dim_required_before_forms():
     bad = "[rho]\nterms = (1+0i) exp[0,0] d{1}\ndim = 2\n"
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         parse_config(bad)
+    assert str(err.value) == "line 1: 'dim' must be set before any block"
 
 
 def test_unknown_section():
@@ -252,16 +246,9 @@ def test_unknown_section():
     assert err.value.line == 2
 
 
-def test_odd_component_requires_winding():
-    config = Config(dim=2)
-    config.components.append(ComponentSpec())
-    with pytest.raises(ConfigError):
-        config.build_odd_cycle()
-
-
 def test_default_bundle_is_trivial_line():
-    config = parse_config("dim = 3\n")
-    cycle = config.build_cycle()
+    _, cycle, odd = parse_config("dim = 3\n")
     assert cycle.bundle.rank == 1
     assert cycle.bundle.lines[0].curvature().is_zero()
     assert cycle.rho.is_zero()
+    assert odd.components == ()

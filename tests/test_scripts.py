@@ -96,3 +96,33 @@ def test_bench_pairs_verdicts():
     assert single["ratio_orders_geomean"] is None and single["verdict"] == "within"
     assert judge([1.0, 1.0], [0.8, 0.8], "lower", 0.25)["verdict"] == "gain"
     assert judge([1.0, 1.0], [1.2, 1.2], "higher", 0.25)["verdict"] == "gain"
+
+
+CODE_LINES_FIXTURE = '''\
+"""Module docstring: not code."""
+
+import sys  # a comment after code: one line
+
+
+def f(x):
+    """A docstring
+    over two lines."""
+    # a whole-line comment
+    text = """a string that is code,
+# with a hash and a blank line
+
+inside"""
+    return (x,
+            text)
+
+
+class C:
+    "a class docstring"
+    value = f(1)[0]; other = "x"
+'''
+
+
+def test_code_lines_counts_only_code():
+    # import, def, the four lines of ``text =``, the two of ``return``,
+    # class and ``value``
+    assert load_script("code_lines").count_code_lines(CODE_LINES_FIXTURE) == 10
