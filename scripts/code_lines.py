@@ -4,6 +4,8 @@
 Usage: python scripts/code_lines.py FILE [FILE ...]
 
 Prints the total, and with more than one file each file's count first.
+A file that cannot be read ends the count with one line on stderr and
+exit status 2; ``-h`` or ``--help`` prints the usage line.
 A line counts when a token other than a comment, a docstring or a line
 break lies on it; a token that spans lines, such as a multi-line string
 that is not a docstring, counts every line it spans.  A docstring is a
@@ -47,15 +49,27 @@ def count_code_lines(source: str) -> int:
     return len(lines)
 
 
+USAGE = "usage: python scripts/code_lines.py FILE [FILE ...]"
+
+
 def main(argv=None) -> int:
     paths = sys.argv[1:] if argv is None else argv
+    if "-h" in paths or "--help" in paths:
+        print(USAGE)
+        return 0
     if not paths:
-        print("usage: python scripts/code_lines.py FILE [FILE ...]", file=sys.stderr)
+        print(USAGE, file=sys.stderr)
         return 2
     total = 0
     for path in paths:
-        with open(path, encoding="utf-8") as handle:
-            count = count_code_lines(handle.read())
+        try:
+            with open(path, encoding="utf-8") as handle:
+                source = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+            print(f"code_lines.py: cannot read {path}: {reason}", file=sys.stderr)
+            return 2
+        count = count_code_lines(source)
         if len(paths) > 1:
             print(f"{count:6d}  {path}")
         total += count

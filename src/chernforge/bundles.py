@@ -8,6 +8,12 @@ perturbing the connection.  Diagonal direct sums of lines stand in for
 higher-rank bundles.  An even cycle pairs such a sum with an odd real
 form; odd cycles are diagonal unitaries given by windings and phases,
 realized as even cycles by a clutching-style suspension.
+
+Every form that a cycle or a character holds passes one check,
+:func:`checked_form`, under its datum's rule: it lives on T^n without
+t, has the degrees the rule allows, and is real.  The rules of
+``beta``, ``rho`` and a phase are kept here, and the config front end
+reads its degree checks from them.
 """
 
 from __future__ import annotations
@@ -15,8 +21,33 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .forms import TorusForm, int_tuple
+from .forms import TorusForm, _dimension, _layout, int_tuple
 from .symfun import divided_powers, rational
+
+
+# the form rule of a datum: (name, whether a degree is allowed, the
+# message for a degree that is not)
+BETA_RULE = ("connection perturbation", (1).__eq__, "connection perturbation must be a 1-form")
+RHO_RULE = ("cycle form", lambda degree: degree % 2 == 1, "cycle form must have odd degrees")
+PHASE_RULE = ("phase", (0).__eq__, "phase must be a function")
+
+
+def checked_form(form: Optional[TorusForm], n: int, rule: tuple) -> TorusForm:
+    """``form`` (``None`` is zero) once it passes ``rule``, the datum's form rule.
+
+    The checks run in order: the form lives on T^n without t, each of
+    its degrees is one the rule allows, and it is real.
+    """
+    if form is None:
+        return TorusForm.zero(n)
+    name, takes, message = rule
+    if form.n != n or form.has_t:
+        raise ValueError(f"{name} lives on the wrong space")
+    if not all(map(takes, form.degrees())):
+        raise ValueError(message)
+    if not form.is_real():
+        raise ValueError(f"{name} must be real")
+    return form
 
 
 def _check_antisymmetric(matrix: tuple[tuple[int, ...], ...], n: int):
@@ -46,13 +77,7 @@ class LineBundle:
         self.theta = tuple(rational(v) for v in theta)
         if len(self.theta) != n:
             raise ValueError(f"holonomy vector must have length {n}")
-        self.beta = beta if beta is not None else TorusForm.zero(n)
-        if self.beta.n != n or self.beta.has_t:
-            raise ValueError("connection perturbation lives on the wrong space")
-        if not self.beta.is_zero() and self.beta.degree() != 1:
-            raise ValueError("connection perturbation must be a 1-form")
-        if not self.beta.is_real():
-            raise ValueError("connection perturbation must be real")
+        self.beta = checked_form(beta, n, BETA_RULE)
         self._harmonic = self._curvature = self._cs_class = None
 
     @classmethod
@@ -161,15 +186,7 @@ class KCycle:
 
     def __init__(self, bundle: DiagBundle, rho: Optional[TorusForm] = None):
         self.bundle = bundle
-        if rho is None:
-            rho = TorusForm.zero(bundle.n)
-        if rho.n != bundle.n or rho.has_t:
-            raise ValueError("odd form lives on the wrong space")
-        if any(d % 2 == 0 for d in rho.degrees()):
-            raise ValueError("cycle form must have odd degrees")
-        if not rho.is_real():
-            raise ValueError("cycle form must be real")
-        self.rho = rho
+        self.rho = checked_form(rho, bundle.n, RHO_RULE)
         self._curvature = self._classes = self._via_ch = None
 
     @property
@@ -207,22 +224,16 @@ class OddKCycle:
 
     def __init__(self, n: int, components: Sequence[tuple]):
         self.n = n
-        volume = TorusForm.volume(n)
+        # the key of the constant function 1: a function's mean is its
+        # coefficient there, and no stored coefficient is zero
+        mean_key = _layout(_dimension(n)).bias
         comps = []
         for winding, phase in components:
             winding = int_tuple(winding)
             if len(winding) != n:
                 raise ValueError(f"winding vector must have length {n}")
-            if phase is None:
-                phase = TorusForm.zero(n)
-            if phase.n != n or phase.has_t:
-                raise ValueError("phase lives on the wrong space")
-            if phase.degrees() not in (set(), {0}):
-                raise ValueError("phase must be a function")
-            if not phase.is_real():
-                raise ValueError("phase must be real")
-            # the constant Fourier mode of a function is its mean
-            if phase.wedge(volume)._invariant_sums(n):
+            phase = checked_form(phase, n, PHASE_RULE)
+            if mean_key in phase.terms:
                 raise ValueError("phase must have no constant Fourier mode")
             if phase._invariant_sums(0):
                 raise ValueError("phase must vanish at the basepoint")

@@ -16,8 +16,12 @@ line: a parse error or a written form term of the wrong degree (also
 one whose coefficient is zero or whose duplicates cancel) names the
 key's line, a ``dim`` above ``MAX_DIM`` its own line, before any later
 error, and cycle data that the ``bundles`` constructors refuse names
-the header of the block it came from.  ``serialize_config`` writes a
-cycle as text: cycle -> text -> equal cycle.
+the header of the block it came from.  A form key's degree rule and
+its message are not kept here: they are read from the rule
+(``bundles.BETA_RULE``, ``RHO_RULE``, ``PHASE_RULE``) under which the
+key's constructor runs the one form check, ``bundles.checked_form``.
+``serialize_config`` writes a cycle as text: cycle -> text -> equal
+cycle.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional
 
-from .bundles import DiagBundle, KCycle, LineBundle, OddKCycle
+from .bundles import (BETA_RULE, PHASE_RULE, RHO_RULE, DiagBundle, KCycle, LineBundle,
+                      OddKCycle)
 from .errors import ConfigError, PreconditionError
 from .forms import _INT_RE, _RATIONAL_RE, TorusForm, _ratio, parse_form
 
@@ -95,33 +100,28 @@ def _parse_matrix(value: str, lineno: int) -> list[list[int]]:
     return [_parse_int_list(row, lineno) for row in rows if row]
 
 
-# the keys of each block, with the parser of their values; a form
-# (None) is read by ``_parse_form_value``
+# the keys of each block, with the parser of their values; a form key
+# gives instead the form rule of the constructor that checks it, which
+# ``_parse_form_value`` reads
 _KEYS = {
     None: {"dim": _parse_dim, "indices": _parse_indices},
-    "line": {"K": _parse_matrix, "theta": _parse_rationals, "beta": None},
-    "rho": {"terms": None},
-    "component": {"winding": _parse_int_list, "phase": None},
-}
-
-# the degree each form key takes, and the message of the constructor
-# that checks it; ``parse_config`` checks the written terms, so a term
-# whose coefficient is zero or whose duplicates cancel is refused too
-_FORM_DEGREES = {
-    "beta": (lambda degree: degree == 1, "connection perturbation must be a 1-form"),
-    "terms": (lambda degree: degree % 2 == 1, "cycle form must have odd degrees"),
-    "phase": (lambda degree: degree == 0, "phase must be a function"),
+    "line": {"K": _parse_matrix, "theta": _parse_rationals, "beta": BETA_RULE},
+    "rho": {"terms": RHO_RULE},
+    "component": {"winding": _parse_int_list, "phase": PHASE_RULE},
 }
 
 
-def _parse_form_value(key: str, value: str, dim: int, lineno: int) -> TorusForm:
+def _parse_form_value(rule: tuple, value: str, dim: int, lineno: int) -> TorusForm:
     try:
         form = parse_form(value, n=dim, has_t=False)
     except ValueError as exc:
         raise ConfigError(str(exc), lineno) from None
-    # every term of a text that parse_form has read matches forms._TERM_RE,
-    # where only the index list opens with ``d{``
-    takes, message = _FORM_DEGREES[key]
+    # the constructor checks the degrees of the sum; this checks those of
+    # the written terms, so a term whose coefficient is zero or whose
+    # duplicates cancel is refused too.  Every term of a text that
+    # parse_form has read matches forms._TERM_RE, where only the index
+    # list opens with ``d{``
+    _, takes, message = rule
     for piece in value.split("d{")[1:]:
         index_list = piece.partition("}")[0]
         if not takes(index_list.count(",") + 1 if index_list.strip() else 0):
@@ -184,8 +184,8 @@ def parse_config(text: str) -> tuple[list[int], KCycle, OddKCycle]:
         if key not in _KEYS[section]:
             raise ConfigError(f"unknown key {key!r}{where}", lineno)
         parse = _KEYS[section][key]
-        block[key] = parse(value, lineno) if parse else \
-            _parse_form_value(key, value, top["dim"], lineno)
+        block[key] = _parse_form_value(parse, value, top["dim"], lineno) \
+            if isinstance(parse, tuple) else parse(value, lineno)
     if "dim" not in top:
         raise ConfigError("missing 'dim'")
     dim = top["dim"]

@@ -9,6 +9,11 @@ is torsion-free, so curvature together with subtorus holonomies mod 1
 is faithful data; equality of characters is defined through exactly
 that pair.
 
+The constructor checks both parts with the one form check of every
+cycle and character, ``bundles.checked_form``: the harmonic part must
+be a real d-form, the transgression a real (d-1)-form; the harmonic
+part must also be translation-invariant.
+
 The main constructions: the degree-2i class of a cycle (bundle plus odd
 form) built from Cheeger-Simons line classes and a transgression
 correction, every index of a cycle at once; an independent route
@@ -26,7 +31,7 @@ from itertools import combinations
 from math import factorial
 from typing import Optional, Sequence
 
-from .bundles import KCycle, LineBundle, OddKCycle
+from .bundles import KCycle, LineBundle, OddKCycle, checked_form
 from .errors import PreconditionError
 from .forms import TorusForm, _indices, chern_log, chern_transforms
 from .symfun import divided_powers, elementary_symmetric, newton, rational
@@ -48,26 +53,13 @@ class DiffChar:
                  harmonic: Optional[TorusForm] = None,
                  trans: Optional[TorusForm] = None):
         _check_degree(n, degree)
-        if harmonic is None:
-            harmonic = TorusForm.zero(n)
-        if harmonic.n != n or harmonic.has_t:
-            raise ValueError("harmonic part lives on the wrong space")
-        if not harmonic.is_zero():
-            if harmonic.degrees() != {degree}:
-                raise ValueError("harmonic part must have the character's degree")
-            if not harmonic.is_invariant():
-                raise ValueError("harmonic part must be translation-invariant")
-            if not harmonic.is_real():
-                raise ValueError("harmonic part must be real")
-        if trans is None:
-            trans = TorusForm.zero(n)
-        if trans.n != n or trans.has_t:
-            raise ValueError("transgression lives on the wrong space")
-        if not trans.is_zero():
-            if trans.degree() != degree - 1:
-                raise ValueError("transgression degree must be one below the character")
-            if not trans.is_real():
-                raise ValueError("transgression must be real")
+        harmonic = checked_form(harmonic, n, (
+            "harmonic part", degree.__eq__, "harmonic part must have the character's degree"))
+        if not harmonic.is_invariant():
+            raise ValueError("harmonic part must be translation-invariant")
+        trans = checked_form(trans, n, (
+            "transgression", (degree - 1).__eq__,
+            "transgression degree must be one below the character"))
         self.n, self.degree, self.harmonic, self.trans = n, degree, harmonic, trans
         self._curvature = None
 

@@ -169,9 +169,14 @@ def rand_cycle(rng: Random, n: int, max_rank: int = 3) -> KCycle:
 
 
 def rand_phase(rng: Random, n: int) -> TorusForm:
-    """Real sine polynomial: no constant mode and vanishing at the basepoint."""
+    """Real sine polynomial: no constant mode and vanishing at the basepoint.
+
+    On T^0, where no frequency is non-zero, the mode count is drawn and
+    the phase is zero.
+    """
+    modes = rng.choice(_FEW)
     terms = []
-    for _ in range(rng.choice(_FEW)):
+    for _ in range(modes if n else 0):
         freq = rand_frequency(rng, n)
         # the amplitude over _DEN, so that half of it is over 2 * _DEN
         amp = _rand_numerator(rng)

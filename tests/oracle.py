@@ -515,7 +515,10 @@ def reference_rand_cycle(rng: Random, n: int, max_rank: int = 3) -> KCycle:
 
 def reference_rand_phase(rng: Random, n: int) -> TorusForm:
     total = TorusForm(n)
-    for _ in range(rng.randint(0, 2)):
+    modes = rng.randint(0, 2)
+    if not n:
+        return total  # no non-zero frequency on T^0
+    for _ in range(modes):
         freq = reference_rand_frequency(rng, n)
         amp = reference_rand_fraction(rng)
         if not amp:

@@ -212,6 +212,32 @@ def test_odd_cycle_rejects_constant_mode_vanishing_at_basepoint():
     assert OddKCycle(2, [((1, 0), sine)]).components[0][1] == sine
 
 
+def test_odd_cycle_mean_check_is_a_key_look_up(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the mean check builds no volume form and no wedge")
+
+    monkeypatch.setattr(TorusForm, "wedge", refuse)
+    monkeypatch.setattr(TorusForm, "volume", refuse)
+    for n in range(4):
+        zero = (0,) * n
+        assert OddKCycle(n, [(zero, None)]).components[0][1].is_zero()
+        with pytest.raises(ValueError, match="constant Fourier mode"):
+            OddKCycle(n, [(zero, TorusForm.const(n, 2))])
+        if not n:
+            continue
+        step = tuple(int(j == n - 1) for j in range(n))
+        back = tuple(-x for x in step)
+        # sin(2 pi x_n) and 1 - cos(2 pi x_n): both vanish at the basepoint
+        sine = TorusForm(n, {(0, step, ()): (0, Fraction(-1, 2)),
+                             (0, back, ()): (0, Fraction(1, 2))})
+        dip = TorusForm.const(n, 1) + TorusForm(n, {(0, step, ()): Fraction(-1, 2),
+                                                    (0, back, ()): Fraction(-1, 2)})
+        assert OddKCycle(n, [(zero, sine)]).components[0][1] == sine
+        # the constant mode among three others is still found
+        with pytest.raises(ValueError, match="constant Fourier mode"):
+            OddKCycle(n, [(zero, sine), (zero, dip + sine)])
+
+
 def test_whitney_at_form_level():
     # total Chern form of a direct sum is the product of the total forms
     rng = Random(35)

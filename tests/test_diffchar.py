@@ -178,6 +178,42 @@ def test_constructor_rejects_bad_transgression():
         DiffChar(2, 3)  # degree above the dimension
 
 
+# each datum that holds a form: its constructor on T^2, an index set of a
+# degree it takes and one of a degree it refuses, its name and its
+# degree message
+FORM_DATA = {
+    "beta": (lambda form: LineBundle(2, beta=form), (1,), (),
+             "connection perturbation", "connection perturbation must be a 1-form"),
+    "rho": (lambda form: KCycle(DiagBundle.trivial(2), form), (1,), (1, 2),
+            "cycle form", "cycle form must have odd degrees"),
+    "phase": (lambda form: OddKCycle(2, [((0, 0), form)]), (), (1,),
+              "phase", "phase must be a function"),
+    "harmonic part": (lambda form: DiffChar(2, 2, harmonic=form), (1, 2), (1,),
+                      "harmonic part", "harmonic part must have the character's degree"),
+    "transgression": (lambda form: DiffChar(2, 2, trans=form), (1,), (),
+                      "transgression", "transgression degree must be one below the character"),
+}
+
+
+@pytest.mark.parametrize("fault", ["other torus", "t-extended", "degree", "mixed degree",
+                                   "not real"])
+@pytest.mark.parametrize("datum", list(FORM_DATA))
+def test_one_form_check_names_the_datum(datum, fault):
+    build, takes, refuses, name, degree_message = FORM_DATA[datum]
+    form, message = {
+        "other torus": (TorusForm.single(3, 1, idx=takes), f"{name} lives on the wrong space"),
+        "t-extended": (TorusForm.single(2, 1, idx=takes, has_t=True),
+                       f"{name} lives on the wrong space"),
+        "degree": (TorusForm.single(2, 1, idx=refuses), degree_message),
+        "mixed degree": (TorusForm.single(2, 1, idx=takes) + TorusForm.single(2, 1, idx=refuses),
+                         degree_message),
+        "not real": (TorusForm.single(2, (0, 1), idx=takes), f"{name} must be real"),
+    }[fault]
+    with pytest.raises(ValueError) as err:
+        build(form)
+    assert str(err.value) == message
+
+
 def test_scale_takes_only_rationals():
     w = DiffChar(2, 2, TorusForm.from_harmonic(2, {(1, 2): 3}), dx(2, 1) * Fraction(1, 2))
     third = w.scale(Fraction(1, 3))

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from oracle import (evaluate_chern_polynomial, permutation_sign, reference_add,
                     reference_construct, reference_d, reference_fiber_integrate_circle,
                     reference_fiber_integrate_t, reference_invariant_table, reference_is_real,
-                    reference_pullback, reference_restrict_t, reference_scale, reference_wedge,
-                    total_chern_transform)
+                    reference_pullback, reference_rand_phase, reference_restrict_t,
+                    reference_scale, reference_wedge, total_chern_transform)
 
 from chernforge.errors import PreconditionError
 from chernforge.forms import (CEILING, TorusForm, _indices, _koszul_sign, _layout, _ratio_text,
@@ -333,8 +333,11 @@ def test_random_frequency_needs_a_circle():
         if Random(seed).randint(0, 2):  # the first draw picks the mode count
             with pytest.raises(ValueError):
                 rand_real_form(Random(seed), 0, 0)
-            with pytest.raises(ValueError):
-                rand_phase(Random(seed), 0)
+            # T^0 has no phase but zero: the mode count is drawn all the same
+            rng, reference = Random(seed), Random(seed)
+            assert rand_phase(rng, 0).is_zero()
+            assert reference_rand_phase(reference, 0).is_zero()
+            assert rng.getstate() == reference.getstate()
     # on T^n with n >= 1 the draws are those of plain rejection sampling
     for n in (1, 2, 4):
         rng, reference = Random(n), Random(n)

@@ -126,3 +126,25 @@ def test_code_lines_counts_only_code():
     # import, def, the four lines of ``text =``, the two of ``return``,
     # class and ``value``
     assert load_script("code_lines").count_code_lines(CODE_LINES_FIXTURE) == 10
+
+
+def run_code_lines(*args):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "code_lines.py"), *args],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_code_lines_refuses_an_unreadable_path_in_one_line(tmp_path):
+    missing = tmp_path / "nonexist.py"
+    result = run_code_lines(str(missing))
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == f"code_lines.py: cannot read {missing}: No such file or directory\n"
+    result = run_code_lines(str(ROOT / "scripts" / "code_lines.py"), str(tmp_path))
+    assert result.returncode == 2
+    assert result.stderr == f"code_lines.py: cannot read {tmp_path}: Is a directory\n"
+
+
+def test_code_lines_help_prints_the_usage():
+    for args in (["-h"], ["--help"], ["nonexist.py", "-h"]):
+        result = run_code_lines(*args)
+        assert result.returncode == 0 and result.stderr == ""
+        assert result.stdout == "usage: python scripts/code_lines.py FILE [FILE ...]\n"
