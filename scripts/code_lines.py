@@ -4,8 +4,8 @@
 Usage: python scripts/code_lines.py FILE [FILE ...]
 
 Prints the total, and with more than one file each file's count first.
-A file that cannot be read ends the count with one line on stderr and
-exit status 2; ``-h`` or ``--help`` prints the usage line.
+A file that cannot be read or tokenized ends the count with one line on
+stderr and exit status 2; ``-h`` or ``--help`` prints the usage line.
 A line counts when a token other than a comment, a docstring or a line
 break lies on it; a token that spans lines, such as a multi-line string
 that is not a docstring, counts every line it spans.  A docstring is a
@@ -69,7 +69,11 @@ def main(argv=None) -> int:
             reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
             print(f"code_lines.py: cannot read {path}: {reason}", file=sys.stderr)
             return 2
-        count = count_code_lines(source)
+        try:
+            count = count_code_lines(source)
+        except (tokenize.TokenError, SyntaxError) as exc:
+            print(f"code_lines.py: cannot tokenize {path}: {exc.args[0]}", file=sys.stderr)
+            return 2
         if len(paths) > 1:
             print(f"{count:6d}  {path}")
         total += count

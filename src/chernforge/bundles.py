@@ -247,13 +247,12 @@ class OddKCycle:
 
     def odd_chern_form(self) -> TorusForm:
         """Degree-1 form sum_j (<m_j, dx> + d phi_j)."""
-        total = TorusForm.zero(self.n)
-        for winding, phase in self.components:
-            for l, m_l in enumerate(winding, start=1):
-                if m_l:
-                    total = total + TorusForm.dx(self.n, l) * m_l
-            total = total + phase.d()
-        return total
+        return sum((phase.d() for _, phase in self.components), self.winding_form())
+
+    def winding_form(self) -> TorusForm:
+        """The invariant part sum_j <m_j, dx> of the odd Chern form."""
+        columns = zip(*(winding for winding, _ in self.components))
+        return TorusForm.from_harmonic(self.n, {(l,): sum(c) for l, c in enumerate(columns, 1)})
 
     def suspend(self) -> tuple[DiagBundle, TorusForm]:
         """Realize the cycle on the suspended torus T^(1+n).

@@ -16,8 +16,10 @@ line: a parse error or a written form term of the wrong degree (also
 one whose coefficient is zero or whose duplicates cancel) names the
 key's line, a ``dim`` above ``MAX_DIM`` its own line, before any later
 error, and cycle data that the ``bundles`` constructors refuse names
-the header of the block it came from.  A form key's degree rule and
-its message are not kept here: they are read from the rule
+the header of the block it came from.  A form value is parsed once,
+and each written term's degree is read from the terms that
+``forms.parse_form_terms`` returns with the form.  A form key's degree
+rule and its message are not kept here: they are read from the rule
 (``bundles.BETA_RULE``, ``RHO_RULE``, ``PHASE_RULE``) under which the
 key's constructor runs the one form check, ``bundles.checked_form``.
 ``serialize_config`` writes a cycle as text: cycle -> text -> equal
@@ -33,7 +35,7 @@ from typing import Optional
 from .bundles import (BETA_RULE, PHASE_RULE, RHO_RULE, DiagBundle, KCycle, LineBundle,
                       OddKCycle)
 from .errors import ConfigError, PreconditionError
-from .forms import _INT_RE, _RATIONAL_RE, TorusForm, _ratio, parse_form
+from .forms import _INT_RE, _RATIONAL_RE, TorusForm, _ratio, parse_form_terms
 
 
 # The largest torus dimension a config may give.  Cost grows about 2.5x
@@ -113,19 +115,15 @@ _KEYS = {
 
 def _parse_form_value(rule: tuple, value: str, dim: int, lineno: int) -> TorusForm:
     try:
-        form = parse_form(value, n=dim, has_t=False)
+        form, terms = parse_form_terms(value, n=dim, has_t=False)
     except ValueError as exc:
         raise ConfigError(str(exc), lineno) from None
     # the constructor checks the degrees of the sum; this checks those of
     # the written terms, so a term whose coefficient is zero or whose
-    # duplicates cancel is refused too.  Every term of a text that
-    # parse_form has read matches forms._TERM_RE, where only the index
-    # list opens with ``d{``
+    # duplicates cancel is refused too
     _, takes, message = rule
-    for piece in value.split("d{")[1:]:
-        index_list = piece.partition("}")[0]
-        if not takes(index_list.count(",") + 1 if index_list.strip() else 0):
-            raise ConfigError(message, lineno)
+    if not all(takes(len(idx)) for (_, _, idx), _ in terms):
+        raise ConfigError(message, lineno)
     return form
 
 

@@ -31,7 +31,7 @@ from itertools import combinations
 from math import factorial
 from typing import Optional, Sequence
 
-from .bundles import KCycle, LineBundle, OddKCycle, checked_form
+from .bundles import RHO_RULE, KCycle, LineBundle, OddKCycle, checked_form
 from .errors import PreconditionError
 from .forms import TorusForm, _indices, chern_log, chern_transforms
 from .symfun import divided_powers, elementary_symmetric, newton, rational
@@ -258,11 +258,8 @@ def cs_class(line: LineBundle) -> DiffChar:
     Built once per line and kept on it.
     """
     if line._cs_class is None:
-        trans = line.beta
-        for l, shift in enumerate(line.theta, start=1):
-            if shift:
-                trans = trans + TorusForm.dx(line.n, l) * shift
-        line._cs_class = DiffChar(line.n, 2, line.harmonic_curvature(), trans)
+        shifts = TorusForm.from_harmonic(line.n, {(l,): v for l, v in enumerate(line.theta, 1)})
+        line._cs_class = DiffChar(line.n, 2, line.harmonic_curvature(), line.beta + shifts)
     return line._cs_class
 
 
@@ -401,8 +398,8 @@ def check_path_independence(cycle: KCycle, rho_t: TorusForm) -> list[bool]:
     """Recompute every class along the t-extended path rho_t, which must
     run from 0 at t = 0 to the cycle's form at t = 1, and compare each
     exactly with the memoised one: entry i is the verdict for c_i."""
-    if not rho_t.has_t:
-        raise PreconditionError("path must be a t-extended form")
+    if not rho_t.has_t or rho_t.n != cycle.n:
+        raise PreconditionError(f"path must be a t-extended form on T^{cycle.n}")
     if not rho_t.restrict_t(0).is_zero():
         raise PreconditionError("path must vanish at t=0")
     if rho_t.restrict_t(1) != cycle.rho:
@@ -411,13 +408,11 @@ def check_path_independence(cycle: KCycle, rho_t: TorusForm) -> list[bool]:
                     _chern_classes(cycle)))
 
 
-def _require_admissible_shift(shift: TorusForm):
-    if shift.has_t:
-        raise PreconditionError("shift must be a t-free form")
-    if not shift.is_real():
-        raise PreconditionError("shift must be real")
-    if any(d % 2 == 0 for d in shift.degrees()):
-        raise PreconditionError("shift must have odd degrees")
+def _require_admissible_shift(shift: TorusForm, n: int):
+    try:
+        checked_form(shift, n, ("shift", RHO_RULE[1], "shift must have odd degrees"))
+    except ValueError as exc:
+        raise PreconditionError(str(exc)) from None
     if not shift.is_closed():
         raise PreconditionError("shift must be closed")
     for degree in shift.degrees():
@@ -429,7 +424,7 @@ def _require_admissible_shift(shift: TorusForm):
 def check_shift_invariance(cycle: KCycle, shift: TorusForm) -> list[bool]:
     """Classes must not move under closed integer-period (or exact) shifts:
     entry i is the verdict for c_i of the shifted cycle."""
-    _require_admissible_shift(shift)
+    _require_admissible_shift(shift, cycle.n)
     shifted = KCycle(cycle.bundle, cycle.rho + shift)
     return list(map(DiffChar.same_class, _chern_classes(shifted), _chern_classes(cycle)))
 
@@ -448,9 +443,7 @@ def odd_chern_class(cycle: OddKCycle, i: int) -> DiffChar:
         raise PreconditionError(f"no degree-{i} classes on T^{cycle.n}")
     half = (i + 1) // 2
     result = chern_class(cycle.suspended(), half).integrate_circle()
-    expected = TorusForm.zero(cycle.n) if i > 1 else TorusForm.from_harmonic(cycle.n, {
-        (l,): sum(column)
-        for l, column in enumerate(zip(*(winding for winding, _ in cycle.components)), 1)})
+    expected = TorusForm.zero(cycle.n) if i > 1 else cycle.winding_form()
     if result.harmonic != expected:
         raise ArithmeticError("odd-class periods disagree with the winding data")
     return result

@@ -899,11 +899,22 @@ def parse_form(text: str, n: Optional[int] = None,
     The literal ``0`` denotes the empty form (dimension must then be
     supplied).  Raises ValueError with the offending term on bad input.
     """
+    return parse_form_terms(text, n, has_t)[0]
+
+
+def parse_form_terms(text: str, n: Optional[int] = None,
+                     has_t: Optional[bool] = None) -> tuple[TorusForm, list]:
+    """:func:`parse_form`'s form and the terms it is built from, as written.
+
+    The terms are ``((t_exp, freq, idx), coeff)`` in written order,
+    those with a zero coefficient and repeated keys included; ``0``
+    writes none.
+    """
     pieces = split_form_terms(text)
     if pieces == ["0"] or not pieces:
         if n is None:
             raise ValueError("cannot infer dimension of the zero form")
-        return TorusForm.zero(n, has_t=bool(has_t))
+        return TorusForm.zero(n, has_t=bool(has_t)), []
     terms = []
     saw_t = False
     for piece in pieces:
@@ -927,7 +938,7 @@ def parse_form(text: str, n: Optional[int] = None,
     if has_t is None:
         has_t = saw_t
     # every key is checked; then duplicates add up and those that cancel are dropped
-    return TorusForm._checked(n, has_t, *_over_common_den(terms))
+    return TorusForm._checked(n, has_t, *_over_common_den(terms)), terms
 
 
 def chern_transforms(form: TorusForm, top: int) -> list[TorusForm]:

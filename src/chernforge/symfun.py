@@ -141,13 +141,7 @@ class GradedPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[dict] = None):
-        clean: dict[Mono, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = rational(coeff)
-                if coeff:
-                    clean[mono] = coeff
-        self.terms = clean
+        self.terms = collect((mono, rational(coeff)) for mono, coeff in (terms or {}).items())
 
     @classmethod
     def _make(cls, terms: dict) -> "GradedPoly":
@@ -254,13 +248,9 @@ class RootPoly:
     def __init__(self, k: int, bound: int, terms: Optional[dict] = None):
         self.k = k
         self.bound = bound
-        clean: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for expvec, coeff in terms.items():
-                coeff = rational(coeff)
-                if coeff and sum(expvec) <= bound:
-                    clean[expvec] = coeff
-        self.terms = clean
+        # every coefficient is converted, also one above the bound
+        converted = [(expvec, rational(coeff)) for expvec, coeff in (terms or {}).items()]
+        self.terms = collect(pair for pair in converted if sum(pair[0]) <= bound)
 
     @classmethod
     def _make(cls, k: int, bound: int, terms: dict) -> "RootPoly":

@@ -187,6 +187,22 @@ def test_suspension_bookkeeping_seeded():
         assert total.fiber_integrate_circle(1) == cycle.odd_chern_form()
 
 
+def test_odd_chern_form_is_the_windings_plus_d_of_the_phases_seeded():
+    rng = Random(35)
+    for n in range(5):
+        for _ in range(6):
+            cycle = rand_odd_cycle(rng, n)
+            # the reference sum, built one dx_l term at a time
+            want = TorusForm.zero(n)
+            for winding, phase in cycle.components:
+                for l, m_l in enumerate(winding, start=1):
+                    want = want + TorusForm.dx(n, l) * m_l
+                want = want + phase.d()
+            assert cycle.odd_chern_form() == want
+            assert cycle.winding_form() == want - sum(
+                (phase.d() for _, phase in cycle.components), TorusForm.zero(n))
+
+
 def test_odd_cycle_validation():
     with pytest.raises(ValueError):
         OddKCycle(2, [((1,), None)])  # winding arity

@@ -115,6 +115,19 @@ def test_cs_class_examples():
     assert trivial.same_class(DiffChar.zero(2, 2))
 
 
+def test_cs_class_transgression_is_beta_plus_the_holonomy_shifts_seeded():
+    from chernforge.generators import rand_line_bundle
+    rng = Random(43)
+    for n in range(2, 6):
+        for _ in range(5):
+            line = rand_line_bundle(rng, n)
+            # the reference sum, built one dx_l term at a time
+            want = line.beta
+            for l, shift in enumerate(line.theta, start=1):
+                want = want + dx(n, l) * shift
+            assert cs_class(line).trans == want
+
+
 def test_cs_class_additive_under_tensor():
     rng = Random(41)
     from chernforge.generators import rand_line_bundle
@@ -751,6 +764,28 @@ def test_gauge_shift_rejects_non_integral():
     not_closed = sin_form(2, (1, 0), (2,))
     with pytest.raises(PreconditionError):
         check_shift_invariance(w, not_closed)
+
+
+@pytest.mark.parametrize("shift, message", [
+    (dx(2, 1).with_t(), "shift lives on the wrong space"),
+    (dx(3, 1), "shift lives on the wrong space"),
+    (TorusForm.volume(2), "shift must have odd degrees"),
+    (dx(2, 1) * (0, 1), "shift must be real"),
+    # space, then degrees, then reality
+    (TorusForm.volume(3) * (0, 1), "shift lives on the wrong space"),
+    (TorusForm.volume(2) * (0, 1), "shift must have odd degrees"),
+], ids=["t-extended", "other torus", "even", "not real", "other torus first",
+        "degrees before reality"])
+def test_gauge_shift_refusals_name_the_shift(shift, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        check_shift_invariance(KCycle.zero(2), shift)
+
+
+@pytest.mark.parametrize("rho_t", [dx(2, 1), TorusForm.zero(3, has_t=True)],
+                         ids=["t-free", "other torus"])
+def test_path_independence_names_the_cycles_torus(rho_t):
+    with pytest.raises(PreconditionError, match=r"^path must be a t-extended form on T\^2$"):
+        check_path_independence(KCycle.zero(2), rho_t)
 
 
 # -- odd classes -------------------------------------------------------------------

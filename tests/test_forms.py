@@ -14,7 +14,8 @@ from oracle import (evaluate_chern_polynomial, permutation_sign, reference_add,
 
 from chernforge.errors import PreconditionError
 from chernforge.forms import (CEILING, TorusForm, _indices, _koszul_sign, _layout, _ratio_text,
-                              chern_log, chern_transform, chern_transforms, parse_form)
+                              chern_log, chern_transform, chern_transforms, parse_form,
+                              parse_form_terms)
 from chernforge.generators import (rand_form, rand_frequency, rand_homogeneous,
                                    rand_int_matrix, rand_phase, rand_real_form)
 from chernforge.symfun import divided_powers
@@ -557,6 +558,19 @@ def test_parse_form_sums_duplicates_and_drops_cancelled_terms():
             "(1/2-1/3i) exp[0,0] d{1} + (-1/3+1/4i) exp[1,0] d{2}")
     assert parse_form(text) == TorusForm.single(2, (1, Fraction(2, 3)), idx=(1,))
     assert parse_form("(1+0i) exp[0,1] d{} + (-1+0i) exp[0,1] d{}", n=2).is_zero()
+
+
+def test_parse_form_terms_keeps_every_written_term():
+    text = "(1+0i) exp[0,1] d{} + (0+0i) exp[1,0] d{1, 2}\n(-1+0i) exp[0,1] d{}"
+    form, terms = parse_form_terms(text, n=2)
+    assert form.is_zero() and form == parse_form(text, n=2)
+    assert terms == [((0, (0, 1), ()), (1, 0)), ((0, (1, 0), (1, 2)), (0, 0)),
+                     ((0, (0, 1), ()), (-1, 0))]
+    assert parse_form_terms("(1/2-1i) t^2 exp[3] d{t}") == (
+        TorusForm.single(1, (Fraction(1, 2), -1), freq=(3,), idx=(0,), t_exp=2, has_t=True),
+        [((2, (3,), (0,)), (Fraction(1, 2), -1))])
+    zero, none = parse_form_terms("0", n=3)
+    assert zero == TorusForm.zero(3) and none == []
 
 
 def test_parse_form_multi_term_and_plus_separated():

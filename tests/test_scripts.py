@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from chernforge.verify import SUITES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -148,3 +150,16 @@ def test_code_lines_help_prints_the_usage():
         result = run_code_lines(*args)
         assert result.returncode == 0 and result.stderr == ""
         assert result.stdout == "usage: python scripts/code_lines.py FILE [FILE ...]\n"
+
+
+@pytest.mark.parametrize("source, reason", [
+    ('x = """abc', "EOF in multi-line string"),
+    ("x = (1,", "EOF in multi-line statement"),
+    ("if x:\n    a\n  b\n", "unindent does not match any outer indentation level"),
+], ids=["open string", "open bracket", "bad dedent"])
+def test_code_lines_refuses_an_untokenizable_file_in_one_line(tmp_path, source, reason):
+    bad = tmp_path / "bad.py"
+    bad.write_text(source)
+    result = run_code_lines(str(ROOT / "scripts" / "code_lines.py"), str(bad))
+    assert result.returncode == 2
+    assert result.stderr == f"code_lines.py: cannot tokenize {bad}: {reason}\n"

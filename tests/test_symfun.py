@@ -55,6 +55,11 @@ def test_coefficients_take_only_rationals():
             RootPoly.const(1, 2, bad)
         with pytest.raises(TypeError):
             RootPoly(2, 3, {(1, 0): bad})
+    # a coefficient is converted before the degree bound drops its term
+    with pytest.raises(TypeError):
+        RootPoly(2, 1, {(3, 0): 0.5})
+    assert RootPoly(2, 1, {(3, 0): 1, (1, 0): 0, (0, 1): Fraction(1, 2)}).terms == {
+        (0, 1): Fraction(1, 2)}
 
 
 def test_mul_examples():
