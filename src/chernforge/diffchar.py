@@ -409,6 +409,7 @@ def check_path_independence(cycle: KCycle, rho_t: TorusForm) -> list[bool]:
 
 
 def _require_admissible_shift(shift: TorusForm, n: int):
+    # the shift is added to rho, so it takes rho's degree rule under its own name
     try:
         checked_form(shift, n, ("shift", RHO_RULE[1], "shift must have odd degrees"))
     except ValueError as exc:

@@ -116,7 +116,6 @@ def test_cs_class_examples():
 
 
 def test_cs_class_transgression_is_beta_plus_the_holonomy_shifts_seeded():
-    from chernforge.generators import rand_line_bundle
     rng = Random(43)
     for n in range(2, 6):
         for _ in range(5):

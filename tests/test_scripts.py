@@ -152,14 +152,13 @@ def test_code_lines_help_prints_the_usage():
         assert result.stdout == "usage: python scripts/code_lines.py FILE [FILE ...]\n"
 
 
-@pytest.mark.parametrize("source, reason", [
-    ('x = """abc', "EOF in multi-line string"),
-    ("x = (1,", "EOF in multi-line statement"),
-    ("if x:\n    a\n  b\n", "unindent does not match any outer indentation level"),
-], ids=["open string", "open bracket", "bad dedent"])
-def test_code_lines_refuses_an_untokenizable_file_in_one_line(tmp_path, source, reason):
+@pytest.mark.parametrize("source", ['x = """abc', "x = (1,", "if x:\n    a\n  b\n"],
+                         ids=["open string", "open bracket", "bad dedent"])
+def test_code_lines_refuses_an_untokenizable_file_in_one_line(tmp_path, source):
     bad = tmp_path / "bad.py"
     bad.write_text(source)
     result = run_code_lines(str(ROOT / "scripts" / "code_lines.py"), str(bad))
     assert result.returncode == 2
-    assert result.stderr == f"code_lines.py: cannot tokenize {bad}: {reason}\n"
+    # the reason is tokenize's own, which differs between Python versions
+    head, _, reason = result.stderr.partition(f"code_lines.py: cannot tokenize {bad}: ")
+    assert head == "" and reason.strip() and reason.count("\n") == 1 and reason.endswith("\n")
