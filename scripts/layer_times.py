@@ -6,7 +6,7 @@ Usage: python scripts/layer_times.py [--repeats N]
 The layers, bottom up: ``TorusForm.wedge``, ``TorusForm.d``,
 ``TorusForm.__add__``, ``chern_transforms``, ``DiffChar.cup`` and
 ``chern_class``, then the text boundary of a request:
-``parse_form(f.to_text(), f.n, f.has_t)`` over every wedge operand,
+``parse_form(f.to_text(), f.n)`` over every wedge operand,
 the public ``TorusForm`` constructor over seeded term dicts, then
 ``DiffChar.same_class`` of ``chern_class`` against ``chern_class_via_ch``
 for every index of the ``chern_class`` layer's cycles, both routes built
@@ -107,7 +107,8 @@ def draw(seed: int) -> dict:
 
 
 def term_dict(rng: Random, n: int) -> tuple:
-    """``(n, terms, has_t)`` for the constructor: int and Gaussian coefficients."""
+    """``(n, terms)`` for the constructor: int and Gaussian coefficients, with
+    t data on about half of the dicts."""
     has_t = rng.random() < 0.5
     indices = range(0 if has_t else 1, n + 1)
     terms = {}
@@ -117,7 +118,7 @@ def term_dict(rng: Random, n: int) -> tuple:
         t_exp = rng.randint(0, 2) if has_t else 0
         terms[(t_exp, freq, idx)] = (rng.randint(-3, 3) if rng.random() < 0.5
                                      else (rand_fraction(rng), rand_fraction(rng)))
-    return n, terms, has_t
+    return n, terms
 
 
 def draw_cases(suite: str, seed: int, cases: int) -> list:
@@ -178,7 +179,7 @@ LAYERS = (
     ("chern_transforms", chern_transforms),
     ("cup", DiffChar.cup),
     ("chern_class", chern_class),
-    ("text", lambda form: parse_form(form.to_text(), form.n, form.has_t)),
+    ("text", lambda form: parse_form(form.to_text(), form.n)),
     ("construct", TorusForm),
     ("compare", DiffChar.same_class),
     ("draw", draw_cases),

@@ -35,8 +35,8 @@ PHASE_RULE = ("phase", (0).__eq__, "phase must be a function")
 def checked_form(form: Optional[TorusForm], n: int, rule: tuple) -> TorusForm:
     """``form`` (``None`` is zero) once it passes ``rule``, the datum's form rule.
 
-    The checks run in order: the form lives on T^n without t, each of
-    its degrees is one the rule allows, and it is real.
+    The checks run in order: the form lives on T^n, with no t data, each
+    of its degrees is one the rule allows, and it is real.
     """
     if form is None:
         return TorusForm.zero(n)
@@ -89,7 +89,7 @@ class LineBundle:
         if self._harmonic is None:
             zero = (0,) * self.n
             # int() reads a bool entry as the constructor reads it
-            self._harmonic = TorusForm._checked(self.n, False, 1, [
+            self._harmonic = TorusForm._checked(self.n, 1, [
                 ((0, zero, (j + 1, l + 1)), (int(self.K[j][l]), 0))
                 for j in range(self.n) for l in range(j + 1, self.n)])
         return self._harmonic

@@ -12,14 +12,15 @@ grammar ``(a+bi) t^m exp[k1,...,kn] d{t,1,3}`` with terms joined by
 checked, whatever the command: each ``[line]`` and ``[component]``
 block is built by its constructor when the block ends, and ``[rho]``
 with the cycle at the end of the file.  Every error names its 1-based
-line: a parse error or a written form term of the wrong degree (also
-one whose coefficient is zero or whose duplicates cancel) names the
-key's line, a ``dim`` above ``MAX_DIM`` its own line, before any later
-error, and cycle data that the ``bundles`` constructors refuse names
-the header of the block it came from.  A form value is parsed once,
-and each written term's degree is read from the terms that
-``forms.parse_form_terms`` returns with the form.  A form key's degree
-rule and its message are not kept here: they are read from the rule
+line: a parse error or a written form term with t data or of the
+wrong degree (also one whose coefficient is zero or whose duplicates
+cancel) names the key's line, a ``dim`` above ``MAX_DIM`` its own line,
+before any later error, and cycle data that the ``bundles``
+constructors refuse names the header of the block it came from.  A
+form value is parsed once, and each written term's t data and degree
+are read from the terms that ``forms.parse_form_terms`` returns with
+the form.  A form key's name, degree rule and message are not kept
+here: they are read from the rule
 (``bundles.BETA_RULE``, ``RHO_RULE``, ``PHASE_RULE``) under which the
 key's constructor runs the one form check, ``bundles.checked_form``.
 ``serialize_config`` writes a cycle as text: cycle -> text -> equal
@@ -115,13 +116,15 @@ _KEYS = {
 
 def _parse_form_value(rule: tuple, value: str, dim: int, lineno: int) -> TorusForm:
     try:
-        form, terms = parse_form_terms(value, n=dim, has_t=False)
+        form, terms = parse_form_terms(value, n=dim)
     except ValueError as exc:
         raise ConfigError(str(exc), lineno) from None
-    # the constructor checks the degrees of the sum; this checks those of
-    # the written terms, so a term whose coefficient is zero or whose
-    # duplicates cancel is refused too
-    _, takes, message = rule
+    # the constructor checks the t data and the degrees of the sum; this
+    # checks those of the written terms, so a term whose coefficient is
+    # zero or whose duplicates cancel is refused too
+    name, takes, message = rule
+    if any(t_exp or 0 in idx for (t_exp, _, idx), _ in terms):
+        raise ConfigError(f"{name} lives on the wrong space", lineno)
     if not all(takes(len(idx)) for (_, _, idx), _ in terms):
         raise ConfigError(message, lineno)
     return form

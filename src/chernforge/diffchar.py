@@ -269,7 +269,7 @@ def _classes_along(cycle: KCycle, rho_t: TorusForm) -> list[DiffChar]:
     The base classes e_a are the elementary symmetric polynomials of
     the Cheeger-Simons line classes under cup.  The transgression
     correction a(int_t C_k(R)) of the path curvature
-    R = ch.with_t() + d rho_t comes from the product formula
+    R = ch + d rho_t comes from the product formula
     C(R) = prod_l (1 + F_l) ^ exp(L(d rho_t)), L being the linear map of
     :func:`chern_log`: the line factor e_a(F_1, ..., F_r) is the
     curvature of e_a and has no t, so
@@ -291,7 +291,7 @@ def _classes_along(cycle: KCycle, rho_t: TorusForm) -> list[DiffChar]:
     # the constant 1 of exp has no dt and integrates to zero
     rho_factor = sum(divided_powers(chern_log(rho_t.d(), top), top,
                                     TorusForm.wedge, TorusForm.__mul__),
-                     TorusForm.zero(n, has_t=True)).fiber_integrate_t()
+                     TorusForm.zero(n)).fiber_integrate_t()
     expected_curvature = chern_transforms(cycle.curvature(), top)
     classes = [base[0]]
     for i in range(1, top + 1):
@@ -311,7 +311,7 @@ def _classes_along(cycle: KCycle, rho_t: TorusForm) -> list[DiffChar]:
 def _chern_classes(cycle: KCycle) -> list[DiffChar]:
     """The classes along the linear path t * rho, built once per cycle."""
     if cycle._classes is None:
-        cycle._classes = _classes_along(cycle, cycle.rho.with_t().mul_t(1))
+        cycle._classes = _classes_along(cycle, cycle.rho.mul_t(1))
     return cycle._classes
 
 
@@ -398,8 +398,8 @@ def check_path_independence(cycle: KCycle, rho_t: TorusForm) -> list[bool]:
     """Recompute every class along the t-extended path rho_t, which must
     run from 0 at t = 0 to the cycle's form at t = 1, and compare each
     exactly with the memoised one: entry i is the verdict for c_i."""
-    if not rho_t.has_t or rho_t.n != cycle.n:
-        raise PreconditionError(f"path must be a t-extended form on T^{cycle.n}")
+    if rho_t.n != cycle.n:
+        raise PreconditionError(f"path must be a form on T^{cycle.n} x [0,1]")
     if not rho_t.restrict_t(0).is_zero():
         raise PreconditionError("path must vanish at t=0")
     if rho_t.restrict_t(1) != cycle.rho:
@@ -408,10 +408,11 @@ def check_path_independence(cycle: KCycle, rho_t: TorusForm) -> list[bool]:
                     _chern_classes(cycle)))
 
 
-def _require_admissible_shift(shift: TorusForm, n: int):
+def _require_admissible_shift(shift: Optional[TorusForm], n: int) -> TorusForm:
+    """The shift once it is admissible, ``None`` read as zero."""
     # the shift is added to rho, so it takes rho's degree rule under its own name
     try:
-        checked_form(shift, n, ("shift", RHO_RULE[1], "shift must have odd degrees"))
+        shift = checked_form(shift, n, ("shift", RHO_RULE[1], "shift must have odd degrees"))
     except ValueError as exc:
         raise PreconditionError(str(exc)) from None
     if not shift.is_closed():
@@ -420,12 +421,13 @@ def _require_admissible_shift(shift: TorusForm, n: int):
         for re_sum, im_sum in shift._invariant_sums(degree).values():
             if im_sum or re_sum % shift.den:
                 raise PreconditionError("shift must have integer periods")
+    return shift
 
 
-def check_shift_invariance(cycle: KCycle, shift: TorusForm) -> list[bool]:
+def check_shift_invariance(cycle: KCycle, shift: Optional[TorusForm]) -> list[bool]:
     """Classes must not move under closed integer-period (or exact) shifts:
-    entry i is the verdict for c_i of the shifted cycle."""
-    _require_admissible_shift(shift, cycle.n)
+    entry i is the verdict for c_i of the shifted cycle; ``None`` is the zero shift."""
+    shift = _require_admissible_shift(shift, cycle.n)
     shifted = KCycle(cycle.bundle, cycle.rho + shift)
     return list(map(DiffChar.same_class, _chern_classes(shifted), _chern_classes(cycle)))
 

@@ -1,15 +1,18 @@
 """Exact differential-form calculus on flat tori.
 
-A form on the n-torus, optionally extended by a parameter t in [0,1],
-is a finite sum of terms
+A form on T^n x [0,1], t the interval parameter, is a finite sum of terms
 
     coeff * t^m * exp(2*pi*i*<k, x>) * dx_I
 
 with Gaussian-rational coefficients, integer frequency vectors k and
-strictly increasing index sets I (index 0 names dt and is only present
-on t-extended forms).  Forms are Chern-normalized: the stored exterior
-derivative multiplies a Fourier coefficient by i*k_j, which absorbs the
-2*pi of the usual conventions and keeps every period rational.
+strictly increasing index sets I, index 0 naming dt.  A form on T^n is
+one with no t data, constant in t and without dt, so the t extension
+is not stored: :attr:`TorusForm.has_t` reads it from the terms, and
+the operations that need t-free data (circle integration, subtorus
+integrals) refuse a form that has some, in the scan they make anyway.
+Forms are Chern-normalized: the stored exterior derivative multiplies
+a Fourier coefficient by i*k_j, which absorbs the 2*pi of the usual
+conventions and keeps every period rational.
 
 Storage: one positive integer denominator ``den`` shared by all terms,
 and a map ``terms`` from a packed int key to a Gaussian-integer
@@ -45,7 +48,7 @@ Index sets merge with
 ``|``, collide when ``&`` is non-zero, and the Koszul sign is a popcount
 parity (:func:`_koszul_sign`).  Every sign comes from that one table,
 filled on first use with at most one entry per pair of disjoint masks:
-3^(n+1) of them on T^n with t.  Every form is normalized on
+3^(n+1) of them on T^n x [0,1].  Every form is normalized on
 construction: no zero numerator is stored, gcd(den, every numerator)
 == 1 and the zero form has den == 1.  Equal forms therefore have equal
 storage, and equality is structural.  Zero numerators are dropped as
@@ -114,11 +117,12 @@ class _Layout:
     sit one slot for the t exponent and then one per coordinate
     (``shifts``), each holding its value + CEILING.  ``bias`` is the key
     of t^0 exp(0) with the empty index set, ``guards`` the top bit of
-    every slot and ``freq_bias`` the frequency part of ``bias``.
+    every slot and ``freq_bias`` the frequency part of ``bias``.  A key
+    has no t data, no dt and t^0, when ``key & t_bits == t_free``.
     """
 
     __slots__ = ("n", "mask_bits", "t_shift", "shifts",
-                 "bias", "guards", "freq_bias", "low_bits")
+                 "bias", "guards", "freq_bias", "low_bits", "t_bits", "t_free")
 
     def __init__(self, n: int):
         self.n = n
@@ -130,6 +134,8 @@ class _Layout:
         self.freq_bias = self.bias - (CEILING << self.t_shift)
         self.guards = 2 * self.bias
         self.low_bits = (1 << (self.t_shift + SLOT_BITS)) - 1
+        self.t_bits = 1 | _SLOT << self.t_shift  # the dt bit and the t slot
+        self.t_free = CEILING << self.t_shift
 
     def unpack(self, key: int) -> tuple[int, tuple[int, ...], int]:
         """``(t_exp, freq, mask)`` of a key, each slot read by shift and mask."""
@@ -178,7 +184,7 @@ def _koszul_sign(a: int, b: int) -> int:
     i - j == s; only the parity of their total count matters, and it
     equals the popcount parity of the XOR of those overlaps.  Cached:
     every caller passes disjoint masks, so the table holds at most one
-    entry per such pair, 3^(n+1) of them on T^n with t.
+    entry per such pair, 3^(n+1) of them on T^n x [0,1].
     """
     overlaps = 0
     a >>= 1
@@ -248,12 +254,12 @@ def _dimension(n: int) -> int:
     return n
 
 
-def _packed_key(n: int, has_t: bool, t_exp: int, freq, idx) -> int:
+def _packed_key(n: int, t_exp: int, freq, idx) -> int:
     """The key of the term ``(t_exp, freq, idx)`` on T^n, checked as the constructor checks it.
 
     In order: the frequency arity, the index set (strictly increasing,
-    in range), t data on a form without t, the sign of the t exponent,
-    and the key range of the t exponent and the frequencies (``_slots``).
+    in range), the sign of the t exponent, and the key range of the t
+    exponent and the frequencies (``_slots``).
     """
     if len(freq) != n:
         raise ValueError(f"frequency vector {freq} has wrong arity for T^{n}")
@@ -263,8 +269,6 @@ def _packed_key(n: int, has_t: bool, t_exp: int, freq, idx) -> int:
             raise ValueError(f"index set {idx} is not strictly increasing")
         if any(j < 0 or j > n for j in idx):
             raise ValueError(f"index set {idx} out of range for T^{n}")
-    if not has_t and (t_exp != 0 or 0 in idx):
-        raise ValueError("t data on a form without the t extension")
     if t_exp < 0:
         raise ValueError("negative t exponent")
     slots = _slots(t_exp, *freq)
@@ -327,7 +331,7 @@ def _accumulate(out: dict, pairs) -> dict:
     return out
 
 
-def _packed_terms(n: int, has_t: bool, pairs) -> dict:
+def _packed_terms(n: int, pairs) -> dict:
     """``{packed key: (re, im)}`` of ``((t_exp, freq, idx), (re, im))`` pairs.
 
     The one body that builds a form's terms from term keys: every key
@@ -335,7 +339,7 @@ def _packed_terms(n: int, has_t: bool, pairs) -> dict:
     cancelling one's too; then repeated keys add up and zero sums are
     dropped.
     """
-    return _accumulate({}, [(_packed_key(n, has_t, *key), num) for key, num in pairs])
+    return _accumulate({}, [(_packed_key(n, *key), num) for key, num in pairs])
 
 
 class TorusForm:
@@ -349,69 +353,67 @@ class TorusForm:
     ``_derivative`` the form :meth:`d` returned.
     """
 
-    __slots__ = ("n", "has_t", "den", "terms", "_transforms", "_groups", "_derivative")
+    __slots__ = ("n", "den", "terms", "_transforms", "_groups", "_derivative")
 
-    def __init__(self, n: int, terms: Optional[dict] = None, has_t: bool = False):
+    def __init__(self, n: int, terms: Optional[dict] = None):
         self.n = n = _dimension(n)
-        self.has_t = has_t = bool(has_t)
         self._transforms = self._groups = self._derivative = None
         den, pairs = _over_common_den((terms or {}).items())
-        self.den, self.terms = _normalized(den, _packed_terms(n, has_t, pairs))
+        self.den, self.terms = _normalized(den, _packed_terms(n, pairs))
 
     @classmethod
-    def _make(cls, n: int, has_t: bool, den: int, terms: dict) -> "TorusForm":
+    def _make(cls, n: int, den: int, terms: dict) -> "TorusForm":
         # trusted constructor: keys must be valid, den positive and no
         # numerator zero (sums drop theirs in _accumulate)
         self = object.__new__(cls)
-        self.n, self.has_t = n, has_t
+        self.n = n
         self.den, self.terms = _normalized(den, terms)
         self._transforms = self._groups = self._derivative = None
         return self
 
     @classmethod
-    def _checked(cls, n: int, has_t: bool, den: int, pairs) -> "TorusForm":
+    def _checked(cls, n: int, den: int, pairs) -> "TorusForm":
         """The form of ``pairs``: ``((t_exp, freq, idx), (re, im))``, numerators over ``den``.
 
         The public constructor's body (:func:`_packed_terms`) without
         its coefficient conversion: the numerators must be ints and
         ``den`` a positive int.
         """
-        n, has_t = _dimension(n), bool(has_t)
-        return cls._make(n, has_t, den, _packed_terms(n, has_t, pairs))
+        n = _dimension(n)
+        return cls._make(n, den, _packed_terms(n, pairs))
 
     # -- constructors ---------------------------------------------------
     # zero, const(n, 1), dx and volume are shared: one form per validated
     # argument tuple, which no operation mutates; the last three are units
 
     @classmethod
-    def zero(cls, n: int, has_t: bool = False) -> "TorusForm":
-        return _shared_zero(_dimension(n), bool(has_t))
+    def zero(cls, n: int) -> "TorusForm":
+        return _shared_zero(_dimension(n))
 
     @classmethod
-    def const(cls, n: int, coeff, has_t: bool = False) -> "TorusForm":
+    def const(cls, n: int, coeff) -> "TorusForm":
         n = _dimension(n)
         if type(coeff) is int and coeff == 1:
-            return _shared_unit(n, bool(has_t))
-        return cls(n, {(0, (0,) * n, ()): coeff}, has_t=has_t)
+            return _shared_unit(n)
+        return cls(n, {(0, (0,) * n, ()): coeff})
 
     @classmethod
     def single(cls, n: int, coeff, freq: Optional[Sequence[int]] = None,
-               idx: Sequence[int] = (), t_exp: int = 0,
-               has_t: bool = False) -> "TorusForm":
+               idx: Sequence[int] = (), t_exp: int = 0) -> "TorusForm":
         n = _dimension(n)
         freq = tuple(freq) if freq is not None else (0,) * n
-        return cls(n, {(t_exp, freq, tuple(idx)): coeff}, has_t=has_t)
+        return cls(n, {(t_exp, freq, tuple(idx)): coeff})
 
     @classmethod
-    def dx(cls, n: int, j: int, has_t: bool = False) -> "TorusForm":
-        low = 0 if has_t else 1
-        if not low <= j <= n:
+    def dx(cls, n: int, j: int) -> "TorusForm":
+        """dx_j, with dx_0 = dt."""
+        if not 0 <= j <= n:
             raise ValueError(f"no coordinate {j} on T^{n}")
-        return _shared_unit(_dimension(n), bool(has_t), j)
+        return _shared_unit(_dimension(n), j)
 
     @classmethod
     def volume(cls, n: int) -> "TorusForm":
-        return _shared_unit(_dimension(n), False, *range(1, n + 1))
+        return _shared_unit(_dimension(n), *range(1, n + 1))
 
     @classmethod
     def from_harmonic(cls, n: int, table: dict) -> "TorusForm":
@@ -425,7 +427,7 @@ class TorusForm:
     # -- ring structure -------------------------------------------------
 
     def _compatible(self, other: "TorusForm"):
-        if self.n != other.n or self.has_t != other.has_t:
+        if self.n != other.n:
             raise ValueError("forms live on different spaces")
 
     def _scaled(self, factor: int) -> dict:
@@ -449,10 +451,10 @@ class TorusForm:
         factor = den // second.den
         terms = _accumulate(first._scaled(den // first.den),
                             (second.terms if factor == 1 else second._scaled(factor)).items())
-        return self._make(self.n, self.has_t, den, terms)
+        return self._make(self.n, den, terms)
 
     def __neg__(self) -> "TorusForm":
-        return self._make(self.n, self.has_t, self.den, self._scaled(-1))
+        return self._make(self.n, self.den, self._scaled(-1))
 
     def __sub__(self, other: "TorusForm") -> "TorusForm":
         return self + (-other)
@@ -460,7 +462,7 @@ class TorusForm:
     def __mul__(self, scalar) -> "TorusForm":
         s_re, s_im, s_den = _gauss_parts(scalar)
         if not (s_re or s_im):
-            return self.zero(self.n, self.has_t)
+            return self.zero(self.n)
         if (s_re, s_im, s_den) == (1, 0, 1):
             return self
         if not s_im:
@@ -468,7 +470,7 @@ class TorusForm:
         else:
             terms = {key: (a * s_re - b * s_im, a * s_im + b * s_re)
                      for key, (a, b) in self.terms.items()}
-        return self._make(self.n, self.has_t, self.den * s_den, terms)
+        return self._make(self.n, self.den * s_den, terms)
 
     __rmul__ = __mul__
 
@@ -524,7 +526,7 @@ class TorusForm:
                                 out[key] = (re_num, im_num)
                             else:
                                 del out[key]
-        return self._make(self.n, self.has_t, self.den * other.den, out)
+        return self._make(self.n, self.den * other.den, out)
 
     def d(self) -> "TorusForm":
         """Exterior derivative on the stored (Chern-normalized) data, kept on the form."""
@@ -552,7 +554,7 @@ class TorusForm:
                         scale = kj * _koszul_sign(bit, mask)
                         derivatives.append((key + bit, (-im_num * scale, re_num * scale)))
             _accumulate(out, derivatives)
-        self._derivative = self._make(self.n, self.has_t, self.den, out)
+        self._derivative = self._make(self.n, self.den, out)
         return self._derivative
 
     # -- structure queries ----------------------------------------------
@@ -597,28 +599,26 @@ class TorusForm:
 
     def component(self, degree: int) -> "TorusForm":
         mask_bits = _layout(self.n).mask_bits
-        return self._make(self.n, self.has_t, self.den,
+        return self._make(self.n, self.den,
                           {key: num for key, num in self.terms.items()
                            if (key & mask_bits).bit_count() == degree})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusForm):
             return NotImplemented
-        return (self.n == other.n and self.has_t == other.has_t
-                and self.den == other.den and self.terms == other.terms)
+        return self.n == other.n and self.den == other.den and self.terms == other.terms
 
     # -- t extension ----------------------------------------------------
 
-    def with_t(self) -> "TorusForm":
-        """The same form viewed on the t-extended space."""
-        if self.has_t:
-            return self
-        return self._make(self.n, True, self.den, self.terms)
+    @property
+    def has_t(self) -> bool:
+        """True when some term has dt or a non-zero power of t."""
+        layout = _layout(self.n)
+        t_bits, t_free = layout.t_bits, layout.t_free
+        return any(key & t_bits != t_free for key in self.terms)
 
     def mul_t(self, power: int) -> "TorusForm":
-        """Multiply by t^power (requires the t extension)."""
-        if not self.has_t:
-            raise ValueError("mul_t needs a t-extended form")
+        """Multiply by t^power."""
         if power < 0:
             raise ValueError("t power must be >= 0")
         layout = _layout(self.n)
@@ -626,12 +626,10 @@ class TorusForm:
         terms = {key + shift: num for key, num in self.terms.items()}
         if power >= CEILING or any(key & layout.guards for key in terms):
             raise PreconditionError(f"a t exponent leaves the key range {_RANGE}")
-        return self._make(self.n, True, self.den, terms)
+        return self._make(self.n, self.den, terms)
 
     def restrict_t(self, value) -> "TorusForm":
-        """Restrict a t-extended form to the slice t = value, an int or a Fraction."""
-        if not self.has_t:
-            raise ValueError("restrict_t needs a t-extended form")
+        """Restrict to the slice t = value, an int or a Fraction: a t-free form is kept."""
         value = rational(value)
         p, q = value.numerator, value.denominator
         t_shift = _layout(self.n).t_shift
@@ -639,21 +637,19 @@ class TorusForm:
                 for key, num in self.terms.items() if not key & 1]
         top = max((m for _, m, _ in kept), default=0)
         # t^m = p^m q^(top-m) / q^top over the common denominator
-        return self._make(self.n, False, self.den * q ** top, _accumulate({}, (
+        return self._make(self.n, self.den * q ** top, _accumulate({}, (
             (key - (m << t_shift), (re_num * p ** m * q ** (top - m),
                                     im_num * p ** m * q ** (top - m)))
             for key, m, (re_num, im_num) in kept)))
 
     def fiber_integrate_t(self) -> "TorusForm":
-        """Integrate the t fiber away: int(t^m dt ^ eta) = eta/(m+1)."""
-        if not self.has_t:
-            raise ValueError("fiber_integrate_t needs a t-extended form")
+        """Integrate the t fiber away: int(t^m dt ^ eta) = eta/(m+1), and dt-free terms vanish."""
         t_shift = _layout(self.n).t_shift
         kept = [(key, (key >> t_shift & _SLOT) - CEILING, num)
                 for key, num in self.terms.items() if key & 1]
         common = lcm(*(m + 1 for _, m, _ in kept))
         # t^m -> t^0 and dt dropped from the front of the mask
-        return self._make(self.n, False, self.den * common, _accumulate({}, (
+        return self._make(self.n, self.den * common, _accumulate({}, (
             (key - (m << t_shift) - 1, (re_num * (common // (m + 1)),
                                         im_num * (common // (m + 1))))
             for key, m, (re_num, im_num) in kept)))
@@ -667,21 +663,21 @@ class TorusForm:
         zero along it, with the Koszul sign that moves dx_axis to the
         front; everything else integrates to zero.  The result lives on
         the torus of one dimension less, coordinates above the axis
-        shifting down.
+        shifting down.  A form with t data is refused.
         """
-        if self.has_t:
-            raise ValueError("circle integration is defined on t-free forms")
         if not 1 <= axis <= self.n:
             raise ValueError(f"no coordinate {axis} on T^{self.n}")
         bit = 1 << axis
         below = bit - 1
         layout = _layout(self.n)
-        mask_bits = layout.mask_bits
+        mask_bits, t_bits, t_free = layout.mask_bits, layout.t_bits, layout.t_free
         shift = layout.shifts[axis - 1]  # the axis slot
         kept_low = ((1 << shift) - 1) ^ mask_bits  # the t slot and the slots below the axis
         # distinct kept keys give distinct keys, so no sum is formed
         terms = {}
         for key, (re_num, im_num) in self.terms.items():
+            if key & t_bits != t_free:
+                raise ValueError("circle integration is defined on t-free forms")
             mask = key & mask_bits
             if not mask & bit or key >> shift & _SLOT != CEILING:
                 continue
@@ -692,7 +688,7 @@ class TorusForm:
             slots = (key & kept_low) >> 1 | key >> (shift + SLOT_BITS) << (shift - 1)
             terms[slots + ((rest & below) | rest >> (axis + 1) << axis)] = \
                 (sign * re_num, sign * im_num)
-        return self._make(self.n - 1, False, self.den, terms)
+        return self._make(self.n - 1, self.den, terms)
 
     def invariant_table(self, degree: int) -> dict[tuple[int, ...], tuple[Fraction, Fraction]]:
         """Subtorus integrals of the degree-``degree`` part, in one scan.
@@ -709,14 +705,18 @@ class TorusForm:
                 for mask, (re_sum, im_sum) in self._invariant_sums(degree).items()}
 
     def _invariant_sums(self, degree: int) -> dict[int, tuple[int, int]]:
-        """The scan behind :meth:`invariant_table`: ``{mask: (re, im)}``, numerators over ``den``."""
-        if self.has_t:
-            raise ValueError("subtorus integrals are defined on t-free forms")
+        """The scan behind :meth:`invariant_table`: ``{mask: (re, im)}``, numerators over ``den``.
+
+        A form with t data is refused.
+        """
         n = self.n
-        mask_bits = _layout(n).mask_bits
+        layout = _layout(n)
+        mask_bits, t_bits, t_free = layout.mask_bits, layout.t_bits, layout.t_free
 
         def vanishing():
             for key, num in self.terms.items():
+                if key & t_bits != t_free:
+                    raise ValueError("subtorus integrals are defined on t-free forms")
                 mask = key & mask_bits
                 if mask.bit_count() == degree:
                     select, zero = _zero_slots(n, mask)
@@ -774,7 +774,7 @@ class TorusForm:
                 for chosen, c in expansions[spatial].items():
                     yield base + (chosen | dt), (re_num * c, im_num * c)
 
-        return self._make(m_src, self.has_t, self.den, _accumulate({}, pulled()))
+        return self._make(m_src, self.den, _accumulate({}, pulled()))
 
     # -- textual serialization ---------------------------------------------
 
@@ -820,15 +820,15 @@ class TorusForm:
 # argument equal to an int without being one (True) has its own entry.
 
 @lru_cache(maxsize=None, typed=True)
-def _shared_zero(n: int, has_t: bool) -> TorusForm:
-    return TorusForm._make(n, has_t, 1, {})
+def _shared_zero(n: int) -> TorusForm:
+    return TorusForm._make(n, 1, {})
 
 
 @lru_cache(maxsize=None, typed=True)
-def _shared_unit(n: int, has_t: bool, *idx: int) -> TorusForm:
+def _shared_unit(n: int, *idx: int) -> TorusForm:
     # idx is spread, so that each entry's type is in the cache key: a
     # tuple argument would share one entry between (1.0,) and (1,)
-    return TorusForm._checked(n, has_t, 1, [((0, (0,) * n, idx), (1, 0))])
+    return TorusForm._checked(n, 1, [((0, (0,) * n, idx), (1, 0))])
 
 
 def _ratio_text(num: int, den: int) -> str:
@@ -892,18 +892,16 @@ def split_form_terms(text: str) -> list[str]:
     return [c.strip() for c in chunks if c.strip()]
 
 
-def parse_form(text: str, n: Optional[int] = None,
-               has_t: Optional[bool] = None) -> TorusForm:
+def parse_form(text: str, n: Optional[int] = None) -> TorusForm:
     """Parse the textual form grammar back into a :class:`TorusForm`.
 
     The literal ``0`` denotes the empty form (dimension must then be
     supplied).  Raises ValueError with the offending term on bad input.
     """
-    return parse_form_terms(text, n, has_t)[0]
+    return parse_form_terms(text, n)[0]
 
 
-def parse_form_terms(text: str, n: Optional[int] = None,
-                     has_t: Optional[bool] = None) -> tuple[TorusForm, list]:
+def parse_form_terms(text: str, n: Optional[int] = None) -> tuple[TorusForm, list]:
     """:func:`parse_form`'s form and the terms it is built from, as written.
 
     The terms are ``((t_exp, freq, idx), coeff)`` in written order,
@@ -914,9 +912,8 @@ def parse_form_terms(text: str, n: Optional[int] = None,
     if pieces == ["0"] or not pieces:
         if n is None:
             raise ValueError("cannot infer dimension of the zero form")
-        return TorusForm.zero(n, has_t=bool(has_t)), []
+        return TorusForm.zero(n), []
     terms = []
-    saw_t = False
     for piece in pieces:
         match = _TERM_RE.match(piece)
         if not match:
@@ -928,17 +925,13 @@ def parse_form_terms(text: str, n: Optional[int] = None,
         idx = tuple(0 if s.strip() == "t" else int(s) for s in idx_part.split(",")) \
             if idx_part.strip() else ()
         m = int(t_exp) if t_exp else 0
-        if m or 0 in idx:
-            saw_t = True
         if n is None:
             n = len(freq)
         elif len(freq) != n:
             raise ValueError(f"term {piece!r} has arity {len(freq)}, expected {n}")
         terms.append(((m, freq, idx), coeff))
-    if has_t is None:
-        has_t = saw_t
     # every key is checked; then duplicates add up and those that cancel are dropped
-    return TorusForm._checked(n, has_t, *_over_common_den(terms)), terms
+    return TorusForm._checked(n, *_over_common_den(terms)), terms
 
 
 def chern_transforms(form: TorusForm, top: int) -> list[TorusForm]:
@@ -959,10 +952,10 @@ def chern_transforms(form: TorusForm, top: int) -> list[TorusForm]:
     """
     if any(degree % 2 for degree in form.degrees()):
         raise ValueError("form has odd-degree content")
-    cap = form.n + (1 if form.has_t else 0)
+    cap = form.n + form.has_t
     if 2 * top > cap:
         raise ValueError(f"degree {2 * top} exceeds the dimension cap {cap}")
-    known = form._transforms or [TorusForm.const(form.n, 1, has_t=form.has_t)]
+    known = form._transforms or [TorusForm.const(form.n, 1)]
     if len(known) <= top:
         sums = [None] + [form.component(2 * j) * factorial(j) for j in range(1, top + 1)]
         known = form._transforms = newton(sums, known, TorusForm.wedge,
@@ -978,7 +971,7 @@ def chern_log(form: TorusForm, top: int) -> TorusForm:
     2 * top.  L is linear, so exp(L) turns a sum of even forms into the
     wedge of their total transforms.
     """
-    total = TorusForm.zero(form.n, form.has_t)
+    total = TorusForm.zero(form.n)
     for j in range(1, top + 1):
         total = total + form.component(2 * j) * ((-1) ** (j - 1) * factorial(j - 1))
     return total

@@ -71,7 +71,8 @@ def rand_subset(rng: Random, n: int, size: int) -> tuple[int, ...]:
 
 def rand_form(rng: Random, n: int, max_terms: int = MAX_MODES,
               has_t: bool = False) -> TorusForm:
-    """General (complex) form with a handful of small Fourier modes."""
+    """General (complex) form with a handful of small Fourier modes; with
+    ``has_t`` the draws take dt and powers of t too."""
     choice = rng.choice
     terms = []
     indices = list(range(0 if has_t else 1, n + 1))
@@ -84,7 +85,7 @@ def rand_form(rng: Random, n: int, max_terms: int = MAX_MODES,
         idx = tuple(sorted(rng.sample(indices, size)))
         t_exp = choice(_T_EXPONENTS) if has_t else 0
         terms.append(((t_exp, freq, idx), (re_num, im_num)))
-    return TorusForm._checked(n, has_t, _DEN, terms)
+    return TorusForm._checked(n, _DEN, terms)
 
 
 def rand_homogeneous(rng: Random, n: int, degree: int, max_terms: int = 3,
@@ -92,7 +93,7 @@ def rand_homogeneous(rng: Random, n: int, degree: int, max_terms: int = 3,
     """Complex form of one pure degree (dt counts toward the degree)."""
     indices = list(range(0 if has_t else 1, n + 1))
     if degree > len(indices):
-        return TorusForm.zero(n, has_t=has_t)
+        return TorusForm.zero(n)
     choice = rng.choice
     terms = []
     for _ in range(rng.randint(1, max_terms)):
@@ -103,7 +104,7 @@ def rand_homogeneous(rng: Random, n: int, degree: int, max_terms: int = 3,
         freq = tuple([choice(_FREQUENCIES) for _ in range(n)])
         t_exp = choice(_T_EXPONENTS) if has_t else 0
         terms.append(((t_exp, freq, idx), (re_num, im_num)))
-    return TorusForm._checked(n, has_t, _DEN, terms)
+    return TorusForm._checked(n, _DEN, terms)
 
 
 def _real_terms(rng: Random, n: int, degree: int, max_modes: int,
@@ -131,7 +132,7 @@ def rand_real_form(rng: Random, n: int, degree: int,
     optional translation-invariant part."""
     if degree > n:
         return TorusForm.zero(n)
-    return TorusForm._checked(n, False, _DEN,
+    return TorusForm._checked(n, _DEN,
                               _real_terms(rng, n, degree, max_modes, allow_harmonic))
 
 
@@ -160,7 +161,7 @@ def rand_odd_real_form(rng: Random, n: int, max_modes: int = 2) -> TorusForm:
     terms = _real_terms(rng, n, 1, max_modes, True)
     if n >= 3 and rng.random() < 0.5:
         terms += _real_terms(rng, n, 3, 1, True)
-    return TorusForm._checked(n, False, _DEN, terms)
+    return TorusForm._checked(n, _DEN, terms)
 
 
 def rand_cycle(rng: Random, n: int, max_rank: int = 3) -> KCycle:
@@ -184,7 +185,7 @@ def rand_phase(rng: Random, n: int) -> TorusForm:
             continue
         terms.append(((0, freq, ()), (0, -amp)))
         terms.append(((0, tuple([-x for x in freq]), ()), (0, amp)))
-    return TorusForm._checked(n, False, 2 * _DEN, terms)
+    return TorusForm._checked(n, 2 * _DEN, terms)
 
 
 def rand_odd_cycle(rng: Random, n: int) -> OddKCycle:
@@ -214,4 +215,4 @@ def rand_integral_shift(rng: Random, n: int) -> TorusForm:
         coeff = rng.choice(_SMALL)
         terms.append(((0, zero, rand_subset(rng, n, 3)), (coeff, 0)))
     exact = rand_real_form(rng, n, 0, max_modes=1, allow_harmonic=False).d()
-    return TorusForm._checked(n, False, 1, terms) + exact
+    return TorusForm._checked(n, 1, terms) + exact

@@ -121,10 +121,10 @@ def suite_paths(rng: Random, cases: int) -> Checks:
         while w.rho.is_zero():
             w = rand_cycle(rng, n)
         sigma = rand_odd_real_form(rng, n)
-        bump = sigma.with_t().mul_t(1) - sigma.with_t().mul_t(2)
-        quadratic = w.rho.with_t().mul_t(2)
+        bump = sigma.mul_t(1) - sigma.mul_t(2)
+        quadratic = w.rho.mul_t(2)
         paths = {"t^2": quadratic + bump,
-                 "3t^2-2t^3": quadratic * 3 - w.rho.with_t().mul_t(3) * 2 + bump}
+                 "3t^2-2t^3": quadratic * 3 - w.rho.mul_t(3) * 2 + bump}
         # one class pass per path answers every index of it
         verdicts = cache(lambda label: check_path_independence(w, paths[label]))
         for i in range(1, n // 2 + 1):

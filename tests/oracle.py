@@ -69,9 +69,9 @@ def evaluate_chern_polynomial(form: TorusForm, i: int) -> TorusForm:
     The degree-2j component stands for the j'th variable; each monomial
     is the constant coefficient wedged with one factor per power.
     """
-    total = TorusForm.zero(form.n, form.has_t)
+    total = TorusForm.zero(form.n)
     for mono, coeff in chern_polynomial(i).terms.items():
-        term = TorusForm.const(form.n, Fraction(coeff), has_t=form.has_t)
+        term = TorusForm.const(form.n, Fraction(coeff))
         for (_, j), exponent in mono:
             for _ in range(exponent):
                 term = term.wedge(form.component(2 * j))
@@ -81,7 +81,7 @@ def evaluate_chern_polynomial(form: TorusForm, i: int) -> TorusForm:
 
 def total_chern_transform(form: TorusForm) -> TorusForm:
     """1 + C_1(form) + ... up to the dimension cap, as one form."""
-    cap = form.n + (1 if form.has_t else 0)
+    cap = form.n + form.has_t
     one, *components = chern_transforms(form, cap // 2)
     return sum(components, one)
 
@@ -111,13 +111,13 @@ def chern_form(bundle, i: int) -> TorusForm:
 
 
 def path_transgressions(cycle, rho_t: TorusForm) -> list:
-    """[None, T_1, ..., T_top] with T_k = int_t C_k(ch.with_t() + d rho_t).
+    """[None, T_1, ..., T_top] with T_k = int_t C_k(ch + d rho_t).
 
     One Newton pass over the whole t-extended path curvature, then the
     fiber integral over t of each entry; dt-free terms are computed and
     dropped.  The engine builds the same forms from the product formula.
     """
-    curv_path = cycle.bundle.chern_character().with_t() + rho_t.d()
+    curv_path = cycle.bundle.chern_character() + rho_t.d()
     return [None] + [form.fiber_integrate_t()
                      for form in chern_transforms(curv_path, cycle.n // 2)[1:]]
 
@@ -148,17 +148,17 @@ def reference_koszul_sign(a: int, b: int) -> int:
     return permutation_sign(_mask_indices(a) + _mask_indices(b))
 
 
-def reference_construct(n: int, terms: dict, has_t: bool = False) -> tuple[int, dict]:
+def reference_construct(n: int, terms: dict) -> tuple[int, dict]:
     """The public constructor's checks in their first order, then its stored data.
 
-    Returns the normalized ``(den, terms)`` that ``TorusForm(n, terms,
-    has_t)`` must store, or raises what it must raise.  Every
-    coefficient is read first.  Then every key is checked, a zero
-    coefficient's too: the frequency arity and the four index checks
-    (strictly increasing, in range, t data, t exponent), the key range
-    of the t exponent and of the frequencies, and last the mask shift,
-    which raises TypeError for an index that is not an int.  Zero
-    numerators are dropped only after that.
+    Returns the normalized ``(den, terms)`` that ``TorusForm(n, terms)``
+    must store, or raises what it must raise.  Every coefficient is
+    read first.  Then every key is checked, a zero coefficient's too:
+    the frequency arity, the index set (strictly increasing, in range),
+    the sign of the t exponent, the key range of the t exponent and of
+    the frequencies, and last the mask shift, which raises TypeError
+    for an index that is not an int.  Zero numerators are dropped only
+    after that.
     """
     if n < 0:
         raise ValueError("torus dimension must be >= 0")
@@ -171,8 +171,6 @@ def reference_construct(n: int, terms: dict, has_t: bool = False) -> tuple[int, 
             raise ValueError(f"index set {idx} is not strictly increasing")
         if any(j < 0 or j > n for j in idx):
             raise ValueError(f"index set {idx} out of range for T^{n}")
-        if not has_t and (t_exp != 0 or 0 in idx):
-            raise ValueError("t data on a form without the t extension")
         if t_exp < 0:
             raise ValueError("negative t exponent")
         if t_exp >= 2 ** 30:
@@ -443,14 +441,14 @@ def reference_rand_form(rng: Random, n: int, max_terms: int = 4,
         idx = tuple(sorted(rng.sample(indices, size)))
         t_exp = rng.randint(0, 2) if has_t else 0
         terms.append(((t_exp, freq, idx), (re_part, im_part)))
-    return TorusForm(n, _reference_accumulate({}, terms), has_t=has_t)
+    return TorusForm(n, _reference_accumulate({}, terms))
 
 
 def reference_rand_homogeneous(rng: Random, n: int, degree: int, max_terms: int = 3,
                                has_t: bool = False) -> TorusForm:
     indices = list(range(0 if has_t else 1, n + 1))
     if degree > len(indices):
-        return TorusForm(n, {}, has_t=has_t)
+        return TorusForm(n, {})
     terms = []
     for _ in range(rng.randint(1, max_terms)):
         re_part, im_part = reference_rand_fraction(rng), reference_rand_fraction(rng)
@@ -460,7 +458,7 @@ def reference_rand_homogeneous(rng: Random, n: int, degree: int, max_terms: int 
         freq = tuple(rng.randint(-1, 1) for _ in range(n))
         t_exp = rng.randint(0, 2) if has_t else 0
         terms.append(((t_exp, freq, idx), (re_part, im_part)))
-    return TorusForm(n, _reference_accumulate({}, terms), has_t=has_t)
+    return TorusForm(n, _reference_accumulate({}, terms))
 
 
 def reference_rand_real_form(rng: Random, n: int, degree: int, max_modes: int = 2,

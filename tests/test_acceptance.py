@@ -139,8 +139,8 @@ def test_criterion_07_path_independence():
         cycle = rand_cycle(rng, n)
         while cycle.rho.is_zero():
             cycle = rand_cycle(rng, n)
-        quadratic = cycle.rho.with_t().mul_t(2)
-        smoothstep = quadratic * 3 - cycle.rho.with_t().mul_t(3) * 2
+        quadratic = cycle.rho.mul_t(2)
+        smoothstep = quadratic * 3 - cycle.rho.mul_t(3) * 2
         assert all(check_path_independence(cycle, quadratic))
         assert all(check_path_independence(cycle, smoothstep))
         checked += n // 2

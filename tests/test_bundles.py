@@ -5,7 +5,8 @@ from random import Random
 import pytest
 from oracle import chern_form, total_chern_transform
 
-from chernforge.bundles import DiagBundle, LineBundle, OddKCycle
+from chernforge.bundles import (BETA_RULE, PHASE_RULE, RHO_RULE, DiagBundle, LineBundle,
+                                OddKCycle, checked_form)
 from chernforge.forms import TorusForm
 from chernforge.generators import (rand_bundle, rand_line_bundle,
                                    rand_odd_cycle, rand_phase)
@@ -274,3 +275,16 @@ def test_pullback_bundle():
     assert pulled.K[0][1] == 4
     assert pulled.theta[0] == Fraction(1, 2)
     assert pulled.curvature() == line.curvature().pullback(doubling)
+
+
+@pytest.mark.parametrize("rule, form", [
+    (BETA_RULE, TorusForm.dx(2, 1)), (RHO_RULE, TorusForm.dx(2, 1)),
+    (PHASE_RULE, TorusForm.single(2, (0, 1), freq=(1, 0))
+     + TorusForm.single(2, (0, -1), freq=(-1, 0))),
+], ids=["beta", "rho", "phase"])
+def test_checked_form_refuses_t_data_by_content(rule, form):
+    name = rule[0]
+    assert checked_form(form, 2, rule) is form
+    for t_data in (TorusForm.dx(2, 0), form.mul_t(1), form + TorusForm.dx(2, 0)):
+        with pytest.raises(ValueError, match=f"^{name} lives on the wrong space$"):
+            checked_form(t_data, 2, rule)

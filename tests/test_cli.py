@@ -203,6 +203,27 @@ def test_config_errors_exit_2(tmp_path, capsys, command, text, message):
     assert err == f"config error: {message}\n"
 
 
+# written t data in every form key, each term of a degree the key takes
+# or carrying dt, the t coordinate; a zero coefficient does not hide it
+_T_DATA = [("[line]", "beta", "exp[0,0] d{1}"), ("[rho]", "terms", "exp[0,0] d{1}"),
+           ("[component]", "phase", "exp[1,0] d{}")]
+
+
+@pytest.mark.parametrize("command", ["chern", "odd"])
+@pytest.mark.parametrize("terms", ["(1+0i) t^1 {term}", "(1+0i) exp[0,0] d{{t}}",
+                                   "(0+0i) t^1 {term}"], ids=["t power", "dt", "zero t power"])
+@pytest.mark.parametrize("section, key, term", _T_DATA, ids=[key for _, key, _ in _T_DATA])
+def test_written_t_data_is_refused_on_the_keys_line(tmp_path, capsys, command, terms,
+                                                    section, key, term):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"dim = 2\n{section}\n{key} = {terms.format(term=term)}\n",
+                    encoding="utf-8")
+    assert main([command, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: line 3: ")
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.cfg"
     path.write_text("dim = 2\nwat\n", encoding="utf-8")

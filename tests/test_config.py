@@ -99,6 +99,21 @@ def test_form_error_reports_line():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("text, message", [
+    ("dim = 2\n[line]\nbeta = (0+0i) t^1 exp[0,0] d{1}\n",
+     "line 3: connection perturbation lives on the wrong space"),
+    ("dim = 2\n[rho]\nterms = (1+0i) exp[0,0] d{1} + (1+0i) exp[0,0] d{t}\n",
+     "line 3: cycle form lives on the wrong space"),
+    # t data is named before a degree, as the form check of the constructor names it
+    ("dim = 2\n[component]\nwinding = 1 0\nphase = (1+0i) exp[1,0] d{1} + (1+0i) exp[1,0] d{t}\n",
+     "line 4: phase lives on the wrong space"),
+], ids=["beta", "rho", "phase"])
+def test_written_t_data_names_the_datum(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("text, line", [
     ("dim = 2\n[line]\ntheta = 1/0 0\n", 3),
     ("dim = 2\n[line]\nbeta = (1/0+0i) exp[0,0] d{1}\n", 3),

@@ -31,10 +31,9 @@ SMOOTHSTEP = {2: 3, 3: -2}
 
 
 def t_poly(form, q):
-    """q(t) * form on the t-extended space, q given as {exponent: coefficient}."""
-    promoted = form.with_t()
-    return sum((promoted.mul_t(exponent) * coeff for exponent, coeff in q.items()),
-               TorusForm.zero(form.n, has_t=True))
+    """q(t) * form on T^n x [0,1], q given as {exponent: coefficient}."""
+    return sum((form.mul_t(exponent) * coeff for exponent, coeff in q.items()),
+               TorusForm.zero(form.n))
 
 
 def path(cycle, q):
@@ -168,7 +167,7 @@ def test_constructor_rejects_bad_harmonic_part():
     bad_parts = [
         TorusForm(3, {(0, (1, 0, 0), (1, 2)): 1,  # real, but non-zero frequency
                       (0, (-1, 0, 0), (1, 2)): 1}),
-        TorusForm.single(3, 1, idx=(0, 1), has_t=True),  # t data
+        TorusForm.single(3, 1, idx=(0, 1)),  # t data: dt
         TorusForm.single(3, (1, 1), idx=(1, 2)),  # complex coefficient
         TorusForm.from_harmonic(3, {(1, 2, 3): 1}),  # wrong degree
         good + TorusForm.from_harmonic(3, {(1,): 1}),  # mixed degrees
@@ -214,7 +213,7 @@ def test_one_form_check_names_the_datum(datum, fault):
     build, takes, refuses, name, degree_message = FORM_DATA[datum]
     form, message = {
         "other torus": (TorusForm.single(3, 1, idx=takes), f"{name} lives on the wrong space"),
-        "t-extended": (TorusForm.single(2, 1, idx=takes, has_t=True),
+        "t-extended": (TorusForm.single(2, 1, idx=takes, t_exp=1),
                        f"{name} lives on the wrong space"),
         "degree": (TorusForm.single(2, 1, idx=refuses), degree_message),
         "mixed degree": (TorusForm.single(2, 1, idx=takes) + TorusForm.single(2, 1, idx=refuses),
@@ -469,7 +468,7 @@ def reference_chern_class(cycle, i, rho_t):
     n = cycle.n
     base = subset_elementary_symmetric([cs_class(line) for line in cycle.bundle.lines], i,
                                        DiffChar.cup, DiffChar.add, DiffChar.zero(n, 2 * i))
-    curv_path = cycle.bundle.chern_character().with_t() + rho_t.d()
+    curv_path = cycle.bundle.chern_character() + rho_t.d()
     integrated = evaluate_chern_polynomial(curv_path, i).fiber_integrate_t()
     return base.add(DiffChar.from_form(integrated, degree=2 * i))
 
@@ -683,7 +682,7 @@ def test_path_independence_examples():
 def test_path_independence_rejects_a_path_with_wrong_ends():
     rho = dx(2, 1) * Fraction(1, 3) + sin_form(2, (1, 0), (2,))
     w = KCycle(DiagBundle.of(line_T2(1)), rho)
-    sigma = dx(2, 2).with_t()
+    sigma = dx(2, 2)
     wrong_start = path(w, LINEAR) + sigma - sigma.mul_t(1)  # sigma at t = 0
     wrong_end = path(w, {1: 2})  # 2 rho at t = 1
     for rho_t in (wrong_start, wrong_end, rho):
@@ -765,26 +764,41 @@ def test_gauge_shift_rejects_non_integral():
         check_shift_invariance(w, not_closed)
 
 
+def test_no_shift_is_the_zero_shift():
+    rho = dx(2, 1) * Fraction(1, 5) + sin_form(2, (1, 0), (2,))
+    w = KCycle(DiagBundle.of(line_T2(2)), rho)
+    assert check_shift_invariance(w, None) == check_shift_invariance(w, TorusForm.zero(2))
+    assert check_shift_invariance(w, None) == [True, True]
+
+
 @pytest.mark.parametrize("shift, message", [
-    (dx(2, 1).with_t(), "shift lives on the wrong space"),
+    (dx(2, 1).mul_t(1), "shift lives on the wrong space"),
+    (dx(2, 0), "shift lives on the wrong space"),
     (dx(3, 1), "shift lives on the wrong space"),
     (TorusForm.volume(2), "shift must have odd degrees"),
     (dx(2, 1) * (0, 1), "shift must be real"),
     # space, then degrees, then reality
     (TorusForm.volume(3) * (0, 1), "shift lives on the wrong space"),
     (TorusForm.volume(2) * (0, 1), "shift must have odd degrees"),
-], ids=["t-extended", "other torus", "even", "not real", "other torus first",
+], ids=["t-extended", "dt", "other torus", "even", "not real", "other torus first",
         "degrees before reality"])
 def test_gauge_shift_refusals_name_the_shift(shift, message):
     with pytest.raises(PreconditionError, match=f"^{message}$"):
         check_shift_invariance(KCycle.zero(2), shift)
 
 
-@pytest.mark.parametrize("rho_t", [dx(2, 1), TorusForm.zero(3, has_t=True)],
-                         ids=["t-free", "other torus"])
+@pytest.mark.parametrize("rho_t", [TorusForm.zero(3), dx(3, 1).mul_t(1)],
+                         ids=["other torus", "t-extended other torus"])
 def test_path_independence_names_the_cycles_torus(rho_t):
-    with pytest.raises(PreconditionError, match=r"^path must be a t-extended form on T\^2$"):
+    with pytest.raises(PreconditionError, match=r"^path must be a form on T\^2 x \[0,1\]$"):
         check_path_independence(KCycle.zero(2), rho_t)
+
+
+def test_a_t_free_path_is_constant_in_t():
+    # only the zero form runs from 0 to the cycle's form without t data
+    assert check_path_independence(KCycle.zero(2), TorusForm.zero(2)) == [True, True]
+    with pytest.raises(PreconditionError, match="^path must vanish at t=0$"):
+        check_path_independence(KCycle.zero(2), dx(2, 1))
 
 
 # -- odd classes -------------------------------------------------------------------

@@ -39,8 +39,8 @@ def test_wedge_dimension_mismatch():
 
 def test_exterior_d_examples():
     assert TorusForm.const(2, 1).d().is_zero()
-    t_dx1 = TorusForm.single(2, 1, idx=(1,), t_exp=1, has_t=True)
-    dt_dx1 = TorusForm.single(2, 1, idx=(0, 1), has_t=True)
+    t_dx1 = TorusForm.single(2, 1, idx=(1,), t_exp=1)
+    dt_dx1 = TorusForm.single(2, 1, idx=(0, 1))
     assert t_dx1.d() == dt_dx1
     # stored derivative: multiplication by i * frequency
     mode = TorusForm.single(2, 1, freq=(2, 0), idx=())
@@ -117,8 +117,8 @@ def _outcome(build):
         return type(error), str(error)
 
 
-def _construct(n, idx, t_exp, has_t):
-    form = TorusForm(n, {(t_exp, (0,) * n, idx): 1}, has_t=has_t)
+def _construct(n, idx, t_exp):
+    form = TorusForm(n, {(t_exp, (0,) * n, idx): 1})
     return form.den, dict(form.items())
 
 
@@ -128,25 +128,23 @@ def test_constructor_index_checks_match_the_reference():
     # inputs with a non-int entry first, so they run before any equal
     # all-int index set is built here
     index_sets.sort(key=lambda idx: all(type(j) is int for j in idx))
-    inputs = [(n, idx, t_exp, has_t) for idx in index_sets for n in range(4)
-              for has_t in (False, True) for t_exp in (0, 1)]
-    expected = [_outcome(lambda: reference_construct(n, {(t_exp, (0,) * n, idx): 1}, has_t))
-                for n, idx, t_exp, has_t in inputs]
+    inputs = [(n, idx, t_exp) for idx in index_sets for n in range(4) for t_exp in (0, 1)]
+    expected = [_outcome(lambda: reference_construct(n, {(t_exp, (0,) * n, idx): 1}))
+                for n, idx, t_exp in inputs]
     _indices.cache_clear()
     cold = [_outcome(lambda: _construct(*case)) for case in inputs]
-    for n, idx, t_exp, has_t in inputs:
-        _outcome(lambda: _construct(n, tuple(map(int, idx)), t_exp, has_t))
+    for n, idx, t_exp in inputs:
+        _outcome(lambda: _construct(n, tuple(map(int, idx)), t_exp))
     warm = [_outcome(lambda: _construct(*case)) for case in inputs]
-    assert len(inputs) == 1776
+    assert len(inputs) == 888
     for case, want, got_cold, got_warm in zip(inputs, expected, cold, warm):
         assert got_cold == want, case
         assert got_warm == want, case
     # the order of the checks shows in which error wins
-    assert _outcome(lambda: _construct(3, (2.0, 1), 0, False)) == (
+    assert _outcome(lambda: _construct(3, (2.0, 1), 0)) == (
         ValueError, "index set (2.0, 1) is not strictly increasing")
-    assert _outcome(lambda: _construct(3, (1.0,), 1, False)) == (
-        ValueError, "t data on a form without the t extension")
-    assert _outcome(lambda: _construct(3, (1.0,), 1, True))[0] is TypeError
+    assert _outcome(lambda: _construct(3, (1.0,), -1)) == (ValueError, "negative t exponent")
+    assert _outcome(lambda: _construct(3, (1.0,), 1))[0] is TypeError
 
 
 def test_constructor_refuses_a_far_index_before_shifting_it():
@@ -168,9 +166,11 @@ def test_from_harmonic_matches_constructor_and_rejects_bad_index_sets():
         built = TorusForm.from_harmonic(n, table)
         expected = TorusForm(n, {(0, (0,) * n, idx): c for idx, c in table.items()})
         assert (built.den, dict(built.items())) == (expected.den, dict(expected.items()))
-    for bad in [(2, 1), (1, 1), (0, 2), (1, 4), (-1,), (4,)]:
+    for bad in [(2, 1), (1, 1), (1, 4), (-1,), (4,)]:
         with pytest.raises(ValueError):
             TorusForm.from_harmonic(3, {bad: 1})
+    # index 0 is dt, a translation-invariant 1-form too
+    assert TorusForm.from_harmonic(3, {(0, 2): 1}) == dx(3, 0).wedge(dx(3, 2))
 
 
 def test_period_of_exact_vanishes():
@@ -194,17 +194,17 @@ def test_invariant_table_example():
     assert form.invariant_table(2) == {(1, 2): (Fraction(2), Fraction(1))}
     assert form.invariant_table(1) == {(3,): (Fraction(7), Fraction(0))}
     assert form.invariant_table(3) == {}
-    with pytest.raises(ValueError):
-        form.with_t().invariant_table(2)
+    with pytest.raises(ValueError, match="t-free"):
+        form.mul_t(1).invariant_table(2)
 
 
 def test_fiber_integrate_t_examples():
-    dt_dx1 = TorusForm.single(2, 1, idx=(0, 1), has_t=True)
+    dt_dx1 = TorusForm.single(2, 1, idx=(0, 1))
     assert dt_dx1.fiber_integrate_t() == dx(2, 1)
-    t_dt_dx1 = TorusForm.single(2, 1, idx=(0, 1), t_exp=1, has_t=True)
+    t_dt_dx1 = TorusForm.single(2, 1, idx=(0, 1), t_exp=1)
     assert t_dt_dx1.fiber_integrate_t() == dx(2, 1) * Fraction(1, 2)
-    no_dt = TorusForm.single(2, 1, idx=(1,), has_t=True)
-    assert no_dt.fiber_integrate_t().is_zero()
+    for no_dt in (TorusForm.single(2, 1, idx=(1,), t_exp=1), TorusForm.single(2, 1, idx=(1,))):
+        assert no_dt.fiber_integrate_t().is_zero()
 
 
 def test_fiber_integrate_circle_examples():
@@ -349,16 +349,52 @@ def test_random_frequency_needs_a_circle():
             assert rand_frequency(rng, n) == want
 
 
+def test_the_t_extension_is_read_from_the_terms():
+    assert dx(2, 0).has_t and dx(2, 1).mul_t(1).has_t
+    assert not dx(2, 1).has_t and not dx(2, 1).mul_t(0).has_t
+    assert not (dx(2, 1).mul_t(1) - dx(2, 1).mul_t(1)).has_t
+    # forms with and without t data add and wedge: a t-free form is constant in t
+    mixed = dx(2, 1) + dx(2, 0)
+    assert mixed == TorusForm(2, {(0, (0, 0), (1,)): 1, (0, (0, 0), (0,)): 1})
+    assert mixed.has_t and mixed - dx(2, 0) == dx(2, 1)
+    assert dx(2, 1).wedge(dx(2, 0)) == -TorusForm.single(2, 1, idx=(0, 1))
+    assert dx(2, 2).wedge(dx(2, 1).mul_t(2)) == -TorusForm.single(2, 1, idx=(1, 2), t_exp=2)
+    assert dx(2, 0).d().is_zero() and dx(2, 1).mul_t(1).d() == dx(2, 0).wedge(dx(2, 1))
+
+
+def test_a_t_free_form_is_its_own_slice_and_integrates_to_zero_over_t():
+    rng = Random(29)
+    for n in range(4):
+        form = rand_form(rng, n)
+        for value in (0, 1, Fraction(1, 3)):
+            assert form.restrict_t(value) == form
+        assert form.fiber_integrate_t() == TorusForm.zero(n)
+        assert form.mul_t(1).fiber_integrate_t() == TorusForm.zero(n)
+        assert (form.mul_t(1) + form).restrict_t(1) == form * 2
+
+
+@pytest.mark.parametrize("t_data", [dx(2, 0), dx(2, 1).mul_t(1),
+                                    TorusForm.volume(2).mul_t(1) + dx(2, 0)],
+                         ids=["dt", "t power", "mixed"])
+def test_t_data_is_refused_by_the_t_free_operations(t_data):
+    for degree in range(4):
+        with pytest.raises(ValueError, match="^subtorus integrals are defined on t-free forms$"):
+            t_data.invariant_table(degree)
+    for axis in (1, 2):
+        with pytest.raises(ValueError, match="^circle integration is defined on t-free forms$"):
+            t_data.fiber_integrate_circle(axis)
+
+
 def test_restrict_t():
-    a = TorusForm.single(2, 1, idx=(1,), t_exp=2, has_t=True) \
-        + TorusForm.single(2, 1, idx=(0,), has_t=True)
+    a = TorusForm.single(2, 1, idx=(1,), t_exp=2) \
+        + TorusForm.single(2, 1, idx=(0,))
     assert a.restrict_t(1) == dx(2, 1)
     assert a.restrict_t(0).is_zero()
     assert a.restrict_t(Fraction(1, 3)) == dx(2, 1) * Fraction(1, 9)
 
 
 def test_restrict_t_takes_only_rationals():
-    a = TorusForm.single(2, 1, idx=(1,), t_exp=1, has_t=True)
+    a = TorusForm.single(2, 1, idx=(1,), t_exp=1)
     for bad in (0.1, "1/3", (1, 0)):
         with pytest.raises(TypeError):
             a.restrict_t(bad)
@@ -398,10 +434,10 @@ def test_chern_transforms_match_polynomial_evaluation_seeded():
         n = rng.randint(1, 5)
         cap = n + has_t
         even = sum((rand_homogeneous(rng, n, degree, has_t=has_t)
-                    for degree in range(0, cap + 1, 2)), TorusForm.zero(n, has_t=has_t))
+                    for degree in range(0, cap + 1, 2)), TorusForm.zero(n))
         transforms = chern_transforms(even, cap // 2)
         assert len(transforms) == cap // 2 + 1
-        assert transforms[0] == TorusForm.const(n, 1, has_t=has_t)
+        assert transforms[0] == TorusForm.const(n, 1)
         for i in range(1, cap // 2 + 1):
             expected = evaluate_chern_polynomial(even, i)
             assert transforms[i] == expected
@@ -463,7 +499,7 @@ def test_chern_transform_rejects_odd_content():
 def rand_even(rng, n, has_t):
     cap = n + has_t
     return sum((rand_homogeneous(rng, n, degree, has_t=has_t)
-                for degree in range(0, cap + 1, 2)), TorusForm.zero(n, has_t=has_t))
+                for degree in range(0, cap + 1, 2)), TorusForm.zero(n))
 
 
 def test_chern_transforms_memo_extends_and_hands_out_copies_seeded():
@@ -478,8 +514,8 @@ def test_chern_transforms_memo_extends_and_hands_out_copies_seeded():
         assert chern_transforms(even, 3)[2] is chern_transforms(even, 2)[2]
         want = chern_transforms(even * 1, 3)
         got = chern_transforms(even, 3)
-        got[1] = TorusForm.zero(n, has_t=has_t)
-        got.append(TorusForm.zero(n, has_t=has_t))
+        got[1] = TorusForm.zero(n)
+        got.append(TorusForm.zero(n))
         del got[2]
         assert chern_transforms(even, 3) == want
         assert chern_transforms(even, 1) == want[:2]
@@ -511,7 +547,7 @@ def test_chern_log_exponentiates_to_the_total_transform_seeded():
         log = chern_log(even, top)
         assert log.component(0).is_zero()
         exp = sum(divided_powers(log, top, TorusForm.wedge, TorusForm.__mul__),
-                  TorusForm.const(n, 1, has_t=has_t))
+                  TorusForm.const(n, 1))
         for k, transform in enumerate(chern_transforms(even, top)):
             assert exp.component(2 * k) == transform
 
@@ -520,7 +556,7 @@ def test_chern_log_exponentiates_to_the_total_transform_seeded():
 
 def test_serialization_golden():
     a = TorusForm.single(2, (Fraction(1, 2), Fraction(-3, 4)),
-                         freq=(1, -2), idx=(0, 1), t_exp=2, has_t=True)
+                         freq=(1, -2), idx=(0, 1), t_exp=2)
     assert a.to_text() == "(1/2-3/4i) t^2 exp[1,-2] d{t,1}"
     assert TorusForm.zero(2).to_text() == "0"
     assert parse_form(a.to_text()) == a
@@ -567,7 +603,7 @@ def test_parse_form_terms_keeps_every_written_term():
     assert terms == [((0, (0, 1), ()), (1, 0)), ((0, (1, 0), (1, 2)), (0, 0)),
                      ((0, (0, 1), ()), (-1, 0))]
     assert parse_form_terms("(1/2-1i) t^2 exp[3] d{t}") == (
-        TorusForm.single(1, (Fraction(1, 2), -1), freq=(3,), idx=(0,), t_exp=2, has_t=True),
+        TorusForm.single(1, (Fraction(1, 2), -1), freq=(3,), idx=(0,), t_exp=2),
         [((2, (3,), (0,)), (Fraction(1, 2), -1))])
     zero, none = parse_form_terms("0", n=3)
     assert zero == TorusForm.zero(3) and none == []
@@ -597,8 +633,8 @@ def test_serialization_round_trip_seeded():
         has_t = rng.random() < 0.4
         a = rand_form(rng, n, has_t=has_t)
         text = a.to_text()
-        assert parse_form(text, n=n, has_t=has_t) == a
-        assert parse_form(text, n=n, has_t=has_t).to_text() == text
+        assert parse_form(text, n=n) == a
+        assert parse_form(text, n=n).to_text() == text
 
 
 small_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=8)
@@ -660,7 +696,7 @@ def test_scaling_round_trip_and_text_round_trip_seeded():
         assert scaled.den > 0 and gcd(scaled.den, *numerators) == 1
         assert (a - a).den == 1
         assert scaled * (1 / q) == a
-        assert parse_form(a.to_text(), n=n, has_t=has_t) == a
+        assert parse_form(a.to_text(), n=n) == a
 
 
 # -- the kernel against its reference, and its storage invariants -----------------
@@ -678,7 +714,7 @@ def _form_over(rng, n, has_t, den, size):
         freq = tuple(rng.randint(-1, 1) for _ in range(n))
         t_exp = rng.randint(0, 2) if has_t else 0
         terms[(t_exp, freq, idx)] = (Fraction(rng.randint(-4, 4), den), Fraction(1, den))
-    form = TorusForm(n, terms, has_t=has_t)
+    form = TorusForm(n, terms)
     assert (form.den, len(form.items())) == (den, size)
     return form
 
@@ -695,8 +731,7 @@ def test_d_is_kept_on_the_form_seeded():
         # a form built from the same terms computes its own
         twin = TorusForm(n, {(m, freq, _indices(mask)): (Fraction(re_num, form.den),
                                                          Fraction(im_num, form.den))
-                             for (m, freq, mask), (re_num, im_num) in form.items()},
-                         has_t=form.has_t)
+                             for (m, freq, mask), (re_num, im_num) in form.items()})
         assert twin == form
         assert twin.d() is not first and twin.d() == first
 
@@ -729,10 +764,10 @@ def test_torus_dimension_takes_only_ints():
 def test_an_equal_non_int_is_never_read_as_the_cached_int_key():
     # the int keys are encoded first, so a cache that ignored types would hand them back
     TorusForm.single(2, 1, freq=(1, 0))
-    TorusForm.single(2, 1, freq=(1, 0), t_exp=1, has_t=True)
+    TorusForm.single(2, 1, freq=(1, 0), t_exp=1)
     for build in (lambda: TorusForm.single(2, 1, freq=(1.0, 0)),
                   lambda: TorusForm.single(2, 1, freq=(Fraction(1), 0)),
-                  lambda: TorusForm.single(2, 1, freq=(1, 0), t_exp=1.0, has_t=True)):
+                  lambda: TorusForm.single(2, 1, freq=(1, 0), t_exp=1.0)):
         with pytest.raises(TypeError):
             build()
 
@@ -745,7 +780,7 @@ def test_kernel_matches_the_reference_kernel_seeded():
         has_t = case % 12 >= 6
         a = rand_form(rng, n, 6, has_t=has_t) + rand_form(rng, n, 6, has_t=has_t)
         b = rand_form(rng, n, 6, has_t=has_t) * (Fraction(2, 3), Fraction(-1, 5))
-        zero = TorusForm.zero(n, has_t)
+        zero = TorusForm.zero(n)
         # the last two pairs cancel completely: (a + b) - b and a^b - a^b
         for x, y in ((a, b), (b, a), (a, zero), (a + b, -b), (a.wedge(b), (-a).wedge(b))):
             assert _stored(x + y) == reference_add(x, y)
@@ -759,8 +794,8 @@ def test_kernel_matches_the_reference_kernel_seeded():
             for sizes in ((2, 5), (5, 2)):
                 x, y = (_form_over(sums_rng, m, has_t, den, size)
                         for den, size in zip(dens, sizes))
-                for p, q in ((x, y), (y, x), (x, TorusForm.zero(m, has_t)),
-                             (TorusForm.zero(m, has_t), x), (x, -x)):
+                for p, q in ((x, y), (y, x), (x, TorusForm.zero(m)),
+                             (TorusForm.zero(m), x), (x, -x)):
                     assert _stored(p + q) == reference_add(p, q)
         assert (a + b) - b == a
         assert (a.wedge(b) + (-a).wedge(b)).is_zero()
@@ -783,7 +818,7 @@ def _assert_stored_invariants(form):
     _assert_normalized(derivative)
     assert _stored(derivative) == reference_d(form)
     # a wedge reads the mask groups and keeps them on the form
-    form.wedge(TorusForm.const(form.n, 1, has_t=form.has_t))
+    form.wedge(TorusForm.const(form.n, 1))
     groups = {}
     for key, num in form.items():
         groups.setdefault(key[2], []).append((key, num))
@@ -803,18 +838,18 @@ def test_every_operation_stores_normalized_terms_seeded():
         vector = [rng.randint(-2, 2) for _ in range(n)]
         singular = [[rng.randint(-1, 1) * v for v in vector] for _ in range(n)]
         results = [
-            a + b, a - b, a - a, -a, (a + b) - b, a + TorusForm.zero(n, True),
-            a.wedge(b), a.wedge(b) + (-a).wedge(b), a.d(), a.d().d(),
+            a + b, a - b, a - a, -a, (a + b) - b, a + TorusForm.zero(n), a + flat,
+            a.wedge(b), a.wedge(b) + (-a).wedge(b), flat.wedge(a), a.d(), a.d().d(),
             a * 0, a * (0, 0), a * Fraction(0), a * (Fraction(1, 2), Fraction(-2, 3)),
             a * (0, 3), a * Fraction(6, 5), flat * (Fraction(5, 4), 2),
             a.restrict_t(0), a.restrict_t(1), a.restrict_t(Fraction(2, 3)),
             a.fiber_integrate_t(), flat.fiber_integrate_circle(1 + case % n),
             flat.pullback(singular), a.pullback(singular),
-            a.mul_t(2), flat.with_t(), a.with_t(), TorusForm.zero(n, True),
+            a.mul_t(2), flat.mul_t(1), flat.restrict_t(1), flat.fiber_integrate_t(),
         ] + [a.component(k) for k in range(n + 2)]
         for result in results:
             _assert_stored_invariants(result)
-        assert a * 0 == a * (0, 0) == TorusForm.zero(n, True)
+        assert a * 0 == a * (0, 0) == TorusForm.zero(n)
 
 
 # -- packed keys against the tuple-keyed oracle ----------------------------------
@@ -842,15 +877,14 @@ def _form(draw, n, has_t, frequency=_frequency):
         t_exp = draw(st.one_of(st.integers(0, 3), st.just(B - 1))) if has_t else 0
         freq = tuple(draw(frequency) for _ in range(n))
         terms[(t_exp, freq, idx)] = draw(_coefficient)
-    return TorusForm(n, terms, has_t=has_t)
+    return TorusForm(n, terms)
 
 
 def _conjugate(form):
     """The complex conjugate, built through the public constructor."""
     return TorusForm(form.n, {(m, tuple(-k for k in freq), _indices(mask)):
                               (Fraction(re_num, form.den), Fraction(-im_num, form.den))
-                              for (m, freq, mask), (re_num, im_num) in form.items()},
-                     has_t=form.has_t)
+                              for (m, freq, mask), (re_num, im_num) in form.items()})
 
 
 @settings(max_examples=150, deadline=None)
@@ -883,17 +917,23 @@ def test_packed_kernel_matches_the_tuple_keyed_oracle(data):
     if all(-B < k for (_, freq, _), _ in a.items() for k in freq):
         real = a + _conjugate(a)
         assert real.is_real() and reference_is_real(real)
-    if has_t:
-        value = data.draw(st.fractions(-2, 2, max_denominator=4), label="t")
-        # t^(B-1) at a value other than 0 and +-1 builds huge integers
-        if all(m < 4 for (m, _, _), _ in a.items()) or value in (0, 1, -1):
-            assert _stored(a.restrict_t(value)) == reference_restrict_t(a, value)
-        assert _stored(a.fiber_integrate_t()) == reference_fiber_integrate_t(a)
-    else:
-        for axis in range(1, n + 1):
+    value = data.draw(st.fractions(-2, 2, max_denominator=4), label="t")
+    # t^(B-1) at a value other than 0 and +-1 builds huge integers
+    if all(m < 4 for (m, _, _), _ in a.items()) or value in (0, 1, -1):
+        assert _stored(a.restrict_t(value)) == reference_restrict_t(a, value)
+    assert _stored(a.fiber_integrate_t()) == reference_fiber_integrate_t(a)
+    for axis in range(1, n + 1):
+        if a.has_t:
+            with pytest.raises(ValueError, match="t-free"):
+                a.fiber_integrate_circle(axis)
+        else:
             assert _stored(a.fiber_integrate_circle(axis)) == \
                 reference_fiber_integrate_circle(a, axis)
-        for degree in range(n + 2):
+    for degree in range(n + 2):
+        if a.has_t:
+            with pytest.raises(ValueError, match="t-free"):
+                a.invariant_table(degree)
+        else:
             assert a.invariant_table(degree) == reference_invariant_table(a, degree)
 
 
@@ -906,23 +946,23 @@ def test_packed_keys_round_trip_at_the_range_ends(n):
             freq = tuple(value if j == slot else (-1) ** j * j for j in range(1, n + 1))
             t_exp = value if slot == 0 else 1
             idx = (0,) + tuple(range(1, n + 1, 2))
-            form = TorusForm.single(n, (2, -1), freq=freq, idx=idx, t_exp=t_exp, has_t=True)
+            form = TorusForm.single(n, (2, -1), freq=freq, idx=idx, t_exp=t_exp)
             assert form.items() == [((t_exp, freq, sum(1 << j for j in idx)), (2, -1))]
-            assert parse_form(form.to_text(), n=n, has_t=True) == form
+            assert parse_form(form.to_text(), n=n) == form
     for bad in (B, -B - 1, 2 ** 40):
         if n:
             with pytest.raises(ValueError, match="frequency vector .* outside the key range"):
                 TorusForm.single(n, 1, freq=(0,) * (n - 1) + (bad,))
     for bad in (B, 2 ** 40):
         with pytest.raises(ValueError, match="t exponent .* outside the key range"):
-            TorusForm.single(n, 1, t_exp=bad, has_t=True)
+            TorusForm.single(n, 1, t_exp=bad)
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_a_product_that_leaves_the_key_range_raises(n):
     def mode(slot, k, t_exp=0):
         return TorusForm.single(n, 1, freq=tuple(k if j == slot else 0 for j in range(1, n + 1)),
-                                t_exp=t_exp, has_t=True)
+                                t_exp=t_exp)
 
     for slot in (1, n):
         for k1, k2 in ((B - 1, 1), (-B, -1), (B - 1, B - 1), (-B, -B)):
@@ -944,7 +984,7 @@ def test_a_product_that_leaves_the_key_range_raises(n):
         mode(n, B - 1).pullback([[2 if j == l else 0 for l in range(n)] for j in range(n)])
     # a derivative keeps every frequency, and the slots next to a changed one stay put
     assert mode(n, -B).d() == TorusForm.single(n, (0, -B), freq=(0,) * (n - 1) + (-B,),
-                                               idx=(n,), has_t=True)
+                                               idx=(n,))
 
 
 # -- shared constant forms and the checked builder -----------------------------
@@ -953,13 +993,10 @@ def _constants():
     """``(build, args, public)``: each shared constant's builder and arguments,
     beside the public constructor's form."""
     for n in range(5):
-        for has_t in (False, True):
-            yield TorusForm.zero, (n, has_t), TorusForm(n, {}, has_t=has_t)
-            yield (TorusForm.const, (n, 1, has_t),
-                   TorusForm(n, {(0, (0,) * n, ()): 1}, has_t=has_t))
-            for j in range(0 if has_t else 1, n + 1):
-                yield (TorusForm.dx, (n, j, has_t),
-                       TorusForm(n, {(0, (0,) * n, (j,)): 1}, has_t=has_t))
+        yield TorusForm.zero, (n,), TorusForm(n, {})
+        yield TorusForm.const, (n, 1), TorusForm(n, {(0, (0,) * n, ()): 1})
+        for j in range(n + 1):  # dx_0 is dt
+            yield TorusForm.dx, (n, j), TorusForm(n, {(0, (0,) * n, (j,)): 1})
         yield TorusForm.volume, (n,), TorusForm(n, {(0, (0,) * n, tuple(range(1, n + 1))): 1})
 
 
@@ -970,9 +1007,7 @@ def test_shared_constants_are_one_form_each_equal_to_the_constructors():
         assert first == public and first.to_text() == public.to_text(), (build, args)
         assert type(first.n) is int and type(first.has_t) is bool, (build, args)
     assert TorusForm.const(3, Fraction(1)) == TorusForm.const(3, 1)
-    assert TorusForm.const(3, Fraction(1), True) == TorusForm.const(3, 1, True)
     assert TorusForm.const(3, 2) is not TorusForm.const(3, 2)
-    assert TorusForm.zero(2, 1) is TorusForm.zero(2, True)
 
 
 def test_shared_constants_validate_before_the_lookup():
@@ -987,7 +1022,7 @@ def test_shared_constants_validate_before_the_lookup():
     with pytest.raises(ValueError):
         TorusForm.zero(-1)
     with pytest.raises(ValueError):
-        TorusForm.dx(2, 0)
+        TorusForm.dx(2, -1)
     with pytest.raises(ValueError):
         TorusForm.dx(2, 3)
     with pytest.raises(TypeError):
@@ -1027,29 +1062,28 @@ def test_checked_builder_checks_every_key_as_the_constructor_does():
         text = None
         if t_exp >= 0 and len(freq) == 2 and all(type(j) is int for j in idx):
             text = f"t^{t_exp} exp[{freq[0]},{freq[1]}] d{{{','.join(map(str, idx))}}}"
-        for has_t in (False, True):
-            want = _outcome(lambda: TorusForm(2, {key: 1}, has_t=has_t))
-            refused = not isinstance(want, TorusForm)
-            builds = {
-                1: [lambda: TorusForm._checked(2, has_t, 1, [(key, (1, 0))])],
-                0: [lambda: TorusForm(2, {key: 0}, has_t=has_t),
-                    lambda: TorusForm._checked(2, has_t, 1, [(key, (0, 0))]),
-                    lambda: TorusForm._checked(2, has_t, 1, [(key, (1, 0)), (key, (-1, 0))])],
-            }
-            if text is not None:
-                parsed += 1
-                builds[1].append(lambda: parse_form(f"(1+0i) {text}", 2, has_t))
-                builds[0] += [lambda: parse_form(f"(0+0i) {text}", 2, has_t),
-                              lambda: parse_form(f"(1+0i) {text} + (-1+0i) {text}", 2, has_t)]
-            for coeff, outcomes in builds.items():
-                expected = want if coeff or refused else TorusForm.zero(2, has_t)
-                for build in outcomes:
-                    assert _outcome(build) == expected, (key, has_t, coeff)
-            assert _outcome(lambda: reference_construct(2, {key: 0}, has_t)) == (
-                want if refused else (1, {})), (key, has_t)
-    assert parsed == 43 * 2 * 3 * 2  # int index sets, t exponents, T^2 frequencies, has_t
+        want = _outcome(lambda: TorusForm(2, {key: 1}))
+        refused = not isinstance(want, TorusForm)
+        builds = {
+            1: [lambda: TorusForm._checked(2, 1, [(key, (1, 0))])],
+            0: [lambda: TorusForm(2, {key: 0}),
+                lambda: TorusForm._checked(2, 1, [(key, (0, 0))]),
+                lambda: TorusForm._checked(2, 1, [(key, (1, 0)), (key, (-1, 0))])],
+        }
+        if text is not None:
+            parsed += 1
+            builds[1].append(lambda: parse_form(f"(1+0i) {text}", 2))
+            builds[0] += [lambda: parse_form(f"(0+0i) {text}", 2),
+                          lambda: parse_form(f"(1+0i) {text} + (-1+0i) {text}", 2)]
+        for coeff, outcomes in builds.items():
+            expected = want if coeff or refused else TorusForm.zero(2)
+            for build in outcomes:
+                assert _outcome(build) == expected, (key, coeff)
+        assert _outcome(lambda: reference_construct(2, {key: 0})) == (
+            want if refused else (1, {})), key
+    assert parsed == 43 * 2 * 3  # int index sets, t exponents, T^2 frequencies
     with pytest.raises(TypeError):
-        TorusForm._checked(2.0, False, 1, [])
+        TorusForm._checked(2.0, 1, [])
 
 
 def test_checked_builder_stores_what_the_constructor_stores():
@@ -1068,4 +1102,4 @@ def test_checked_builder_stores_what_the_constructor_stores():
         for key, (re_num, im_num) in pairs:
             re_sum, im_sum = summed.get(key, (0, 0))
             summed[key] = (re_sum + Fraction(re_num, den), im_sum + Fraction(im_num, den))
-        assert TorusForm._checked(n, has_t, den, pairs) == TorusForm(n, summed, has_t=has_t)
+        assert TorusForm._checked(n, den, pairs) == TorusForm(n, summed)
